@@ -77,32 +77,6 @@ std::vector<std::uint8_t> bench_row() {
     return row;
 }
 
-void BM_EmptyMaskBuild(benchmark::State& state) {
-    const auto row = bench_row();
-    std::vector<std::uint64_t> words(row.size() / simd::kWordBits);
-    for (auto _ : state) {
-        simd::empty_bits(row.data(), static_cast<int>(row.size()),
-                         words.data());
-        benchmark::DoNotOptimize(words.data());
-    }
-    state.SetBytesProcessed(state.iterations() *
-                            static_cast<std::int64_t>(row.size()));
-}
-BENCHMARK(BM_EmptyMaskBuild);
-
-void BM_EmptyMaskBuildScalar(benchmark::State& state) {
-    const auto row = bench_row();
-    std::vector<std::uint64_t> words(row.size() / simd::kWordBits);
-    for (auto _ : state) {
-        simd::scalar::empty_bits(row.data(), static_cast<int>(row.size()),
-                                 words.data());
-        benchmark::DoNotOptimize(words.data());
-    }
-    state.SetBytesProcessed(state.iterations() *
-                            static_cast<std::int64_t>(row.size()));
-}
-BENCHMARK(BM_EmptyMaskBuildScalar);
-
 void BM_AgentMaskBuild(benchmark::State& state) {
     const auto row = bench_row();
     std::vector<std::uint64_t> words(row.size() / simd::kWordBits);

@@ -28,8 +28,8 @@ ShardedCpuSimulator::ShardedCpuSimulator(
             "bands (" + std::to_string(bands) + ") exceeds grid rows (" +
             std::to_string(config_.grid.rows) + ")");
     }
-    // Every stage read stays within `halo_` rows of the band: the mask
-    // sweeps and neighbour gathers probe one row out, and the scanning
+    // Every stage read stays within `halo_` rows of the band: neighbour
+    // probes and proposer gathers reach one row out, and the scanning
     // look-ahead's congestion ray reaches a candidate (±1) plus
     // range - 1 further cells.
     halo_ = std::max(1, config_.scan.range);
@@ -60,8 +60,8 @@ ShardedCpuSimulator::ShardedCpuSimulator(
             static_cast<std::ptrdiff_t>(-band.win_begin) * stride + 1;
         band.empty = core::EnvEmpty(band.occ.data(), origin, stride);
         band.index = core::EnvIndex(band.idx.data(), origin, stride);
-        // Movement needs 6 mask planes; initial-calc reuses the first.
-        band.mask.resize(static_cast<std::size_t>(env_.bit_words()) * 6);
+        // initial-calc's agent mask row.
+        band.mask.resize(static_cast<std::size_t>(env_.bit_words()));
         bands_.push_back(std::move(band));
     }
     // Everything is dirty until the first exchange (which also picks up
@@ -185,61 +185,15 @@ void ShardedCpuSimulator::stage_tour_construction() {
 }
 
 void ShardedCpuSimulator::movement_band(Band& band) {
-    // CpuSimulator::movement_rows over the band window: the rolling
-    // 3-row agent masks start at begin - 1 and end at end — halo rows
-    // refreshed by this step's exchange, so cross-seam proposers gather
-    // exactly like interior ones. Each empty cell is owned by exactly one
-    // band, so no move is emitted twice.
+    // The shared proposal walk over the band's own rows, probing through
+    // its replica window: proposer gathers reach one row out, into halo
+    // rows this step's exchange refreshed, so cross-seam proposers gather
+    // exactly like interior ones. Each cell is owned by exactly one band,
+    // so no move is emitted twice, and its stream is keyed on the GLOBAL
+    // cell — the draw the monolithic engine makes, whatever band owns it.
     band.moves.clear();
-    const int nwords = env_.bit_words();
-    const int stride = env_.stride();
-    std::uint64_t* const buf = band.mask.data();
-    std::uint64_t* agent[3] = {buf, buf + nwords, buf + 2 * nwords};
-    std::uint64_t* const empty_m = buf + 3 * nwords;
-    std::uint64_t* const uni = buf + 4 * nwords;
-    std::uint64_t* const cand = buf + 5 * nwords;
-    const auto occ_padded = [&](int gr) {
-        return band.occ.data() +
-               static_cast<std::size_t>(gr - band.win_begin) *
-                   static_cast<std::size_t>(stride);
-    };
-
-    simd::agent_bits(occ_padded(band.begin - 1), stride, grid::kWallOcc,
-                     agent[0]);
-    simd::agent_bits(occ_padded(band.begin), stride, grid::kWallOcc,
-                     agent[1]);
-
-    std::int32_t proposers[grid::kNeighborCount];
-    for (int r = band.begin; r < band.end; ++r) {
-        simd::agent_bits(occ_padded(r + 1), stride, grid::kWallOcc, agent[2]);
-        for (int w = 0; w < nwords; ++w) {
-            uni[w] = agent[0][w] | agent[1][w] | agent[2][w];
-        }
-        simd::dilate1(uni, cand, nwords);
-        simd::empty_bits(occ_padded(r), stride, empty_m);
-        for (int w = 0; w < nwords; ++w) cand[w] &= empty_m[w];
-
-        simd::for_each_set_bit(cand, nwords, [&](int p) {
-            const int c = p - 1;
-            const int n = gather_proposers(band.index,
-                                           props_.future_row.data(),
-                                           props_.future_col.data(), r, c,
-                                           proposers);
-            if (n == 0) return;
-            // GLOBAL cell key: the stream is the same one the monolithic
-            // engine draws for this cell, whatever band owns it.
-            rng::Stream stream(config_.seed, rng::Stage::kMovement,
-                               static_cast<std::uint64_t>(env_.flat(r, c)),
-                               step_);
-            const int w = core::select_winner(stream, n);
-            band.moves.push_back({proposers[w], r, c});
-        });
-
-        std::uint64_t* const oldest = agent[0];
-        agent[0] = agent[1];
-        agent[1] = agent[2];
-        agent[2] = oldest;
-    }
+    resolve_proposals(band.empty, band.index, band.begin, band.end,
+                      band.moves);
 }
 
 void ShardedCpuSimulator::stage_movement(std::vector<Move>& out_moves) {

@@ -14,8 +14,9 @@
 //      copies make seam resolution deterministic by construction.
 //   2. initial-calc and movement run one pool task per band, reading ONLY
 //      the band's replica planes (all probes stay inside the window by
-//      the halo-width argument); tour construction slices the agent
-//      table the same way.
+//      the halo-width argument) — movement walks the band's rows of the
+//      shared, read-only proposal plane to find its cells; tour
+//      construction slices the agent table the same way.
 //   3. Per-band move scratch merges in ascending band order — the
 //      monolithic engine's row-major order — and the shared finish_step
 //      applies it to the canonical environment.
@@ -84,7 +85,8 @@ class ShardedCpuSimulator final : public core::Simulator {
         /// Window views with GLOBAL (r, c) addressing into the planes.
         core::EnvEmpty empty;
         core::EnvIndex index;
-        /// Per-band stage scratch (mask words, movement output).
+        /// Per-band stage scratch (initial-calc's agent mask row,
+        /// movement output).
         std::vector<std::uint64_t> mask;
         std::vector<core::Move> moves;
     };

@@ -76,68 +76,12 @@ void CpuSimulator::stage_tour_construction() {
                      });
 }
 
-void CpuSimulator::movement_rows(int begin_row, int end_row,
-                                 std::vector<Move>& out_moves) const {
-    // Scatter-to-gather: every empty cell collects the neighbours whose
-    // FUTURE cell is this cell and draws one winner on the cell's stream.
-    //
-    // Candidate mask per row: empty cells that have at least one agent in
-    // their 8-neighbourhood — empty_bits(r) AND the one-cell dilation of
-    // agent_bits(r-1) | agent_bits(r) | agent_bits(r+1). This is exactly
-    // the set of cells where the old loop did any work: a skipped cell is
-    // either occupied (not in the empty mask) or has no agent neighbour,
-    // and gather_proposers returns 0 there before any stream is created —
-    // so skipping it can never consume or reorder an RNG draw. The halo
-    // rows above/below the grid are all-sentinel and contribute no bits.
-    const int nwords = env_.bit_words();
-    const int stride = env_.stride();
-    std::vector<std::uint64_t> buf(static_cast<std::size_t>(nwords) * 6);
-    std::uint64_t* agent[3] = {buf.data(), buf.data() + nwords,
-                               buf.data() + 2 * nwords};
-    std::uint64_t* empty_m = buf.data() + 3 * nwords;
-    std::uint64_t* uni = buf.data() + 4 * nwords;
-    std::uint64_t* cand = buf.data() + 5 * nwords;
-
-    simd::agent_bits(env_.occ_row_padded(begin_row - 1), stride,
-                     grid::kWallOcc, agent[0]);
-    simd::agent_bits(env_.occ_row_padded(begin_row), stride, grid::kWallOcc,
-                     agent[1]);
-
-    std::int32_t proposers[grid::kNeighborCount];
-    for (int r = begin_row; r < end_row; ++r) {
-        simd::agent_bits(env_.occ_row_padded(r + 1), stride, grid::kWallOcc,
-                         agent[2]);
-        for (int w = 0; w < nwords; ++w) {
-            uni[w] = agent[0][w] | agent[1][w] | agent[2][w];
-        }
-        simd::dilate1(uni, cand, nwords);
-        simd::empty_bits(env_.occ_row_padded(r), stride, empty_m);
-        for (int w = 0; w < nwords; ++w) cand[w] &= empty_m[w];
-
-        simd::for_each_set_bit(cand, nwords, [&](int p) {
-            const int c = p - 1;
-            const int n = gather_proposers(env_, props_.future_row.data(),
-                                           props_.future_col.data(), r, c,
-                                           proposers);
-            if (n == 0) return;
-            rng::Stream stream(config_.seed, rng::Stage::kMovement,
-                               static_cast<std::uint64_t>(env_.flat(r, c)),
-                               step_);
-            const int w = select_winner(stream, n);
-            out_moves.push_back({proposers[w], r, c});
-        });
-
-        std::uint64_t* const oldest = agent[0];
-        agent[0] = agent[1];
-        agent[1] = agent[2];
-        agent[2] = oldest;
-    }
-}
-
 void CpuSimulator::stage_movement(std::vector<Move>& out_moves) {
+    const EnvEmpty empty(env_);
+    const EnvIndex index(env_);
     const auto slices = exec::plan_slices(config_.exec, 0, env_.rows());
     if (slices.size() <= 1) {
-        movement_rows(0, env_.rows(), out_moves);
+        resolve_proposals(empty, index, 0, env_.rows(), out_moves);
         return;
     }
     // Per-slice scratch, merged in slice order: the concatenation of
@@ -147,9 +91,9 @@ void CpuSimulator::stage_movement(std::vector<Move>& out_moves) {
         static_cast<int>(slices.size()), config_.exec.effective_threads(),
         [&](int s) {
             const auto& sl = slices[static_cast<std::size_t>(s)];
-            movement_rows(static_cast<int>(sl.begin),
-                          static_cast<int>(sl.end),
-                          parts[static_cast<std::size_t>(s)]);
+            resolve_proposals(empty, index, static_cast<int>(sl.begin),
+                              static_cast<int>(sl.end),
+                              parts[static_cast<std::size_t>(s)]);
         });
     for (const auto& part : parts) {
         out_moves.insert(out_moves.end(), part.begin(), part.end());

@@ -33,8 +33,6 @@ class CpuSimulator final : public Simulator {
     // only writes state owned by entities inside the slice.
     void initial_calc_rows(int begin_row, int end_row);
     void tour_construction_agents(std::size_t begin, std::size_t end);
-    void movement_rows(int begin_row, int end_row,
-                       std::vector<Move>& out_moves) const;
 };
 
 }  // namespace pedsim::core

@@ -9,6 +9,7 @@
 #include "obs/clock.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "simd/row_ops.hpp"
 
 namespace pedsim::core {
 
@@ -48,7 +49,9 @@ Simulator::Simulator(const SimConfig& config,
       blend_(df_),
       placed_(init_agents(env_, config_)),
       props_(placed_, config_.perturb.surge_total()),
-      scan_(placed_.size() + config_.perturb.surge_total()) {
+      scan_(placed_.size() + config_.perturb.surge_total()),
+      proposed_(static_cast<std::size_t>(env_.rows()) *
+                static_cast<std::size_t>(env_.bit_words())) {
     if (config_.model == Model::kAco) {
         pher_ = std::make_unique<PheromoneField>(
             config_.grid, config_.aco.tau0, config_.aco.tau_min);
@@ -469,9 +472,18 @@ StepResult Simulator::step() {
         stage_tour_construction();
     }
 
+    // One pass over FUTURE ROW/COL counts the proposals and marks each
+    // proposed cell in the proposal plane, which the host engines'
+    // movement walks instead of sweeping every row.
+    std::fill(proposed_.begin(), proposed_.end(), 0);
+    const auto nwords = static_cast<std::size_t>(env_.bit_words());
     for (std::size_t i = 1; i < props_.rows(); ++i) {
-        res.proposals += (props_.active[i] != 0 &&
-                          props_.future_row[i] != kNoFuture);
+        const std::int32_t fr = props_.future_row[i];
+        if (props_.active[i] == 0 || fr == kNoFuture) continue;
+        ++res.proposals;
+        const auto p = static_cast<std::size_t>(props_.future_col[i]) + 1;
+        proposed_[static_cast<std::size_t>(fr) * nwords + p / 64] |=
+            std::uint64_t{1} << (p % 64);
     }
 
     std::vector<Move> moves;
@@ -498,6 +510,42 @@ StepResult Simulator::step() {
 
     ++step_;
     return res;
+}
+
+void Simulator::resolve_proposals(const EnvEmpty& empty,
+                                  const EnvIndex& index, int begin_row,
+                                  int end_row,
+                                  std::vector<Move>& out_moves) const {
+    // Scatter-to-gather (section IV.d) over the proposed cells only. Every
+    // FUTURE cell is an empty king-neighbour of its agent, so any other
+    // cell would gather no proposer — n == 0 before a stream exists — and
+    // skipping it can neither consume nor reorder a draw. Bits are walked
+    // row-major, column-ascending: the paper's cell order.
+    const int nwords = env_.bit_words();
+    std::int32_t proposers[grid::kNeighborCount];
+    for (int r = begin_row; r < end_row; ++r) {
+        const std::uint64_t* const row =
+            proposed_.data() +
+            static_cast<std::size_t>(r) * static_cast<std::size_t>(nwords);
+        simd::for_each_set_bit(row, nwords, [&](int p) {
+            const int c = p - 1;  // padded bit position -> logical column
+            if (!empty(r, c)) return;
+            const int n = gather_proposers(index, props_.future_row.data(),
+                                           props_.future_col.data(), r, c,
+                                           proposers);
+            if (n == 0) return;
+            // select_winner draws nothing for a lone proposer, so the
+            // cell's stream is built only when there is a contest.
+            int w = 0;
+            if (n > 1) {
+                rng::Stream stream(config_.seed, rng::Stage::kMovement,
+                                   static_cast<std::uint64_t>(env_.flat(r, c)),
+                                   step_);
+                w = select_winner(stream, n);
+            }
+            out_moves.push_back({proposers[w], r, c});
+        });
+    }
 }
 
 void Simulator::finish_step(const std::vector<Move>& moves,

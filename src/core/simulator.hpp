@@ -27,6 +27,7 @@
 namespace pedsim::core {
 
 struct EnvEmpty;  // rules.hpp: windowed emptiness view
+struct EnvIndex;  // rules.hpp: windowed agent-index view
 
 /// One resolved movement: agent -> empty cell (from stage d's gather).
 struct Move {
@@ -163,6 +164,15 @@ class Simulator {
     virtual void stage_tour_construction() = 0;           // IV.c
     virtual void stage_movement(std::vector<Move>& out_moves) = 0;  // IV.d
 
+    /// Host stage-d body over rows [begin_row, end_row): resolve every
+    /// cell of the proposal plane set in those rows, row-major and
+    /// column-ascending, reading occupancy and agent indices through the
+    /// given window views (the whole environment, or a sharded band's
+    /// replica planes). Appends the winners to `out_moves`.
+    void resolve_proposals(const EnvEmpty& empty, const EnvIndex& index,
+                           int begin_row, int end_row,
+                           std::vector<Move>& out_moves) const;
+
     /// Shared stage-d epilogue: apply the (disjoint) moves, update tour
     /// lengths, evaporate + deposit pheromone (ACO), retire crossed agents.
     void finish_step(const std::vector<Move>& moves, StepResult& result);
@@ -234,6 +244,11 @@ class Simulator {
     std::vector<grid::PlacedAgent> placed_;
     PropertyTable props_;
     ScanMatrix scan_;
+    /// Proposal plane: rows x env_.bit_words() words in the padded rows'
+    /// bit layout — bit c + 1 of row r is set when some agent's FUTURE
+    /// cell this step is (r, c). Rebuilt by step() between tour
+    /// construction and movement; movement only reads it.
+    std::vector<std::uint64_t> proposed_;
     std::unique_ptr<PheromoneField> pher_;
     std::uint64_t step_ = 0;
     std::size_t crossed_top_ = 0;

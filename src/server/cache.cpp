@@ -4,31 +4,22 @@
 
 namespace pedsim::server {
 
-namespace {
-
-std::uint64_t fnv1a(std::uint64_t h, std::string_view bytes) {
-    constexpr std::uint64_t kPrime = 0x100000001B3ull;
-    for (const char ch : bytes) {
-        h ^= static_cast<std::uint8_t>(ch);
-        h *= kPrime;
-    }
-    return h;
+// The tags differ in their first byte, so a text key never equals a
+// registry key whatever the submitted bytes are.
+std::string ScenarioCache::key_for_text(std::string_view text) {
+    std::string key = "\x01text\x01";
+    key.append(text);
+    return key;
 }
 
-constexpr std::uint64_t kOffsetBasis = 0xCBF29CE484222325ull;
-
-}  // namespace
-
-std::uint64_t ScenarioCache::key_for_text(std::string_view text) {
-    return fnv1a(fnv1a(kOffsetBasis, "\x01text\x01"), text);
-}
-
-std::uint64_t ScenarioCache::key_for_registry(std::string_view name) {
-    return fnv1a(fnv1a(kOffsetBasis, "\x02registry\x02"), name);
+std::string ScenarioCache::key_for_registry(std::string_view name) {
+    std::string key = "\x02registry\x02";
+    key.append(name);
+    return key;
 }
 
 std::shared_ptr<const scenario::PreparedScenario>
-ScenarioCache::get_or_prepare(std::uint64_t key, const Builder& build,
+ScenarioCache::get_or_prepare(const std::string& key, const Builder& build,
                               bool* hit) {
     std::shared_ptr<Entry> entry;
     {

@@ -1,15 +1,17 @@
-// Scenario-keyed warm cache of the resident server: content hash of the
-// submitted scenario -> PreparedScenario (parsed Scenario + the shared
+// Scenario-keyed warm cache of the resident server: the submitted
+// scenario's bytes -> PreparedScenario (parsed Scenario + the shared
 // immutable DoorSchedule with every phase's geodesic field and waypoint
 // field sets precomputed).
 //
 // Keying is by CONTENT, not by name: two clients submitting byte-equal
 // scenario text share one entry, and a registry-name submission lives in
 // its own key namespace so a scenario file that happens to contain a
-// built-in's name can never alias it. The cached schedule is read-only
-// after construction and independent of seed/model/steps/threads (the
-// core::Simulator warm-constructor contract), so one entry serves every
-// job permutation concurrently.
+// built-in's name can never alias it. The key IS the namespaced bytes,
+// not a digest of them, so every hit compares the full content and two
+// different submissions can never share an entry. The cached schedule is
+// read-only after construction and independent of seed/model/steps/
+// threads (the core::Simulator warm-constructor contract), so one entry
+// serves every job permutation concurrently.
 #pragma once
 
 #include <atomic>
@@ -17,6 +19,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <string_view>
 #include <unordered_map>
 
@@ -28,11 +31,12 @@ class ScenarioCache {
   public:
     using Builder = std::function<scenario::PreparedScenario()>;
 
-    /// Key of a scenario submitted as file text (FNV-1a over the bytes,
-    /// under the text namespace tag).
-    static std::uint64_t key_for_text(std::string_view text);
-    /// Key of a registry-name submission (separate namespace tag).
-    static std::uint64_t key_for_registry(std::string_view name);
+    /// Key of a scenario submitted as file text: the text namespace tag
+    /// followed by the text's bytes.
+    static std::string key_for_text(std::string_view text);
+    /// Key of a registry-name submission: a separate namespace tag
+    /// followed by the name.
+    static std::string key_for_registry(std::string_view name);
 
     /// Find-or-build the entry for `key`. On a miss, `build` runs exactly
     /// once per key even under concurrent lookups (later callers block on
@@ -44,7 +48,7 @@ class ScenarioCache {
     /// `hit`, when non-null, receives whether the entry already existed
     /// at lookup — the per-job flag the Done frame reports.
     std::shared_ptr<const scenario::PreparedScenario> get_or_prepare(
-        std::uint64_t key, const Builder& build, bool* hit = nullptr);
+        const std::string& key, const Builder& build, bool* hit = nullptr);
 
     [[nodiscard]] std::size_t size() const;
     [[nodiscard]] std::uint64_t hits() const {
@@ -62,7 +66,7 @@ class ScenarioCache {
     };
 
     mutable std::mutex mutex_;
-    std::unordered_map<std::uint64_t, std::shared_ptr<Entry>> entries_;
+    std::unordered_map<std::string, std::shared_ptr<Entry>> entries_;
     std::atomic<std::uint64_t> hits_{0};
     std::atomic<std::uint64_t> misses_{0};
 };

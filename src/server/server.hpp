@@ -75,7 +75,8 @@ class Server {
         std::uint64_t id = 0;
         protocol::JobRequest request;
         std::shared_ptr<Connection> conn;
-        std::uint64_t cache_key = 0;
+        /// ScenarioCache key: the namespaced submission bytes.
+        std::string cache_key;
         /// Admission timestamp (steady ns) for the latency histogram.
         std::uint64_t admitted_ns = 0;
     };

@@ -6,7 +6,7 @@
 // whole padded rows: every 64-byte block becomes one 64-bit mask word and
 // no tail handling exists on the row path. Byte position p of a padded row
 // corresponds to logical column p - 1; sentinel and pad bytes are
-// kWallOcc, so they never set a bit in either mask.
+// kWallOcc, so they never set a bit in the agent mask.
 //
 // Everything here is integer masks, integer counts, or verbatim double
 // loads — no floating-point arithmetic — which is why the engines can use
@@ -29,20 +29,6 @@ inline constexpr std::uint32_t kLaneMask =
     kU8Lanes >= 32 ? 0xFFFFFFFFu : ((1u << kU8Lanes) - 1u);
 
 namespace scalar {
-
-/// Bit p of words[] = (row[p] == 0). nbytes must be a multiple of 64.
-inline void empty_bits(const std::uint8_t* row, int nbytes,
-                       std::uint64_t* words) {
-    const int nwords = nbytes / kWordBits;
-    for (int w = 0; w < nwords; ++w) {
-        std::uint64_t word = 0;
-        for (int b = 0; b < kWordBits; ++b) {
-            word |= static_cast<std::uint64_t>(row[w * kWordBits + b] == 0)
-                    << b;
-        }
-        words[w] = word;
-    }
-}
 
 /// Bit p of words[] = (row[p] != 0 && row[p] != wall): cells holding an
 /// agent, excluding walls and the sentinel/pad bytes (which are `wall`).
@@ -92,15 +78,6 @@ inline std::uint64_t eq_word(const std::uint8_t* p, VecU8 target) {
 
 }  // namespace detail
 
-inline void empty_bits(const std::uint8_t* row, int nbytes,
-                       std::uint64_t* words) {
-    const VecU8 zero = VecU8::splat(0);
-    const int nwords = nbytes / kWordBits;
-    for (int w = 0; w < nwords; ++w) {
-        words[w] = detail::eq_word(row + w * kWordBits, zero);
-    }
-}
-
 inline void agent_bits(const std::uint8_t* row, int nbytes, std::uint8_t wall,
                        std::uint64_t* words) {
     const VecU8 zero = VecU8::splat(0);
@@ -137,22 +114,6 @@ inline void gather_f64(const double* base, const std::int32_t* idx, int n,
 #else
     scalar::gather_f64(base, idx, n, out);
 #endif
-}
-
-/// Bit p of dst[] = (src has a bit at p-1, p, or p+1): one-cell dilation in
-/// byte-position (= column) space, with cross-word carries. Bits shifted
-/// past the buffer edges are dropped — callers' buffers span the full
-/// padded row, whose edge positions are sentinel/pad and never consulted.
-inline void dilate1(const std::uint64_t* src, std::uint64_t* dst,
-                    int nwords) {
-    for (int w = 0; w < nwords; ++w) {
-        const std::uint64_t m = src[w];
-        const std::uint64_t from_left =
-            (m << 1) | (w > 0 ? src[w - 1] >> 63 : 0);
-        const std::uint64_t from_right =
-            (m >> 1) | (w + 1 < nwords ? src[w + 1] << 63 : 0);
-        dst[w] = m | from_left | from_right;
-    }
 }
 
 /// Invoke fn(p) for every set bit position p, in ascending order (words

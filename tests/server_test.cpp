@@ -277,7 +277,7 @@ TEST(Cache, KeysSeparateTextAndRegistryNamespaces) {
 }
 
 TEST(Cache, PerturbationLinesEnterTheContentKey) {
-    // The warm cache keys scenario text by content hash, so two texts
+    // The warm cache keys scenario text by its content, so two texts
     // differing only in a perturbation line must occupy distinct entries:
     // a cached unperturbed build must never satisfy a perturbed submit.
     const auto base = io::scenario_to_text(scenario::get("corridor_small"));
@@ -288,6 +288,69 @@ TEST(Cache, PerturbationLinesEnterTheContentKey) {
     const auto s = io::parse_scenario(perturbed);
     ASSERT_EQ(s.sim.perturb.no_shows.size(), 1u);
     EXPECT_EQ(io::parse_scenario(io::scenario_to_text(s)).sim, s.sim);
+}
+
+TEST(Cache, DistinctTextsAlwaysBuildSeparately) {
+    // The key is the submission's bytes, not a digest of them, so texts
+    // that differ anywhere — one byte, a trailing byte, a prefix, the
+    // namespace a registry name lives in — never share an entry, and no
+    // job is handed another scenario's prepared state.
+    const auto base = io::scenario_to_text(scenario::get("corridor_small"));
+    std::vector<std::string> texts{"", base, base + "\n",
+                                   base.substr(0, base.size() - 1)};
+    for (std::size_t i = 0; i < base.size(); i += base.size() / 16) {
+        std::string flipped = base;
+        flipped[i] = static_cast<char>(flipped[i] ^ 0x01);
+        texts.push_back(flipped);
+    }
+    ScenarioCache cache;
+    int builds = 0;
+    const auto build_for = [&](const std::string& label) {
+        return [&builds, label] {
+            ++builds;
+            scenario::PreparedScenario p;
+            p.scenario.name = label;
+            return p;
+        };
+    };
+    for (const auto& t : texts) {
+        bool hit = true;
+        const auto entry =
+            cache.get_or_prepare(ScenarioCache::key_for_text(t),
+                                 build_for(t), &hit);
+        EXPECT_FALSE(hit);
+        EXPECT_EQ(entry->scenario.name, t);
+    }
+    bool hit = true;
+    const auto named = cache.get_or_prepare(
+        ScenarioCache::key_for_registry(base), build_for("registry"), &hit);
+    EXPECT_FALSE(hit);
+    EXPECT_EQ(named->scenario.name, "registry");
+    EXPECT_EQ(builds, static_cast<int>(texts.size()) + 1);
+    EXPECT_EQ(cache.size(), texts.size() + 1);
+    EXPECT_EQ(cache.hits(), 0u);
+}
+
+TEST(Cache, IdenticalTextsHitTheCache) {
+    // Byte-equal texts from separate buffers share one entry and one
+    // build, whoever submits them.
+    const auto text = io::scenario_to_text(scenario::get("corridor_small"));
+    const std::string copy(text.begin(), text.end());
+    ScenarioCache cache;
+    int builds = 0;
+    const auto build = [&] {
+        ++builds;
+        return scenario::prepare_scenario(io::parse_scenario(text));
+    };
+    const auto a = cache.get_or_prepare(ScenarioCache::key_for_text(text),
+                                        build);
+    bool hit = false;
+    const auto b = cache.get_or_prepare(ScenarioCache::key_for_text(copy),
+                                        build, &hit);
+    EXPECT_TRUE(hit);
+    EXPECT_EQ(builds, 1);
+    EXPECT_EQ(a.get(), b.get());
+    EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(Cache, BuildsOnceThenShares) {

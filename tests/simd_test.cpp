@@ -79,16 +79,12 @@ TEST(RowOps, MaskBuildersMatchScalarOnRandomRows) {
         std::vector<std::uint64_t> got(static_cast<std::size_t>(nwords));
         std::vector<std::uint64_t> want(static_cast<std::size_t>(nwords));
 
-        simd::empty_bits(row.data(), nbytes, got.data());
-        simd::scalar::empty_bits(row.data(), nbytes, want.data());
-        EXPECT_EQ(got, want) << "empty_bits trial " << trial;
-
         simd::agent_bits(row.data(), nbytes, grid::kWallOcc, got.data());
         simd::scalar::agent_bits(row.data(), nbytes, grid::kWallOcc,
                                  want.data());
         EXPECT_EQ(got, want) << "agent_bits trial " << trial;
 
-        // Wall-sentinel lanes (the frame) must set no bit in either mask.
+        // Wall-sentinel lanes (the frame) must set no bit in the mask.
         EXPECT_EQ(want[0] & 1u, 0u) << "sentinel column leaked, trial "
                                     << trial;
         for (int p = cols + 1; p < nbytes; ++p) {
@@ -138,28 +134,6 @@ TEST(RowOps, GatherMatchesScalarBitExactly) {
         simd::scalar::gather_f64(table.data(), idx, n, want);
         for (int i = 0; i < n; ++i) {
             EXPECT_EQ(got[i], want[i]) << "trial " << trial << " slot " << i;
-        }
-    }
-}
-
-TEST(RowOps, Dilate1MatchesBruteForce) {
-    for (std::uint64_t trial = 0; trial < 100; ++trial) {
-        rng::Stream s(9, rng::Stage::kGeneric, trial, 0);
-        const int nwords = 1 + static_cast<int>(s.next_below(8));
-        std::vector<std::uint64_t> src(static_cast<std::size_t>(nwords));
-        for (auto& w : src) w = s.next_u64();
-        std::vector<std::uint64_t> got(static_cast<std::size_t>(nwords));
-        simd::dilate1(src.data(), got.data(), nwords);
-        for (int p = 0; p < nwords * 64; ++p) {
-            bool want = false;
-            for (int q = p - 1; q <= p + 1; ++q) {
-                if (q < 0 || q >= nwords * 64) continue;
-                want |= (src[static_cast<std::size_t>(q / 64)] >> (q % 64)) &
-                        1u;
-            }
-            const bool bit =
-                (got[static_cast<std::size_t>(p / 64)] >> (p % 64)) & 1u;
-            EXPECT_EQ(bit, want) << "trial " << trial << " bit " << p;
         }
     }
 }

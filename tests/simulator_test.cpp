@@ -4,11 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "backend/device.hpp"
 #include "core/cpu_simulator.hpp"
 #include "core/gpu_simulator.hpp"
 #include "core/metrics.hpp"
+#include "scenario/runner.hpp"
 
 namespace pedsim::core {
 namespace {
@@ -250,6 +255,138 @@ TEST(ParityNaiveHalo, TileLoadStrategyDoesNotChangeResults) {
         b->step();
     }
     EXPECT_TRUE(a->environment() == b->environment());
+}
+
+// --- Movement oracle: the host proposal walk vs the SIMT per-cell gather ------------
+//
+// The host engines resolve only the cells some agent proposed; the
+// gpu-simt movement kernel still gathers at every empty cell, so it is an
+// independent oracle for the walk, conflict draws included.
+
+struct HostEngine {
+    const char* label;
+    backend::EngineSelect sel;
+    int threads;
+};
+
+const HostEngine kHostEngines[] = {
+    {"cpu@1", {backend::DeviceType::kCpu}, 1},
+    {"cpu@4", {backend::DeviceType::kCpu}, 4},
+    {"sharded-cpu:1", {backend::DeviceType::kShardedCpu, 1}, 4},
+    {"sharded-cpu:3", {backend::DeviceType::kShardedCpu, 3}, 4},
+    {"sharded-cpu:8", {backend::DeviceType::kShardedCpu, 8}, 4},
+};
+
+/// One engine per kHostEngines entry, in the same order.
+std::vector<std::unique_ptr<Simulator>> make_host_engines(
+    const SimConfig& base) {
+    std::vector<std::unique_ptr<Simulator>> sims;
+    for (const auto& e : kHostEngines) {
+        SimConfig cfg = base;
+        cfg.exec.threads = e.threads;
+        sims.push_back(backend::make_engine(e.sel, cfg));
+    }
+    return sims;
+}
+
+void expect_same_state(const Simulator& host, const Simulator& oracle,
+                       const std::string& label) {
+    EXPECT_TRUE(host.environment() == oracle.environment()) << label;
+    EXPECT_EQ(scenario::position_fingerprint(host),
+              scenario::position_fingerprint(oracle))
+        << label;
+    ASSERT_EQ(host.pheromone() != nullptr, oracle.pheromone() != nullptr)
+        << label;
+    if (oracle.pheromone() == nullptr) return;
+    for (const auto g : {grid::Group::kTop, grid::Group::kBottom}) {
+        EXPECT_EQ(host.pheromone()->raw(g), oracle.pheromone()->raw(g))
+            << label;
+    }
+}
+
+TEST(MovementOracle, ProposalWalkMatchesSimtGatherUnderContention) {
+    SimConfig cfg;
+    cfg.grid.rows = cfg.grid.cols = 128;  // 3 bit words per padded row
+    cfg.agents_per_side = 3277;           // ~40% of the 16,384 cells
+    cfg.model = Model::kAco;
+    cfg.forward_priority = false;  // every proposal is a roulette draw
+    cfg.seed = 12;
+    const auto oracle = backend::make_engine(backend::DeviceType::kSimt, cfg);
+    const auto hosts = make_host_engines(cfg);
+
+    constexpr int kSteps = 60;
+    int contested_steps = 0;
+    for (int s = 0; s < kSteps; ++s) {
+        const StepResult want = oracle->step();
+        contested_steps += want.conflicts > 0;
+        for (std::size_t h = 0; h < hosts.size(); ++h) {
+            ASSERT_EQ(hosts[h]->step(), want)
+                << kHostEngines[h].label << " step " << s;
+        }
+    }
+    // Most steps must resolve cells with 2 or more proposers, so the
+    // stream-building path of the walk really runs.
+    EXPECT_GT(contested_steps, kSteps / 2);
+    for (std::size_t h = 0; h < hosts.size(); ++h) {
+        expect_same_state(*hosts[h], *oracle, kHostEngines[h].label);
+    }
+}
+
+TEST(MovementOracle, WordSeamAndCornerContestsMatchSimt) {
+    // Two hand-built three-way contests. Three top-group agents at column
+    // 62 whose only empty neighbour is (10, 63): logical column 63 is
+    // padded bit 64, the first bit of the row's second word, so the cell
+    // and its proposers straddle a word seam. Three bottom-group agents
+    // whose only empty neighbour is the last row's column 0 (padded bit
+    // 1), gathered through the sentinel frame. The corner pocket's east
+    // side is held by two more agents rather than walls, which keeps a
+    // path to the goal and a finite distance field.
+    SimConfig cfg;
+    cfg.grid.rows = cfg.grid.cols = 128;
+    cfg.model = Model::kAco;
+    cfg.forward_priority = false;
+    cfg.seed = 3;
+    const auto cell = [&](int r, int c) {
+        return static_cast<std::uint32_t>(r * cfg.grid.cols + c);
+    };
+    auto& layout = cfg.layout;
+    const auto spawn = [&](grid::Group g, int r, int c) {
+        layout.spawns.push_back({g, r, c, r, c, 1});
+    };
+    for (const auto& [r, c] : std::vector<std::pair<int, int>>{
+             {8, 61}, {8, 62}, {8, 63}, {9, 61}, {9, 63}, {10, 61},
+             {11, 61}, {11, 63}, {12, 61}, {12, 62}, {12, 63},
+             {125, 0}, {125, 1}, {125, 2}}) {
+        layout.wall_cells.push_back(cell(r, c));
+    }
+    for (int r = 9; r <= 11; ++r) spawn(grid::Group::kTop, r, 62);  // 1-3
+    spawn(grid::Group::kBottom, 126, 0);                              // 4
+    spawn(grid::Group::kBottom, 126, 1);                              // 5
+    spawn(grid::Group::kBottom, 127, 1);                              // 6
+    spawn(grid::Group::kBottom, 126, 2);  // blockers, 7-8
+    spawn(grid::Group::kBottom, 127, 2);
+
+    const auto oracle = backend::make_engine(backend::DeviceType::kSimt, cfg);
+    const auto hosts = make_host_engines(cfg);
+    const StepResult want = oracle->step();
+    EXPECT_EQ(want.proposals, 8);
+    EXPECT_GE(want.conflicts, 4);  // two losers in each pocket
+    const auto& env = oracle->environment();
+    const std::int32_t seam_winner = env.index_at(10, 63);
+    const std::int32_t corner_winner = env.index_at(127, 0);
+    EXPECT_GE(seam_winner, 1);
+    EXPECT_LE(seam_winner, 3);
+    EXPECT_GE(corner_winner, 4);
+    EXPECT_LE(corner_winner, 6);
+    for (std::size_t h = 0; h < hosts.size(); ++h) {
+        const std::string label = kHostEngines[h].label;
+        EXPECT_EQ(hosts[h]->step(), want) << label;
+        EXPECT_EQ(hosts[h]->environment().index_at(10, 63), seam_winner)
+            << label;
+        EXPECT_EQ(hosts[h]->environment().index_at(127, 0), corner_winner)
+            << label;
+        expect_same_state(*hosts[h], *oracle, label);
+    }
 }
 
 // --- Crossing / progress semantics ------------------------------------------------------
