@@ -320,7 +320,7 @@ struct SimConfig {
     /// (stable-sorted by step). Any door event switches the engines to
     /// phase-cached geodesic distance fields (core::DoorSchedule): one
     /// field per distinct wall configuration, precomputed at setup, so a
-    /// mid-run event is a pointer swap — never a Dijkstra rebuild.
+    /// mid-run event is a pointer swap — never a field build.
     std::vector<DoorEvent> doors;
 
     /// Periodic doors and moving walls, expanded into the door-event

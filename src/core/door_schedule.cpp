@@ -196,7 +196,7 @@ DoorSchedule::DoorSchedule(const SimConfig& config) {
     }
 
     // Waypoint chains share one field per DISTINCT cell (a cell revisited
-    // later in a chain, or used by both groups, is one Dijkstra, not two).
+    // later in a chain, or used by both groups, is one build, not two).
     validate_waypoints(config.layout, config.grid);
     for (const auto& chain : config.layout.waypoints) {
         wp_cells_.insert(wp_cells_.end(), chain.begin(), chain.end());
@@ -212,9 +212,12 @@ DoorSchedule::DoorSchedule(const SimConfig& config) {
         }
         return walls;
     };
+    // Working memory of every repair below; local to this build, because
+    // schedules are built concurrently (server executors).
+    grid::GeodesicScratch scratch;
     const auto intern = [&](std::vector<std::uint32_t> walls) {
         // Phases often revisit a configuration (open ... close back);
-        // reuse the already-built field instead of re-running Dijkstra.
+        // reuse the already-built field instead of building it again.
         // Waypoint fields are keyed by the same configuration, so the
         // whole chained-field set is shared along with the main field.
         for (std::size_t j = 0; j < walls_after_.size(); ++j) {
@@ -227,26 +230,42 @@ DoorSchedule::DoorSchedule(const SimConfig& config) {
             }
         }
         obs::MetricsRegistry::add("doors.field_cache.miss");
+        // A new configuration is one event away from the one interned
+        // just before it (hit or miss): repair those fields instead of
+        // building from scratch. Only the initial layout is built fresh,
+        // and only it can be analytic (a second configuration means
+        // events, and events force geodesic mode).
+        const bool fresh = walls_after_.empty();
         {
             obs::Span build("setup/field_build", "walls",
                             static_cast<std::int64_t>(walls.size()));
-            pool_.push_back(
-                geodesic
-                    ? std::make_unique<grid::DistanceField>(
-                          config.grid, walls, config.layout.goal_cells)
-                    : std::make_unique<grid::DistanceField>(config.grid));
+            if (!fresh) {
+                pool_.push_back(std::make_unique<grid::DistanceField>(
+                    after_.back()->repaired(walls_after_.back(), walls,
+                                            config.layout.goal_cells,
+                                            scratch)));
+            } else if (geodesic) {
+                pool_.push_back(std::make_unique<grid::DistanceField>(
+                    config.grid, walls, config.layout.goal_cells));
+            } else {
+                pool_.push_back(
+                    std::make_unique<grid::DistanceField>(config.grid));
+            }
         }
         std::vector<const grid::DistanceField*> wps;
         wps.reserve(wp_cells_.size());
         if (!wp_cells_.empty()) {
             obs::Span build("setup/waypoint_fields", "cells",
                             static_cast<std::int64_t>(wp_cells_.size()));
-            for (const auto cell : wp_cells_) {
+            for (std::size_t slot = 0; slot < wp_cells_.size(); ++slot) {
                 // Always geodesic: a waypoint is a single in-grid target,
                 // and its field must honour whatever walls this phase has.
+                const auto cell = wp_cells_[slot];
                 wp_pool_.push_back(std::make_unique<grid::DistanceField>(
-                    grid::DistanceField::shared_target(config.grid, walls,
-                                                       cell)));
+                    fresh ? grid::DistanceField::shared_target(config.grid,
+                                                               walls, cell)
+                          : wp_after_.back()[slot]->repaired_shared_target(
+                                walls_after_.back(), walls, cell, scratch)));
                 wps.push_back(wp_pool_.back().get());
             }
         }

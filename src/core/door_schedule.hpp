@@ -5,11 +5,14 @@
 // layout plus the sorted event list. DoorSchedule precomputes one geodesic
 // DistanceField per *distinct* configuration (an open-then-close pair maps
 // both of its outer phases to the same field), so the engines' step hot
-// path only swaps a field pointer when an event fires — the O(rows*cols*
-// log) Dijkstra never runs mid-step. With no door events the schedule
-// degenerates to the single static field (analytic for the paper corridor,
-// geodesic when the layout has walls or custom goals), keeping the seed
-// path untouched.
+// path only swaps a field pointer when an event fires — no field is built
+// mid-step. Only the initial layout's fields are built in full; each new
+// configuration is repaired from the fields of the configuration one event
+// earlier, in time proportional to the cells whose distance the event
+// changes, and equals a full build bit for bit. With no door events the
+// schedule degenerates to the single static field (analytic for the paper
+// corridor, geodesic when the layout has walls or custom goals), keeping
+// the seed path untouched.
 #pragma once
 
 #include <memory>

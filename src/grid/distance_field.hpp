@@ -10,15 +10,24 @@
 //    paper describes (section IV.b): forward < forward-diagonals < laterals
 //    < back < back-diagonals.
 //
-//  - Geodesic (obstacle-aware scenarios): per-group multi-source Dijkstra
-//    from the group's goal cells over the 8-neighbourhood of non-wall cells
-//    (orthogonal step 1, diagonal step sqrt 2), precomputed flat at
-//    construction like the paper's constant memory. Scenarios without walls
-//    or custom goals use the analytic mode, so seed behaviour is untouched.
+//  - Geodesic (obstacle-aware scenarios): per-group multi-source shortest
+//    paths from the group's goal cells over the 8-neighbourhood of non-wall
+//    cells (orthogonal step 1, diagonal step sqrt 2), precomputed flat at
+//    construction like the paper's constant memory. A field is built with a
+//    bucket queue of width 1 (Dial's algorithm) over a copy of the grid
+//    framed by one wall cell, or repaired from the field of a neighbouring
+//    wall configuration by recomputing only the cells whose distance
+//    depended on a changed cell. Every finite distance is a sum of 1 and
+//    sqrt 2 steps and the fixed point of the relaxation is unique, so both
+//    produce bit for bit the table a priority-queue Dijkstra would
+//    (docs/PERFORMANCE.md, "Set-up: geodesic fields"). Scenarios without
+//    walls or custom goals use the analytic mode, so seed behaviour is
+//    untouched.
 #pragma once
 
 #include <array>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -26,6 +35,51 @@
 #include "grid/neighborhood.hpp"
 
 namespace pedsim::grid {
+
+/// Working memory of geodesic builds and repairs: the framed distance
+/// table, the bucket queue and the repair worklists. It carries nothing
+/// from one build to the next, so a sequence of builds can share one and
+/// skip the allocations (core::DoorSchedule keeps one per schedule). Not
+/// safe to use from two threads at once.
+class GeodesicScratch {
+  private:
+    friend class DistanceField;
+
+    /// A queued cell (framed index) with the distance it was queued at;
+    /// an entry whose distance no longer matches the table is stale.
+    struct Entry {
+        double d;
+        std::ptrdiff_t cell;
+    };
+
+    void build(const GridConfig& config,
+               const std::vector<std::uint32_t>& walls,
+               const std::vector<std::uint32_t>& goals,
+               std::vector<double>& out);
+    void repair(const GridConfig& config, const std::vector<double>& before,
+                const std::vector<std::uint32_t>& walls_before,
+                const std::vector<std::uint32_t>& walls,
+                const std::vector<std::uint32_t>& goals,
+                std::vector<double>& out);
+
+    void mark_walls(const GridConfig& config,
+                    const std::vector<std::uint32_t>& walls);
+    void seed_goals(const GridConfig& config,
+                    const std::vector<std::uint32_t>& goals);
+    void propagate(const GridConfig& config);
+    void store(const GridConfig& config, std::vector<double>& out) const;
+
+    /// Group distances over a (rows + 2) x (cols + 2) grid whose frame and
+    /// walls hold -1, so no relaxation can lower them: the pop loop needs
+    /// no bounds or wall tests.
+    std::vector<double> dist_;
+    std::vector<Entry> seeds_;
+    /// Circular buckets: bucket k holds distances in [k, k + 1). A step
+    /// adds at most sqrt 2, so only buckets k .. k + 2 are ever live.
+    std::array<std::vector<Entry>, 4> buckets_;
+    std::vector<std::uint32_t> closed_, opened_;     // flat ids
+    std::vector<std::ptrdiff_t> work_, invalid_;     // framed indices
+};
 
 /// Precomputed distance tables for both groups. Immutable after
 /// construction — the paper stores the equivalent in GPU constant memory.
@@ -41,6 +95,7 @@ class DistanceField {
     /// `goal_cells[g]` are flat ids of group g's goal cells (empty = the
     /// group's far edge row). A group whose goals are all walls gets an
     /// all-unreachable field (legal for groups that field no agents).
+    /// Throws std::invalid_argument for an off-grid wall or goal cell.
     DistanceField(GridConfig config,
                   const std::vector<std::uint32_t>& wall_cells,
                   const std::array<std::vector<std::uint32_t>, 2>& goal_cells);
@@ -48,14 +103,33 @@ class DistanceField {
     /// Geodesic shared-target mode: both groups steer toward the single
     /// flat cell `target_cell` (the waypoint fields: one field per
     /// distinct chain cell, read by whichever group's agents currently
-    /// target it). The Dijkstra runs once and the table is mirrored, so
-    /// a waypoint field costs half of the two-group constructor. A
-    /// target that is currently a wall yields an all-unreachable field
-    /// (a waypoint inside a closed door: agents hold by rank order until
-    /// it opens).
+    /// target it). The table is built once and mirrored, so a waypoint
+    /// field costs half of the two-group constructor. A target that is
+    /// currently a wall yields an all-unreachable field (a waypoint inside
+    /// a closed door: agents hold by rank order until it opens). Throws
+    /// std::invalid_argument for an off-grid target or wall cell.
     static DistanceField shared_target(
         GridConfig config, const std::vector<std::uint32_t>& wall_cells,
         std::uint32_t target_cell);
+
+    /// The field of the same goals under the walls `wall_cells`, repaired
+    /// from this field, which holds them under `walls_before`. Both lists
+    /// are sorted and deduplicated. Cells whose distance depended on a
+    /// closed cell are recomputed, opened cells are seeded from their
+    /// neighbours, and decreases spread from there; every other cell is
+    /// copied. The result equals the freshly built field bit for bit.
+    /// Geodesic mode only.
+    [[nodiscard]] DistanceField repaired(
+        const std::vector<std::uint32_t>& walls_before,
+        const std::vector<std::uint32_t>& wall_cells,
+        const std::array<std::vector<std::uint32_t>, 2>& goal_cells,
+        GeodesicScratch& scratch) const;
+
+    /// repaired() for a field made by shared_target(target_cell).
+    [[nodiscard]] DistanceField repaired_shared_target(
+        const std::vector<std::uint32_t>& walls_before,
+        const std::vector<std::uint32_t>& wall_cells,
+        std::uint32_t target_cell, GeodesicScratch& scratch) const;
 
     [[nodiscard]] bool geodesic() const { return geodesic_; }
 
@@ -130,8 +204,10 @@ class DistanceField {
     }
 
   private:
-    void build_geodesic(Group g, const std::vector<std::uint32_t>& walls,
-                        const std::vector<std::uint32_t>& goals);
+    /// Group g's goal list: its custom cells, or its far edge row.
+    [[nodiscard]] std::vector<std::uint32_t> goals_of(
+        Group g,
+        const std::array<std::vector<std::uint32_t>, 2>& goal_cells) const;
 
     GridConfig config_;
     bool geodesic_ = false;

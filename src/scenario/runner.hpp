@@ -101,7 +101,7 @@ std::unique_ptr<core::Simulator> make_engine(const EngineSelect& e,
 /// A scenario with the expensive half of its setup precomputed: the
 /// immutable door schedule carrying every phase's geodesic distance field
 /// and the chained waypoint field sets. Engines built against it skip
-/// the Dijkstra precompute entirely; because the schedule never depends
+/// the field precompute entirely; because the schedule never depends
 /// on seed/model/steps/threads, one PreparedScenario serves every job
 /// permutation of the scenario — the unit a resident server's warm cache
 /// stores. A null schedule means "cold": each engine builds its own,

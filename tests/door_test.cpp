@@ -13,6 +13,7 @@
 #include "backend/device.hpp"
 #include "core/cpu_simulator.hpp"
 #include "core/door_schedule.hpp"
+#include "geodesic_oracle.hpp"
 #include "io/scenario_file.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
@@ -67,27 +68,62 @@ TEST(DoorSchedule, SortsEventsStablyByStep) {
 }
 
 TEST(DoorSchedule, PhaseFieldsMatchFreshlyBuiltFields) {
+    // "Fresh" is the priority-queue Dijkstra oracle, not the library's own
+    // build, so the repaired phases are checked against an independent
+    // implementation.
     SimConfig cfg = walled_config();
     cfg.doors.push_back({5, 7, 4, 8, 7, DoorAction::kOpen});
     cfg.doors.push_back({12, 7, 4, 8, 7, DoorAction::kClose});
     cfg.doors.push_back({20, 3, 0, 4, 15, DoorAction::kClose});
     const DoorSchedule sched(cfg);
     for (std::size_t fired = 0; fired <= sched.events().size(); ++fired) {
-        const grid::DistanceField fresh(cfg.grid, sched.walls_after(fired),
-                                        cfg.layout.goal_cells);
         const auto& cached = sched.field_after(fired);
         ASSERT_TRUE(cached.geodesic());
-        for (const auto g : {grid::Group::kTop, grid::Group::kBottom}) {
-            for (int r = 0; r < cfg.grid.rows; ++r) {
-                for (int c = 0; c < cfg.grid.cols; ++c) {
-                    ASSERT_EQ(cached.geo(g, r, c), fresh.geo(g, r, c))
-                        << "fired=" << fired << " g="
-                        << (g == grid::Group::kTop ? "top" : "bottom")
-                        << " (" << r << "," << c << ")";
-                }
+        EXPECT_TRUE(testing::matches_oracle(cfg.grid, cached,
+                                            sched.walls_after(fired),
+                                            cfg.layout.goal_cells))
+            << "fired=" << fired;
+    }
+}
+
+TEST(DoorSchedule, RegistryFieldsMatchTheDijkstraOracle) {
+    // Every registry scenario's phase and waypoint fields, repaired event
+    // by event from the initial layout's, equal the oracle built from
+    // scratch on that phase's walls. Shared (revisited) fields are
+    // checked once.
+    std::size_t checked = 0;
+    for (const auto& name : scenario::names()) {
+        const auto s = scenario::get(name);
+        const DoorSchedule sched(s.sim);
+        std::vector<const grid::DistanceField*> seen;
+        const auto first_visit = [&seen](const grid::DistanceField* f) {
+            if (std::find(seen.begin(), seen.end(), f) != seen.end()) {
+                return false;
+            }
+            seen.push_back(f);
+            return true;
+        };
+        for (std::size_t k = 0; k <= sched.events().size(); ++k) {
+            SCOPED_TRACE(name + " after " + std::to_string(k) + " events");
+            const auto& walls = sched.walls_after(k);
+            const auto& field = sched.field_after(k);
+            if (field.geodesic() && first_visit(&field)) {
+                EXPECT_TRUE(testing::matches_oracle(s.sim.grid, field, walls,
+                                                    s.sim.layout.goal_cells));
+                ++checked;
+            }
+            for (std::size_t slot = 0; slot < sched.waypoint_cells().size();
+                 ++slot) {
+                const auto& wp = sched.waypoint_field_after(k, slot);
+                if (!first_visit(&wp)) continue;
+                EXPECT_TRUE(testing::matches_oracle_shared(
+                    s.sim.grid, wp, walls, sched.waypoint_cells()[slot]));
+                ++checked;
             }
         }
     }
+    // conveyor_platform alone has 50 distinct phase fields.
+    EXPECT_GE(checked, 50u);
 }
 
 TEST(DoorSchedule, RevisitedConfigurationSharesOneField) {

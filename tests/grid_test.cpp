@@ -2,8 +2,11 @@
 // placement (the paper's data-preparation stage).
 #include <gtest/gtest.h>
 
+#include <random>
 #include <set>
+#include <string>
 
+#include "geodesic_oracle.hpp"
 #include "grid/distance_field.hpp"
 #include "grid/environment.hpp"
 #include "grid/neighborhood.hpp"
@@ -264,6 +267,28 @@ TEST(DistanceField, GeodesicRejectsOffGridWallCells) {
         std::invalid_argument);
 }
 
+TEST(DistanceField, GeodesicRejectsOffGridGoalCells) {
+    // An off-grid goal used to be skipped silently, leaving its group an
+    // all-unreachable field whose agents never cross. It is named instead,
+    // for the two-group goals and the shared target alike.
+    const GridConfig cfg{32, 32};
+    const auto off = static_cast<std::uint32_t>(cfg.cell_count());
+    const auto expect_named = [](const auto& build) {
+        try {
+            build();
+            ADD_FAILURE() << "off-grid goal accepted";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_EQ(std::string(e.what()),
+                      "DistanceField: goal cell off-grid");
+        }
+    };
+    expect_named([&] { DistanceField(cfg, {}, {{{off}, {}}}); });
+    expect_named([&] { DistanceField(cfg, {}, {{{}, {5, off + 40}}}); });
+    expect_named([&] { DistanceField::shared_target(cfg, {}, off); });
+    // The last in-grid cell is fine.
+    EXPECT_NO_THROW(DistanceField::shared_target(cfg, {}, off - 1));
+}
+
 TEST(DistanceField, GeodesicRoutesAroundWalls) {
     // A wall across the grid with a doorway at the west end: cells east of
     // the door must pay the detour, not the straight-line distance.
@@ -302,6 +327,235 @@ TEST(DistanceField, GeodesicCustomGoalsAndUnreachablePockets) {
     // sealed strip: reachable from row 1, cut off from everything below.
     EXPECT_DOUBLE_EQ(df.geo(Group::kBottom, 1, 5), 1.0);
     EXPECT_EQ(df.geo(Group::kBottom, 20, 5), DistanceField::kUnreachable);
+}
+
+// --- Geodesic builds and repairs against the Dijkstra oracle ------------------
+
+/// One randomized trial: a grid shape, random walls, goal lists for both
+/// groups and a shared target, then a chain of rect open/close toggles.
+/// After every toggle the fresh build and the field repaired from the
+/// previous configuration's (itself repaired) field must both equal the
+/// priority-queue oracle bit for bit.
+class RepairTrial {
+  public:
+    RepairTrial(std::uint64_t seed, GeodesicScratch& scratch)
+        : rng_(seed), scratch_(scratch) {
+        switch (seed % 4) {
+            case 0: cfg_ = {1, pick(1, 96)}; break;
+            case 1: cfg_ = {pick(1, 96), 1}; break;
+            case 2: cfg_ = {pick(2, 32), pick(2, 32)}; break;
+            default: cfg_ = {pick(33, 96), pick(33, 96)}; break;
+        }
+        const double density =
+            std::uniform_real_distribution<double>(0.0, 0.5)(rng_);
+        mask_.assign(cfg_.cell_count(), 0);
+        for (auto& m : mask_) {
+            m = std::bernoulli_distribution(density)(rng_) ? 1 : 0;
+        }
+        walls_ = wall_list();
+        for (auto& goals : goals_) goals = random_goals();
+        target_ = cell(pick(0, cfg_.rows - 1), pick(0, cfg_.cols - 1));
+        field_ = DistanceField(cfg_, walls_, goals_);
+        shared_ = DistanceField::shared_target(cfg_, walls_, target_);
+        check("initial", field_, shared_, walls_);
+    }
+
+    [[nodiscard]] const GridConfig& config() const { return cfg_; }
+    [[nodiscard]] std::uint32_t target() const { return target_; }
+    [[nodiscard]] const std::vector<std::uint32_t>& goals(Group g) const {
+        return goals_[g == Group::kTop ? 0 : 1];
+    }
+    int pick(int lo, int hi) {
+        return std::uniform_int_distribution<int>(lo, hi)(rng_);
+    }
+
+    /// Sets every cell of the rect (clipped to the grid) to wall or open,
+    /// then checks the fresh and the repaired fields.
+    void toggle(int r0, int c0, int r1, int c1, bool close) {
+        r0 = std::max(r0, 0);
+        c0 = std::max(c0, 0);
+        r1 = std::min(r1, cfg_.rows - 1);
+        c1 = std::min(c1, cfg_.cols - 1);
+        for (int r = r0; r <= r1; ++r) {
+            for (int c = c0; c <= c1; ++c) {
+                mask_[cell(r, c)] = close ? 1 : 0;
+            }
+        }
+        const auto walls = wall_list();
+        ++toggles_;
+        check("fresh", DistanceField(cfg_, walls, goals_),
+              DistanceField::shared_target(cfg_, walls, target_), walls);
+        auto repaired = field_.repaired(walls_, walls, goals_, scratch_);
+        auto shared = shared_.repaired_shared_target(walls_, walls, target_,
+                                                     scratch_);
+        check("repaired", repaired, shared, walls);
+        field_ = std::move(repaired);
+        shared_ = std::move(shared);
+        walls_ = walls;
+    }
+
+    /// A random rect of up to 6x6 cells.
+    void random_toggle() {
+        const int r0 = pick(0, cfg_.rows - 1);
+        const int c0 = pick(0, cfg_.cols - 1);
+        toggle(r0, c0, r0 + pick(0, 5), c0 + pick(0, 5), pick(0, 1) == 1);
+    }
+
+    /// Closes the four sides of a rect around (r, c), sealing the pocket
+    /// inside it off from everything outside.
+    void seal_pocket(int r, int c, int half) {
+        toggle(r - half, c - half, r - half, c + half, true);
+        toggle(r + half, c - half, r + half, c + half, true);
+        toggle(r - half, c - half, r + half, c - half, true);
+        toggle(r - half, c + half, r + half, c + half, true);
+    }
+
+    /// Closes a small rect over `target_cell`, then opens it again.
+    void close_and_reopen(std::uint32_t target_cell, int reach) {
+        const int r = static_cast<int>(target_cell) / cfg_.cols;
+        const int c = static_cast<int>(target_cell) % cfg_.cols;
+        toggle(r - reach, c - reach, r + reach, c + reach, true);
+        toggle(r - reach, c - reach, r + reach, c + reach, false);
+    }
+
+    [[nodiscard]] int toggles() const { return toggles_; }
+
+  private:
+    [[nodiscard]] std::uint32_t cell(int r, int c) const {
+        return static_cast<std::uint32_t>(r * cfg_.cols + c);
+    }
+
+    [[nodiscard]] std::vector<std::uint32_t> wall_list() const {
+        std::vector<std::uint32_t> walls;
+        for (std::size_t i = 0; i < mask_.size(); ++i) {
+            if (mask_[i]) walls.push_back(static_cast<std::uint32_t>(i));
+        }
+        return walls;
+    }
+
+    /// Empty (the far edge row), a few cells, duplicated cells, or a list
+    /// holding a wall cell.
+    std::vector<std::uint32_t> random_goals() {
+        std::vector<std::uint32_t> goals;
+        const auto any = [&] {
+            return cell(pick(0, cfg_.rows - 1), pick(0, cfg_.cols - 1));
+        };
+        switch (pick(0, 3)) {
+            case 0: break;
+            case 1:
+                for (int k = pick(1, 4); k > 0; --k) goals.push_back(any());
+                break;
+            case 2:
+                for (int k = 0; k < 3; ++k) {
+                    const auto g = any();
+                    goals.insert(goals.end(), {g, g});
+                }
+                break;
+            default:
+                if (!walls_.empty()) {
+                    goals.push_back(walls_[static_cast<std::size_t>(
+                        pick(0, static_cast<int>(walls_.size()) - 1))]);
+                }
+                goals.push_back(any());
+                break;
+        }
+        return goals;
+    }
+
+    void check(const char* what, const DistanceField& field,
+               const DistanceField& shared,
+               const std::vector<std::uint32_t>& walls) {
+        SCOPED_TRACE(std::string(what) + " field after toggle " +
+                     std::to_string(toggles_) + " on " +
+                     std::to_string(cfg_.rows) + "x" +
+                     std::to_string(cfg_.cols));
+        EXPECT_TRUE(testing::matches_oracle(cfg_, field, walls, goals_));
+        EXPECT_TRUE(
+            testing::matches_oracle_shared(cfg_, shared, walls, target_));
+    }
+
+    std::mt19937_64 rng_;
+    GeodesicScratch& scratch_;
+    GridConfig cfg_;
+    std::vector<std::uint8_t> mask_;
+    std::vector<std::uint32_t> walls_;
+    std::array<std::vector<std::uint32_t>, 2> goals_;
+    std::uint32_t target_ = 0;
+    DistanceField field_{GridConfig{1, 1}};
+    DistanceField shared_{GridConfig{1, 1}};
+    int toggles_ = 0;
+};
+
+TEST(GeodesicOracle, FreshAndRepairedFieldsMatchDijkstraBitForBit) {
+    // Shapes cycle through 1xN, Nx1, small and large (up to 96 a side)
+    // grids; one scratch serves every trial, so nothing may leak from one
+    // build into the next.
+    GeodesicScratch scratch;
+    for (std::uint64_t seed = 1; seed <= 32; ++seed) {
+        RepairTrial t(seed, scratch);
+        const auto& cfg = t.config();
+        t.random_toggle();
+        t.random_toggle();
+        // No-op toggles: closing what is closed, opening what is open.
+        t.toggle(0, 0, 0, 0, true);
+        t.toggle(0, 0, 0, 0, true);
+        t.toggle(cfg.rows - 1, cfg.cols - 1, cfg.rows - 1, cfg.cols - 1,
+                 false);
+        t.toggle(cfg.rows - 1, cfg.cols - 1, cfg.rows - 1, cfg.cols - 1,
+                 false);
+        t.seal_pocket(t.pick(0, cfg.rows - 1), t.pick(0, cfg.cols - 1),
+                      t.pick(1, 3));
+        for (const auto g : {Group::kTop, Group::kBottom}) {
+            const auto goals = testing::oracle_goals(cfg, g, {});
+            const auto& own = t.goals(g);
+            t.close_and_reopen(own.empty() ? goals[goals.size() / 2]
+                                           : own.front(),
+                               t.pick(0, 1));
+        }
+        t.close_and_reopen(t.target(), 0);
+        t.close_and_reopen(t.target(), 2);
+        // Wall off the whole top goal row, so the repair has to rebuild
+        // the top field from nothing once it reopens.
+        t.toggle(cfg.rows - 1, 0, cfg.rows - 1, cfg.cols - 1, true);
+        t.random_toggle();
+        t.toggle(cfg.rows - 1, 0, cfg.rows - 1, cfg.cols - 1, false);
+        for (int k = 0; k < 4; ++k) t.random_toggle();
+        ASSERT_GE(t.toggles(), 10);
+        if (HasFailure()) FAIL() << "seed " << seed;
+    }
+}
+
+TEST(GeodesicOracle, RepairOfAMovingBlockMatchesDijkstra) {
+    // An 8x4 block sliding one cell per repair across a 64x64 corridor,
+    // with a waypoint target in its path: each repair opens the column
+    // the block leaves and closes the one it enters in the same step,
+    // which no single-rect toggle above does.
+    const GridConfig cfg{64, 64};
+    GeodesicScratch scratch;
+    const auto block = [&](int col0) {
+        std::vector<std::uint32_t> walls;
+        for (int r = 30; r <= 33; ++r) {
+            for (int c = col0; c <= col0 + 7; ++c) {
+                walls.push_back(static_cast<std::uint32_t>(r * 64 + c));
+            }
+        }
+        return walls;
+    };
+    const std::uint32_t target = 31 * 64 + 20;
+    const std::array<std::vector<std::uint32_t>, 2> goals{};
+    auto walls = block(0);
+    DistanceField field(cfg, walls, goals);
+    auto shared = DistanceField::shared_target(cfg, walls, target);
+    for (int col0 = 1; col0 + 7 < 64; ++col0) {
+        const auto next = block(col0);
+        field = field.repaired(walls, next, goals, scratch);
+        shared = shared.repaired_shared_target(walls, next, target, scratch);
+        walls = next;
+        ASSERT_TRUE(testing::matches_oracle(cfg, field, walls, goals))
+            << "block at col " << col0;
+        ASSERT_TRUE(testing::matches_oracle_shared(cfg, shared, walls, target))
+            << "block at col " << col0;
+    }
 }
 
 // --- Placement --------------------------------------------------------------
