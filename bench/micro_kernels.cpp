@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) of the hot building blocks: Philox
 // draws, the SIMD row primitives behind the scan-row/candidate hot path
-// (mask builds, field gathers, the congestion accumulator — each against
+// (field gathers and the congestion accumulator — each against
 // its scalar reference, so the per-primitive speedup of the active
 // backend is one run away), and one full simulation step per engine.
 // These bound the per-step cost that the figure harnesses extrapolate
@@ -55,7 +55,7 @@ BENCHMARK(BM_NormalDraw);
 //
 // One padded 480-column row (the paper_corridor width) at ~20% agent
 // density — the corridor_small/panic_crossing regime, denser than
-// paper_corridor so the masked sweeps are measured at their least
+// paper_corridor so the congestion count is measured at its least
 // favourable occupancy. The `...Scalar` twins run the always-compiled
 // reference implementation on identical input.
 
@@ -76,19 +76,6 @@ std::vector<std::uint8_t> bench_row() {
     }
     return row;
 }
-
-void BM_AgentMaskBuild(benchmark::State& state) {
-    const auto row = bench_row();
-    std::vector<std::uint64_t> words(row.size() / simd::kWordBits);
-    for (auto _ : state) {
-        simd::agent_bits(row.data(), static_cast<int>(row.size()),
-                         grid::kWallOcc, words.data());
-        benchmark::DoNotOptimize(words.data());
-    }
-    state.SetBytesProcessed(state.iterations() *
-                            static_cast<std::int64_t>(row.size()));
-}
-BENCHMARK(BM_AgentMaskBuild);
 
 void BM_FieldGather(benchmark::State& state) {
     // 8 candidate cells per agent against a geodesic-field-sized table —

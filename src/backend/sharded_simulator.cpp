@@ -7,7 +7,6 @@
 
 #include "exec/thread_pool.hpp"
 #include "obs/metrics.hpp"
-#include "simd/row_ops.hpp"
 
 namespace pedsim::backend {
 
@@ -28,10 +27,9 @@ ShardedCpuSimulator::ShardedCpuSimulator(
             "bands (" + std::to_string(bands) + ") exceeds grid rows (" +
             std::to_string(config_.grid.rows) + ")");
     }
-    // Every stage read stays within `halo_` rows of the band: neighbour
-    // probes and proposer gathers reach one row out, and the scanning
-    // look-ahead's congestion ray reaches a candidate (±1) plus
-    // range - 1 further cells.
+    // Movement's reads reach one row out of the band (the emptiness of a
+    // proposed cell, the index of a proposer beside it); the window stays
+    // max(1, scan.range) rows wide, the halo_width() contract.
     halo_ = std::max(1, config_.scan.range);
     const int rows = env_.rows();
     const int stride = env_.stride();
@@ -60,13 +58,12 @@ ShardedCpuSimulator::ShardedCpuSimulator(
             static_cast<std::ptrdiff_t>(-band.win_begin) * stride + 1;
         band.empty = core::EnvEmpty(band.occ.data(), origin, stride);
         band.index = core::EnvIndex(band.idx.data(), origin, stride);
-        // initial-calc's agent mask row.
-        band.mask.resize(static_cast<std::size_t>(env_.bit_words()));
         bands_.push_back(std::move(band));
     }
     // Everything is dirty until the first exchange (which also picks up
     // any step-0 door events fired before the first stage runs).
     dirty_.assign(static_cast<std::size_t>(rows), 1);
+    allocate_proposal_planes();
 }
 
 void ShardedCpuSimulator::refresh_row(Band& band, int gr) {
@@ -107,71 +104,25 @@ void ShardedCpuSimulator::on_cells_changed(int row0, int row1) {
 
 void ShardedCpuSimulator::stage_reset() {
     // The exchange runs here — after the step boundary's door events and
-    // before any stage reads a band plane.
+    // before movement reads a band plane.
     exchange_halos();
-    scan_.reset();
     props_.reset_futures();
 }
 
-void ShardedCpuSimulator::initial_calc_band(Band& band) {
-    // CpuSimulator::initial_calc_rows with every occupancy/index read
-    // routed through the band's replica window.
-    const int nwords = env_.bit_words();
-    const int stride = env_.stride();
-    std::uint64_t* const agents = band.mask.data();
-    for (int r = band.begin; r < band.end; ++r) {
-        const std::uint8_t* const row =
-            band.occ.data() +
-            static_cast<std::size_t>(r - band.win_begin) *
-                static_cast<std::size_t>(stride);
-        simd::agent_bits(row, stride, grid::kWallOcc, agents);
-        simd::for_each_set_bit(agents, nwords, [&](int p) {
-            const int c = p - 1;  // padded byte position -> logical column
-            const std::int32_t i = band.index.at(r, c);
-            const auto idx = static_cast<std::size_t>(i);
-            const grid::Group g = props_.group_of(i);
-
-            const auto fwd = grid::kNeighborOffsets[static_cast<std::size_t>(
-                grid::forward_neighbor(g))];
-            const bool front_empty = band.empty(r + fwd.dr, c + fwd.dc);
-            props_.front_blocked[idx] = front_empty ? 0 : 1;
-
-            const bool panicked = panic_applies(r, c);
-            props_.panicked[idx] = panicked ? 1 : 0;
-            if (!panicked && config_.forward_priority && front_empty &&
-                !waypoint_pending(i)) {
-                return;
-            }
-
-            scan_.count(i) = static_cast<std::int8_t>(
-                fill_scan_row(i, r, c, g, band.empty));
-        });
-    }
-}
-
-void ShardedCpuSimulator::stage_initial_calc() {
-    const int par = config_.exec.effective_threads();
-    if (par <= 1) {
-        for (auto& band : bands_) initial_calc_band(band);
-        return;
-    }
-    exec::ThreadPool::shared().run(
-        static_cast<int>(bands_.size()), par, [this](int b) {
-            initial_calc_band(bands_[static_cast<std::size_t>(b)]);
-        });
-}
-
 void ShardedCpuSimulator::stage_tour_construction() {
-    // Agent-table decomposition into as many contiguous ranges as bands.
-    // decide_future reads only state frozen for the stage (scan rows,
-    // props, the read-only canonical environment), so ranges are disjoint.
+    // The fused initial calc + tour construction, over as many contiguous
+    // agent-table ranges as bands. decide_host reads only state frozen
+    // for the stage (props, pheromone, the read-only canonical
+    // environment) and writes only its agent's row, so ranges are
+    // disjoint.
     const auto slices =
         exec::partition(1, static_cast<std::int64_t>(props_.rows()),
                         static_cast<int>(bands_.size()));
-    const auto body = [this](const exec::Slice& sl) {
+    const core::EnvEmpty empty(env_);
+    const auto body = [&](const exec::Slice& sl) {
         for (std::int64_t i = sl.begin; i < sl.end; ++i) {
             if (props_.active[static_cast<std::size_t>(i)] == 0) continue;
-            decide_future(static_cast<std::int32_t>(i));
+            decide_host(static_cast<std::int32_t>(i), empty);
         }
     };
     const int par = config_.exec.effective_threads();

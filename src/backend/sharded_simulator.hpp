@@ -12,11 +12,12 @@
 //      re-copied from the canonical environment into every band window
 //      containing them, interior and halo alike. Fixed order + full-row
 //      copies make seam resolution deterministic by construction.
-//   2. initial-calc and movement run one pool task per band, reading ONLY
-//      the band's replica planes (all probes stay inside the window by
-//      the halo-width argument) — movement walks the band's rows of the
-//      shared, read-only proposal plane to find its cells; tour
-//      construction slices the agent table the same way.
+//   2. Tour construction (with initial calculation fused into it) slices
+//      the agent table into as many ranges as bands and reads the
+//      canonical environment. Movement runs one pool task per band,
+//      reading ONLY the band's replica planes (its probes reach one row
+//      out, inside the window) and walking the band's rows of the
+//      proposal planes to find its cells.
 //   3. Per-band move scratch merges in ascending band order — the
 //      monolithic engine's row-major order — and the shared finish_step
 //      applies it to the canonical environment.
@@ -67,7 +68,6 @@ class ShardedCpuSimulator final : public core::Simulator {
 
   protected:
     void stage_reset() override;
-    void stage_initial_calc() override;
     void stage_tour_construction() override;
     void stage_movement(std::vector<core::Move>& out_moves) override;
     void on_cells_changed(int row0, int row1) override;
@@ -85,9 +85,7 @@ class ShardedCpuSimulator final : public core::Simulator {
         /// Window views with GLOBAL (r, c) addressing into the planes.
         core::EnvEmpty empty;
         core::EnvIndex index;
-        /// Per-band stage scratch (initial-calc's agent mask row,
-        /// movement output).
-        std::vector<std::uint64_t> mask;
+        /// Per-band movement output.
         std::vector<core::Move> moves;
     };
 
@@ -100,7 +98,6 @@ class ShardedCpuSimulator final : public core::Simulator {
     /// window containing it, ascending band order.
     void exchange_halos();
 
-    void initial_calc_band(Band& band);
     void movement_band(Band& band);
 
     int halo_ = 1;

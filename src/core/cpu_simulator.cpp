@@ -2,67 +2,17 @@
 
 #include "core/rules.hpp"
 #include "exec/thread_pool.hpp"
-#include "simd/row_ops.hpp"
 
 namespace pedsim::core {
 
-void CpuSimulator::stage_reset() {
-    scan_.reset();
-    props_.reset_futures();
-}
-
-void CpuSimulator::initial_calc_rows(int begin_row, int end_row) {
-    // Mask sweep of occupied cells: one SIMD pass turns each padded
-    // occupancy row into an agent bitmask, and only set bits run the
-    // scalar body — bit-exact with the old cell loop because it skipped
-    // exactly the cells with index_at <= 0, and iteration stays
-    // column-ascending (words ascending, count-trailing-zeros per word).
-    // Writes land in the cell's own agent row, so slices are disjoint.
-    const int nwords = env_.bit_words();
-    std::vector<std::uint64_t> agents(static_cast<std::size_t>(nwords));
-    for (int r = begin_row; r < end_row; ++r) {
-        simd::agent_bits(env_.occ_row_padded(r), env_.stride(),
-                         grid::kWallOcc, agents.data());
-        simd::for_each_set_bit(agents.data(), nwords, [&](int p) {
-            const int c = p - 1;  // padded byte position -> logical column
-            const std::int32_t i = env_.index_at(r, c);
-            const auto idx = static_cast<std::size_t>(i);
-            const grid::Group g = props_.group_of(i);
-
-            const auto fwd = grid::kNeighborOffsets[static_cast<std::size_t>(
-                grid::forward_neighbor(g))];
-            const bool front_empty =
-                env_.walkable_halo(r + fwd.dr, c + fwd.dc);
-            props_.front_blocked[idx] = front_empty ? 0 : 1;
-
-            const bool panicked = panic_applies(r, c);
-            props_.panicked[idx] = panicked ? 1 : 0;
-            // Waypoint-pending agents always need their scan row: forward
-            // priority is suspended while a chain steers them.
-            if (!panicked && config_.forward_priority && front_empty &&
-                !waypoint_pending(i)) {
-                return;
-            }
-
-            scan_.count(i) =
-                static_cast<std::int8_t>(fill_scan_row(i, r, c, g));
-        });
-    }
-}
-
-void CpuSimulator::stage_initial_calc() {
-    exec::for_slices(config_.exec, 0, env_.rows(),
-                     [this](int, std::int64_t b, std::int64_t e) {
-                         initial_calc_rows(static_cast<int>(b),
-                                           static_cast<int>(e));
-                     });
-}
+void CpuSimulator::stage_reset() { props_.reset_futures(); }
 
 void CpuSimulator::tour_construction_agents(std::size_t begin,
                                             std::size_t end) {
+    const EnvEmpty empty(env_);
     for (std::size_t i = begin; i < end; ++i) {
         if (props_.active[i] == 0) continue;
-        decide_future(static_cast<std::int32_t>(i));
+        decide_host(static_cast<std::int32_t>(i), empty);
     }
 }
 

@@ -55,6 +55,7 @@ GpuSimulator::GpuSimulator(const SimConfig& config, GpuOptions options,
     : Simulator(config, std::move(warm)),
       options_(std::move(options)),
       timing_(options_.device),
+      scan_(props_.agent_count()),
       winner_(env_.config().cell_count(), 0) {}
 
 void GpuSimulator::record(const char* name, simt::Dim2 grid, simt::Dim2 block,
@@ -228,8 +229,9 @@ void GpuSimulator::stage_initial_calc() {
                                 static_cast<std::uint32_t>(
                                     8 * std::max(config_.scan.range, 1)));
                 if (agent) {
-                    scan_.count(i) =
-                        static_cast<std::int8_t>(fill_scan_row(i, r, c, g));
+                    scan_.count(i) = static_cast<std::int8_t>(
+                        fill_scan_row(i, r, c, g, EnvEmpty(env_),
+                                      scan_.values(i), scan_.cells(i)));
                 }
                 ctx.global_store(
                     kAccessScan,
@@ -316,7 +318,10 @@ void GpuSimulator::stage_tour_construction() {
                                     valid ? i : 0)] == 0);
             if (lane_in_row != 0 || !valid) return;
 
-            const bool proposed = decide_future(i);
+            const bool proposed = decide_future(i, [&] {
+                return CandidateRow{scan_.values(i), scan_.cells(i),
+                                    scan_.count(i)};
+            });
             if (proposed) {
                 ctx.rng_draw(1);
                 ctx.global_store(

@@ -11,6 +11,7 @@
 // coalescing and modeled kernel time for the Fig. 5 benches.
 #pragma once
 
+#include "core/scan_matrix.hpp"
 #include "core/simulator.hpp"
 #include "simt/device_spec.hpp"
 #include "simt/launch.hpp"
@@ -58,6 +59,9 @@ class GpuSimulator final : public Simulator {
     GpuOptions options_;
     simt::TimingModel timing_;
     simt::LaunchLog log_;
+    /// The scan matrix in global memory: initial_calc stores each agent's
+    /// candidate row, tour_construction reads it back.
+    ScanMatrix scan_;
     /// Per-cell winner buffer written by the movement kernel
     /// (0 = no move into this cell).
     std::vector<std::int32_t> winner_;

@@ -79,29 +79,6 @@ int build_candidates_lem_geo(const EnvEmpty& empty, const double* geo,
     return n;
 }
 
-int gather_proposers(const EnvIndex& view, const std::int32_t* future_row,
-                     const std::int32_t* future_col, int r, int c,
-                     std::int32_t* out) {
-    int n = 0;
-    for (const auto off : grid::kNeighborOffsets) {
-        // Halo read: the sentinel frame carries index 0, so off-grid
-        // neighbours fall out of the idx > 0 test with no bounds branch.
-        const std::int32_t idx = view.at(r + off.dr, c + off.dc);
-        if (idx <= 0) continue;
-        if (future_row[idx] == r && future_col[idx] == c) {
-            out[n++] = idx;
-        }
-    }
-    return n;
-}
-
-int gather_proposers(const grid::Environment& env,
-                     const std::int32_t* future_row,
-                     const std::int32_t* future_col, int r, int c,
-                     std::int32_t* out) {
-    return gather_proposers(EnvIndex(env), future_row, future_col, r, c, out);
-}
-
 int select_winner(rng::Stream& stream, int count) {
     if (count <= 0) return -1;
     if (count == 1) return 0;

@@ -289,20 +289,6 @@ int select_lem(rng::Stream& stream, int candidate_count, double sigma);
 /// slot. Returns the chosen slot, or -1 when total weight is zero.
 int select_aco(rng::Stream& stream, const double* values, int candidate_count);
 
-/// Scatter-to-gather proposal collection (section IV.d, Fig. 4): agents in
-/// the 8 neighbours of empty cell (r, c) whose FUTURE ROW/COLUMN equals
-/// (r, c), in paper cell order. `out` must have room for 8 agent indices.
-/// Reads only pre-movement snapshot state. Returns the proposer count.
-/// The EnvIndex form gathers through any window view (the sharded
-/// backend's band planes); the Environment form wraps the whole grid.
-int gather_proposers(const EnvIndex& idx, const std::int32_t* future_row,
-                     const std::int32_t* future_col, int r, int c,
-                     std::int32_t* out);
-int gather_proposers(const grid::Environment& env,
-                     const std::int32_t* future_row,
-                     const std::int32_t* future_col, int r, int c,
-                     std::int32_t* out);
-
 /// Winner selection among `count` proposers: uniform draw on the *cell's*
 /// stream (the thread assigned to the empty cell makes the choice).
 int select_winner(rng::Stream& stream, int count);

@@ -1,8 +1,10 @@
 #include "core/simulator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <utility>
 
 #include "core/perturbation.hpp"
 #include "core/rules.hpp"
@@ -48,10 +50,7 @@ Simulator::Simulator(const SimConfig& config,
       df_(&doors_->field_after(0)),
       blend_(df_),
       placed_(init_agents(env_, config_)),
-      props_(placed_, config_.perturb.surge_total()),
-      scan_(placed_.size() + config_.perturb.surge_total()),
-      proposed_(static_cast<std::size_t>(env_.rows()) *
-                static_cast<std::size_t>(env_.bit_words())) {
+      props_(placed_, config_.perturb.surge_total()) {
     if (config_.model == Model::kAco) {
         pher_ = std::make_unique<PheromoneField>(
             config_.grid, config_.aco.tau0, config_.aco.tau_min);
@@ -210,19 +209,19 @@ void Simulator::fire_due_surges() {
     }
 }
 
-int Simulator::fill_scan_row(std::int32_t i, int r, int c, grid::Group g) {
-    // Branch-free emptiness via the padded occupancy frame; the concrete
-    // functor type also routes the scan builders' ray_congestion calls to
-    // the vectorized overload.
-    return fill_scan_row(i, r, c, g, EnvEmpty(env_));
+void Simulator::allocate_proposal_planes() {
+    const auto rows = static_cast<std::size_t>(env_.rows());
+    proposed_.assign(rows * static_cast<std::size_t>(env_.bit_words()), 0);
+    proposers_.assign(rows * static_cast<std::size_t>(env_.stride()), 0);
 }
 
 int Simulator::fill_scan_row(std::int32_t i, int r, int c, grid::Group g,
-                             const EnvEmpty& empty) {
+                             const EnvEmpty& empty, double* values,
+                             std::int8_t* cells) const {
     const auto idx = static_cast<std::size_t>(i);
     if (props_.panicked[idx] != 0) {
-        return build_candidates_flee_t(empty, config_.panic, g, r, c,
-                                       scan_.values(i), scan_.cells(i));
+        return build_candidates_flee_t(empty, config_.panic, g, r, c, values,
+                                       cells);
     }
     // The scoring view is per-agent: the current waypoint's field while a
     // chain is pending, the final (goal) field otherwise.
@@ -230,42 +229,36 @@ int Simulator::fill_scan_row(std::int32_t i, int r, int c, grid::Group g,
     if (config_.model == Model::kLem) {
         if (config_.scan.range > 1) {
             return build_candidates_lem_scan_t(empty, field, config_.scan,
-                                               config_.grid, g, r, c,
-                                               scan_.values(i),
-                                               scan_.cells(i));
+                                               config_.grid, g, r, c, values,
+                                               cells);
         }
         // Plain geodesic LEM: cost() is a bare table read, so the batched
         // gather builder produces bit-identical values.
         if (!field.blending() && field.now()->geodesic()) {
             return build_candidates_lem_geo(empty, field.now()->geo_data(g),
                                             config_.grid.cols, g, r, c,
-                                            scan_.values(i), scan_.cells(i));
+                                            values, cells);
         }
-        return build_candidates_lem_t(empty, field, g, r, c,
-                                      scan_.values(i), scan_.cells(i));
+        return build_candidates_lem_t(empty, field, g, r, c, values, cells);
     }
     auto tau = [&](int rr, int cc) { return pher_->at(g, rr, cc); };
     if (config_.scan.range > 1) {
         return build_candidates_aco_scan_t(empty, tau, field, config_.aco,
                                            config_.scan, config_.grid, g, r,
-                                           c, scan_.values(i),
-                                           scan_.cells(i));
+                                           c, values, cells);
     }
     return build_candidates_aco_t(empty, tau, field, config_.aco, g, r, c,
-                                  scan_.values(i), scan_.cells(i));
+                                  values, cells);
 }
 
-bool Simulator::decide_future(std::int32_t i) {
+Simulator::Gate Simulator::run_gates(std::int32_t i) {
     const auto idx = static_cast<std::size_t>(i);
-    const grid::Group g = props_.group_of(i);
-    const int r = props_.row[idx];
-    const int c = props_.col[idx];
 
     // Slow agents act only on their phase of the period (speed extension).
     if (props_.speed_class[idx] != 0) {
         const auto period =
             static_cast<std::uint64_t>(std::max(config_.speed.slow_period, 1));
-        if ((step_ + idx) % period != 0) return false;
+        if ((step_ + idx) % period != 0) return Gate::kHold;
     }
 
     // Perturbation speed class: the agent acts only on the steps a 32.32
@@ -275,27 +268,16 @@ bool Simulator::decide_future(std::int32_t i) {
     // a gated-out step consumes no draws.
     if (const std::uint64_t q = speed_gate_q_[props_.group[idx]]; q != 0) {
         const std::uint64_t t = step_ + idx;
-        if ((((t + 1) * q) >> 32) <= ((t * q) >> 32)) return false;
+        if ((((t + 1) * q) >> 32) <= ((t * q) >> 32)) return Gate::kHold;
     }
 
     // Waypoint dwell: held at a service point until the hold expires (the
     // shared finish_step clears dwell_until — also before any draw).
-    if (props_.dwell_until[idx] != 0) return false;
+    if (props_.dwell_until[idx] != 0) return Gate::kHold;
 
-    // Panicked agents flee on the rank draw over the flee-sorted scan row;
-    // goal, forward priority and pheromone do not apply while fleeing.
-    if (props_.panicked[idx] != 0) {
-        const int count = scan_.count(i);
-        if (count <= 0) return false;
-        rng::Stream stream(config_.seed, rng::Stage::kTourConstruction,
-                           static_cast<std::uint64_t>(i), step_);
-        const int slot = select_lem(stream, count, config_.lem.sigma);
-        const int k = scan_.cells(i)[slot];
-        const auto off = grid::kNeighborOffsets[static_cast<std::size_t>(k)];
-        props_.future_row[idx] = r + off.dr;
-        props_.future_col[idx] = c + off.dc;
-        return true;
-    }
+    // Panicked agents flee on the rank draw over the flee-sorted candidate
+    // row; goal, forward priority and pheromone do not apply while fleeing.
+    if (props_.panicked[idx] != 0) return Gate::kDraw;
 
     // Forward priority (section III): an empty forward cell is taken
     // without any probabilistic calculation. While a waypoint chain is
@@ -304,44 +286,57 @@ bool Simulator::decide_future(std::int32_t i) {
     // cell would march agents past their checkpoints); once the chain is
     // done it is the paper's group-forward cell. Both variants are pure
     // functions of frozen per-step state, so engine/thread parity holds.
-    if (config_.forward_priority) {
-        if (!waypoint_pending(i)) {
-            if (props_.front_blocked[idx] == 0) {
-                const auto off = grid::kNeighborOffsets[
-                    static_cast<std::size_t>(grid::forward_neighbor(g))];
-                props_.future_row[idx] = r + off.dr;
-                props_.future_col[idx] = c + off.dc;
-                return true;
-            }
-        } else {
-            const int k = waypoint_forward_neighbor(i, g, r, c);
-            if (k >= 0) {
-                const auto off =
-                    grid::kNeighborOffsets[static_cast<std::size_t>(k)];
-                props_.future_row[idx] = r + off.dr;
-                props_.future_col[idx] = c + off.dc;
-                return true;
-            }
-        }
-    }
-
-    const int count = scan_.count(i);
-    if (count <= 0) return false;
-
-    rng::Stream stream(config_.seed, rng::Stage::kTourConstruction,
-                       static_cast<std::uint64_t>(i), step_);
-    int slot;
-    if (config_.model == Model::kLem) {
-        slot = select_lem(stream, count, config_.lem.sigma);
+    if (!config_.forward_priority) return Gate::kDraw;
+    const grid::Group g = props_.group_of(i);
+    const int r = props_.row[idx];
+    const int c = props_.col[idx];
+    int k = -1;
+    if (!waypoint_pending(i)) {
+        if (props_.front_blocked[idx] == 0) k = grid::forward_neighbor(g);
     } else {
-        slot = select_aco(stream, scan_.values(i), count);
-        if (slot < 0) return false;
+        k = waypoint_forward_neighbor(i, g, r, c);
     }
-    const int k = scan_.cells(i)[slot];
+    if (k < 0) return Gate::kDraw;
     const auto off = grid::kNeighborOffsets[static_cast<std::size_t>(k)];
     props_.future_row[idx] = r + off.dr;
     props_.future_col[idx] = c + off.dc;
+    return Gate::kForward;
+}
+
+bool Simulator::draw_future(std::int32_t i, const CandidateRow& row) {
+    if (row.count <= 0) return false;
+    const auto idx = static_cast<std::size_t>(i);
+    rng::Stream stream(config_.seed, rng::Stage::kTourConstruction,
+                       static_cast<std::uint64_t>(i), step_);
+    int slot;
+    if (props_.panicked[idx] != 0 || config_.model == Model::kLem) {
+        slot = select_lem(stream, row.count, config_.lem.sigma);
+    } else {
+        slot = select_aco(stream, row.values, row.count);
+        if (slot < 0) return false;
+    }
+    const auto off =
+        grid::kNeighborOffsets[static_cast<std::size_t>(row.cells[slot])];
+    props_.future_row[idx] = props_.row[idx] + off.dr;
+    props_.future_col[idx] = props_.col[idx] + off.dc;
     return true;
+}
+
+bool Simulator::decide_host(std::int32_t i, const EnvEmpty& empty) {
+    const auto idx = static_cast<std::size_t>(i);
+    const grid::Group g = props_.group_of(i);
+    const int r = props_.row[idx];
+    const int c = props_.col[idx];
+    const auto fwd = grid::kNeighborOffsets[static_cast<std::size_t>(
+        grid::forward_neighbor(g))];
+    props_.front_blocked[idx] = empty(r + fwd.dr, c + fwd.dc) ? 0 : 1;
+    props_.panicked[idx] = panic_applies(r, c) ? 1 : 0;
+    double values[grid::kNeighborCount];
+    std::int8_t cells[grid::kNeighborCount];
+    return decide_future(i, [&] {
+        return CandidateRow{values, cells,
+                            fill_scan_row(i, r, c, g, empty, values, cells)};
+    });
 }
 
 void Simulator::fire_due_doors() {
@@ -472,18 +467,25 @@ StepResult Simulator::step() {
         stage_tour_construction();
     }
 
-    // One pass over FUTURE ROW/COL counts the proposals and marks each
-    // proposed cell in the proposal plane, which the host engines'
-    // movement walks instead of sweeping every row.
-    std::fill(proposed_.begin(), proposed_.end(), 0);
+    // One pass over FUTURE ROW/COL counts the proposals and, for the host
+    // engines, marks each proposed cell in the proposal plane and the
+    // proposer's direction in the cell's proposer byte; their movement
+    // walks the marks instead of sweeping rows and gathering neighbours.
+    const bool mark = !proposed_.empty();
     const auto nwords = static_cast<std::size_t>(env_.bit_words());
+    const auto stride = static_cast<std::size_t>(env_.stride());
     for (std::size_t i = 1; i < props_.rows(); ++i) {
         const std::int32_t fr = props_.future_row[i];
         if (props_.active[i] == 0 || fr == kNoFuture) continue;
         ++res.proposals;
-        const auto p = static_cast<std::size_t>(props_.future_col[i]) + 1;
-        proposed_[static_cast<std::size_t>(fr) * nwords + p / 64] |=
-            std::uint64_t{1} << (p % 64);
+        if (!mark) continue;
+        const std::int32_t fc = props_.future_col[i];
+        const auto p = static_cast<std::size_t>(fc) + 1;
+        const auto row = static_cast<std::size_t>(fr);
+        proposed_[row * nwords + p / 64] |= std::uint64_t{1} << (p % 64);
+        const int k = grid::neighbor_index(props_.row[i] - fr,
+                                           props_.col[i] - fc);
+        proposers_[row * stride + p] |= static_cast<std::uint8_t>(1u << k);
     }
 
     std::vector<Move> moves;
@@ -515,27 +517,30 @@ StepResult Simulator::step() {
 void Simulator::resolve_proposals(const EnvEmpty& empty,
                                   const EnvIndex& index, int begin_row,
                                   int end_row,
-                                  std::vector<Move>& out_moves) const {
+                                  std::vector<Move>& out_moves) {
     // Scatter-to-gather (section IV.d) over the proposed cells only. Every
     // FUTURE cell is an empty king-neighbour of its agent, so any other
     // cell would gather no proposer — n == 0 before a stream exists — and
     // skipping it can neither consume nor reorder a draw. Bits are walked
-    // row-major, column-ascending: the paper's cell order.
+    // row-major, column-ascending: the paper's cell order. The proposer
+    // byte's set bits, in ascending k, are the neighbours the per-cell
+    // gather finds in kNeighborOffsets order, so the w-th set bit is the
+    // gather's w-th proposer.
     const int nwords = env_.bit_words();
-    std::int32_t proposers[grid::kNeighborCount];
+    const auto stride = static_cast<std::size_t>(env_.stride());
     for (int r = begin_row; r < end_row; ++r) {
-        const std::uint64_t* const row =
+        std::uint64_t* const row =
             proposed_.data() +
             static_cast<std::size_t>(r) * static_cast<std::size_t>(nwords);
+        std::uint8_t* const dirs =
+            proposers_.data() + static_cast<std::size_t>(r) * stride;
         simd::for_each_set_bit(row, nwords, [&](int p) {
+            unsigned bits = std::exchange(dirs[p], std::uint8_t{0});
             const int c = p - 1;  // padded bit position -> logical column
             if (!empty(r, c)) return;
-            const int n = gather_proposers(index, props_.future_row.data(),
-                                           props_.future_col.data(), r, c,
-                                           proposers);
-            if (n == 0) return;
             // select_winner draws nothing for a lone proposer, so the
             // cell's stream is built only when there is a contest.
+            const int n = std::popcount(bits);
             int w = 0;
             if (n > 1) {
                 rng::Stream stream(config_.seed, rng::Stage::kMovement,
@@ -543,8 +548,12 @@ void Simulator::resolve_proposals(const EnvEmpty& empty,
                                    step_);
                 w = select_winner(stream, n);
             }
-            out_moves.push_back({proposers[w], r, c});
+            for (; w > 0; --w) bits &= bits - 1;
+            const auto off = grid::kNeighborOffsets[static_cast<std::size_t>(
+                std::countr_zero(bits))];
+            out_moves.push_back({index.at(r + off.dr, c + off.dc), r, c});
         });
+        std::fill_n(row, nwords, 0);
     }
 }
 

@@ -19,7 +19,6 @@
 #include "core/door_schedule.hpp"
 #include "core/pheromone.hpp"
 #include "core/property_table.hpp"
-#include "core/scan_matrix.hpp"
 #include "grid/distance_field.hpp"
 #include "grid/environment.hpp"
 #include "grid/placement.hpp"
@@ -28,6 +27,15 @@ namespace pedsim::core {
 
 struct EnvEmpty;  // rules.hpp: windowed emptiness view
 struct EnvIndex;  // rules.hpp: windowed agent-index view
+
+/// One agent's candidate row (a scan-matrix row, section IV.a): `count`
+/// slots of scores plus the 0-based grid::kNeighborOffsets index of each
+/// slot's cell.
+struct CandidateRow {
+    const double* values = nullptr;
+    const std::int8_t* cells = nullptr;
+    int count = 0;
+};
 
 /// One resolved movement: agent -> empty cell (from stage d's gather).
 struct Move {
@@ -158,41 +166,64 @@ class Simulator {
 
   protected:
     // Stage hooks (paper section IV b-e). `out_moves` receives resolved
-    // movements in row-major cell order.
+    // movements in row-major cell order. The host engines fold initial
+    // calculation into their tour-construction pass (decide_host), so
+    // only gpu-simt overrides stage_initial_calc.
     virtual void stage_reset() = 0;                       // supporting kernel
-    virtual void stage_initial_calc() = 0;                // IV.b
+    virtual void stage_initial_calc() {}                  // IV.b
     virtual void stage_tour_construction() = 0;           // IV.c
     virtual void stage_movement(std::vector<Move>& out_moves) = 0;  // IV.d
+
+    /// Allocate the proposal planes (proposed_, proposers_) so step()
+    /// marks them and resolve_proposals can walk them. Host engines call
+    /// this from their constructors; gpu-simt's movement kernel gathers
+    /// at every cell and never needs them.
+    void allocate_proposal_planes();
 
     /// Host stage-d body over rows [begin_row, end_row): resolve every
     /// cell of the proposal plane set in those rows, row-major and
     /// column-ascending, reading occupancy and agent indices through the
     /// given window views (the whole environment, or a sharded band's
-    /// replica planes). Appends the winners to `out_moves`.
+    /// replica planes). Appends the winners to `out_moves` and clears the
+    /// rows' proposal words and proposer bytes for the next step, so
+    /// disjoint row ranges may run concurrently.
     void resolve_proposals(const EnvEmpty& empty, const EnvIndex& index,
                            int begin_row, int end_row,
-                           std::vector<Move>& out_moves) const;
+                           std::vector<Move>& out_moves);
 
     /// Shared stage-d epilogue: apply the (disjoint) moves, update tour
     /// lengths, evaporate + deposit pheromone (ACO), retire crossed agents.
     void finish_step(const std::vector<Move>& moves, StepResult& result);
 
-    /// Decision core shared by both engines' tour-construction stages:
-    /// given agent i (active, on-grid), decide and write its FUTURE cell.
-    /// Returns true when a proposal was made.
-    bool decide_future(std::int32_t i);
+    /// Decision core shared by every engine's tour construction: given
+    /// agent i (active, on-grid), run the gates in order and, only when
+    /// the draw is reached, call `row()` once for agent i's CandidateRow.
+    /// The host engines build that row on demand (decide_host); gpu-simt
+    /// returns the row its initial-calc kernel stored. Writes the FUTURE
+    /// cell and returns true when a proposal was made.
+    template <typename RowFn>
+    bool decide_future(std::int32_t i, RowFn&& row) {
+        const Gate gate = run_gates(i);
+        if (gate != Gate::kDraw) return gate == Gate::kForward;
+        return draw_future(i, row());
+    }
 
-    /// Environment-backed scan-row fill handling all extension paths
-    /// (panic flee ranking, scanning-range look-ahead) plus the plain
-    /// LEM/ACO builders. Both engines call this for extension paths, so
+    /// The host engines' fused stage b + c for agent i (active, on-grid):
+    /// set its FRONT CELL and panic flags, then decide_future with the
+    /// candidate row built in a stack buffer through `empty`, only when
+    /// the draw needs it. Reads only state frozen for the stage and writes
+    /// only agent i's property row, so disjoint agent slices may run
+    /// concurrently. Returns true when a proposal was made.
+    bool decide_host(std::int32_t i, const EnvEmpty& empty);
+
+    /// Candidate-row fill for agent i at (r, c) into `values`/`cells`
+    /// (room for 8 slots each), through the emptiness window `empty`:
+    /// panic flee ranking, the scanning-range look-ahead and plain
+    /// LEM/ACO scoring. Every engine calls it for these paths, so
     /// bit-parity holds with every feature enabled. Returns the count.
-    int fill_scan_row(std::int32_t i, int r, int c, grid::Group g);
-    /// Same fill through an explicit emptiness window: backends that read
-    /// occupancy from replicated storage (the sharded engine's band
-    /// planes) pass their own view; the window's bytes equal the
-    /// environment's for every probed cell, so results are bit-identical.
     int fill_scan_row(std::int32_t i, int r, int c, grid::Group g,
-                      const EnvEmpty& empty);
+                      const EnvEmpty& empty, double* values,
+                      std::int8_t* cells) const;
 
     /// Environment-mutation hook: called on the host thread whenever rows
     /// [row0, row1] of the occupancy/index planes change outside the move
@@ -217,11 +248,6 @@ class Simulator {
         return chain_slots_[g == grid::Group::kTop ? 0 : 1];
     }
 
-    /// Shared emptiness test for stage-b candidate building via env.
-    [[nodiscard]] bool cell_empty(int r, int c) const {
-        return env_.walkable(r, c);
-    }
-
     SimConfig config_;
     grid::Environment env_;
     /// Phase-cached fields (one per distinct wall configuration); df_
@@ -243,18 +269,38 @@ class Simulator {
     std::vector<grid::BlendedField> wp_blend_;
     std::vector<grid::PlacedAgent> placed_;
     PropertyTable props_;
-    ScanMatrix scan_;
-    /// Proposal plane: rows x env_.bit_words() words in the padded rows'
-    /// bit layout — bit c + 1 of row r is set when some agent's FUTURE
-    /// cell this step is (r, c). Rebuilt by step() between tour
-    /// construction and movement; movement only reads it.
+    /// Proposal plane (host engines only; empty until
+    /// allocate_proposal_planes): rows x env_.bit_words() words in the
+    /// padded rows' bit layout — bit c + 1 of row r is set when some
+    /// agent's FUTURE cell this step is (r, c).
     std::vector<std::uint64_t> proposed_;
+    /// Proposer plane, paired with proposed_: one byte per padded cell of
+    /// the grid rows (byte r * stride + p belongs to bit p of row r). Bit
+    /// k is set when the agent at kNeighborOffsets[k] from the cell
+    /// proposed it. step() marks both planes between tour construction
+    /// and movement; resolve_proposals clears them again, so both read
+    /// all-zero between steps.
+    std::vector<std::uint8_t> proposers_;
     std::unique_ptr<PheromoneField> pher_;
     std::uint64_t step_ = 0;
     std::size_t crossed_top_ = 0;
     std::size_t crossed_bottom_ = 0;
 
   private:
+    /// Where decide_future's gates leave agent i: held this step (no
+    /// proposal), moved to its forward cell without a draw, or at the
+    /// draw over its candidate row.
+    enum class Gate { kHold, kForward, kDraw };
+    /// decide_future's gates, in order: slow speed class, perturbation
+    /// speed gate, waypoint dwell, panic (always draws), forward priority.
+    /// Writes the FUTURE cell on kForward. Draws nothing.
+    Gate run_gates(std::int32_t i);
+    /// decide_future's draw: the rank draw (LEM, or a panicked agent's
+    /// flee row) or the roulette wheel (ACO) over `row`, on agent i's
+    /// tour-construction stream. Writes the FUTURE cell and returns true
+    /// when a proposal was made.
+    bool draw_future(std::int32_t i, const CandidateRow& row);
+
     static std::vector<grid::PlacedAgent> init_agents(
         grid::Environment& env, const SimConfig& config);
     /// Fire every door event scheduled for the current step: mutate the

@@ -96,18 +96,6 @@ class Environment {
         return in_bounds(r, c) && empty(r, c);
     }
 
-    /// Branch-free walkable() for the one-cell neighbourhood: valid for
-    /// r in [-1, rows], c in [-1, stride() - 2], where the sentinel frame
-    /// answers "off grid" with kWallOcc instead of a bounds test.
-    [[nodiscard]] bool walkable_halo(int r, int c) const {
-        return occupancy_[padded(r, c)] == 0;
-    }
-    /// index_at() over the same halo range: framing cells read 0 (no
-    /// agent), so neighbour gathers need no bounds test either.
-    [[nodiscard]] std::int32_t index_halo(int r, int c) const {
-        return index_[padded(r, c)];
-    }
-
     void place(int r, int c, Group g, std::int32_t index);
     void clear(int r, int c);
     /// Move the contents of (fr, fc) to the empty cell (tr, tc).
@@ -148,8 +136,9 @@ class Environment {
         return index_.data() + padded(r, 0);
     }
     /// Pointer to the START of padded row r (the sentinel column), always
-    /// kRowAlign-aligned within the allocation: the base the SIMD mask
-    /// builders consume whole rows from. Byte p is logical column p - 1.
+    /// kRowAlign-aligned within the allocation: the whole-row image the
+    /// sharded engine's halo exchange copies. Byte p is logical column
+    /// p - 1.
     [[nodiscard]] const std::uint8_t* occ_row_padded(int r) const {
         return occupancy_.data() +
                static_cast<std::size_t>(r + 1) *

@@ -37,6 +37,21 @@ inline constexpr std::array<Offset, kNeighborCount> kNeighborOffsets{{
     {-1, +1},  // 8: north-east
 }};
 
+/// Index k with kNeighborOffsets[k] == (dr, dc), for a king offset
+/// (dr, dc in {-1, 0, 1}, not both 0); -1 for (0, 0).
+constexpr int neighbor_index(int dr, int dc) {
+    constexpr std::array<int, 9> kIndex{6, 5, 7, 3, -1, 4, 1, 0, 2};
+    return kIndex[static_cast<std::size_t>((dr + 1) * 3 + (dc + 1))];
+}
+
+static_assert([] {
+    for (int k = 0; k < kNeighborCount; ++k) {
+        const Offset off = kNeighborOffsets[static_cast<std::size_t>(k)];
+        if (neighbor_index(off.dr, off.dc) != k) return false;
+    }
+    return neighbor_index(0, 0) == -1;
+}());
+
 /// Agent group labels used throughout (the paper's mat values).
 enum class Group : std::uint8_t {
     kNone = 0,    ///< empty cell

@@ -285,11 +285,22 @@ std::vector<std::uint8_t> encode_steps(const StepBatch& m) {
     return w.take();
 }
 
+/// Wire size of one StepResult record in a kStep payload: the u64 step
+/// plus six i32 counters.
+constexpr std::size_t kStepRecordBytes = 8 + 6 * 4;
+
 StepBatch decode_steps(const std::vector<std::uint8_t>& payload) {
     Reader r(payload);
     StepBatch m;
     m.job_id = r.u64();
     const std::uint32_t n = r.u32();
+    // A count the payload cannot hold is rejected before it sizes the
+    // reservation: a hostile count would otherwise allocate up to 128 GiB.
+    if (n > r.remaining() / kStepRecordBytes) {
+        throw ProtocolError("steps: count " + std::to_string(n) +
+                            " exceeds the " + std::to_string(r.remaining()) +
+                            "-byte payload");
+    }
     m.steps.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
         core::StepResult s;

@@ -94,6 +94,8 @@ class Reader {
     double f64();
     std::string str();
     [[nodiscard]] bool done() const { return pos_ == buf_.size(); }
+    /// Payload bytes not yet consumed.
+    [[nodiscard]] std::size_t remaining() const { return buf_.size() - pos_; }
     /// Throws when payload bytes remain unconsumed: a well-formed message
     /// is exactly its fields, nothing more.
     void expect_done(const char* what) const;

@@ -2,11 +2,9 @@
 //
 // The grid stores each row padded to kRowAlign bytes with kWallOcc
 // sentinels (leading sentinel column, trailing pad, halo rows above and
-// below — see grid::Environment), so these functions can always consume
-// whole padded rows: every 64-byte block becomes one 64-bit mask word and
-// no tail handling exists on the row path. Byte position p of a padded row
-// corresponds to logical column p - 1; sentinel and pad bytes are
-// kWallOcc, so they never set a bit in the agent mask.
+// below — see grid::Environment). Bit masks over a padded row use one
+// 64-bit word per 64-byte block, bit p standing for byte position p,
+// which is logical column p - 1 (the engines' proposal plane).
 //
 // Everything here is integer masks, integer counts, or verbatim double
 // loads — no floating-point arithmetic — which is why the engines can use
@@ -30,21 +28,6 @@ inline constexpr std::uint32_t kLaneMask =
 
 namespace scalar {
 
-/// Bit p of words[] = (row[p] != 0 && row[p] != wall): cells holding an
-/// agent, excluding walls and the sentinel/pad bytes (which are `wall`).
-inline void agent_bits(const std::uint8_t* row, int nbytes, std::uint8_t wall,
-                       std::uint64_t* words) {
-    const int nwords = nbytes / kWordBits;
-    for (int w = 0; w < nwords; ++w) {
-        std::uint64_t word = 0;
-        for (int b = 0; b < kWordBits; ++b) {
-            const std::uint8_t v = row[w * kWordBits + b];
-            word |= static_cast<std::uint64_t>(v != 0 && v != wall) << b;
-        }
-        words[w] = word;
-    }
-}
-
 /// Occupied (non-zero) bytes among p[0..len): walls count, empties don't.
 inline int count_occupied(const std::uint8_t* p, int len) {
     int n = 0;
@@ -61,33 +44,6 @@ inline void gather_f64(const double* base, const std::int32_t* idx, int n,
 }
 
 }  // namespace scalar
-
-namespace detail {
-
-/// 64-bit mask of (p[i] == target lane value) over 64 consecutive bytes.
-inline std::uint64_t eq_word(const std::uint8_t* p, VecU8 target) {
-    constexpr int kChunks = kWordBits / kU8Lanes;
-    std::uint64_t word = 0;
-    for (int i = 0; i < kChunks; ++i) {
-        word |= static_cast<std::uint64_t>(
-                    VecU8::eq_bits(VecU8::loadu(p + i * kU8Lanes), target))
-                << (i * kU8Lanes);
-    }
-    return word;
-}
-
-}  // namespace detail
-
-inline void agent_bits(const std::uint8_t* row, int nbytes, std::uint8_t wall,
-                       std::uint64_t* words) {
-    const VecU8 zero = VecU8::splat(0);
-    const VecU8 wallv = VecU8::splat(wall);
-    const int nwords = nbytes / kWordBits;
-    for (int w = 0; w < nwords; ++w) {
-        const std::uint8_t* p = row + w * kWordBits;
-        words[w] = ~(detail::eq_word(p, zero) | detail::eq_word(p, wallv));
-    }
-}
 
 inline int count_occupied(const std::uint8_t* p, int len) {
     const VecU8 zero = VecU8::splat(0);

@@ -1,12 +1,10 @@
 // Unit tests for the shared decision rules (eqs. 1-5 as adapted in the
-// paper's section III) and the scatter-to-gather primitives.
+// paper's section III) and the movement winner draw.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <set>
 #include <vector>
 
-#include "core/property_table.hpp"
 #include "core/rules.hpp"
 #include "test_candidates.hpp"
 
@@ -181,75 +179,6 @@ TEST(Selection, WinnerEdgeCases) {
     rng::Stream s(1, rng::Stage::kGeneric, 0, 0);
     EXPECT_EQ(select_winner(s, 0), -1);
     EXPECT_EQ(select_winner(s, 1), 0);
-}
-
-// --- Scatter-to-gather -------------------------------------------------------------
-
-class GatherTest : public ::testing::Test {
-  protected:
-    GatherTest() : env_(GridConfig{32, 32}) {
-        future_row_.assign(16, kNoFuture);
-        future_col_.assign(16, kNoFuture);
-    }
-
-    void place_with_future(int r, int c, Group g, std::int32_t idx, int fr,
-                           int fc) {
-        env_.place(r, c, g, idx);
-        future_row_[static_cast<std::size_t>(idx)] = fr;
-        future_col_[static_cast<std::size_t>(idx)] = fc;
-    }
-
-    Environment env_;
-    std::vector<std::int32_t> future_row_, future_col_;
-    std::int32_t out_[8];
-};
-
-TEST_F(GatherTest, CollectsOnlyProposersTargetingThisCell) {
-    // Paper Fig. 4: five neighbours target the central cell.
-    place_with_future(9, 9, Group::kTop, 1, 10, 10);
-    place_with_future(9, 10, Group::kTop, 2, 10, 10);
-    place_with_future(9, 11, Group::kTop, 3, 10, 10);
-    place_with_future(10, 9, Group::kBottom, 4, 10, 10);
-    place_with_future(11, 10, Group::kBottom, 5, 10, 10);
-    // A neighbour aiming elsewhere:
-    place_with_future(11, 11, Group::kBottom, 6, 11, 10);
-
-    const int n = gather_proposers(env_, future_row_.data(),
-                                   future_col_.data(), 10, 10, out_);
-    EXPECT_EQ(n, 5);
-    std::set<std::int32_t> got(out_, out_ + n);
-    EXPECT_EQ(got, (std::set<std::int32_t>{1, 2, 3, 4, 5}));
-}
-
-TEST_F(GatherTest, EmptyNeighborhoodYieldsZero) {
-    const int n = gather_proposers(env_, future_row_.data(),
-                                   future_col_.data(), 10, 10, out_);
-    EXPECT_EQ(n, 0);
-}
-
-TEST_F(GatherTest, NeighborsWithoutProposalsAreIgnored) {
-    env_.place(9, 10, Group::kTop, 1);  // never proposed (sentinel future)
-    const int n = gather_proposers(env_, future_row_.data(),
-                                   future_col_.data(), 10, 10, out_);
-    EXPECT_EQ(n, 0);
-}
-
-TEST_F(GatherTest, WorksAtGridCorner) {
-    place_with_future(0, 1, Group::kBottom, 1, 0, 0);
-    place_with_future(1, 1, Group::kBottom, 2, 0, 0);
-    const int n = gather_proposers(env_, future_row_.data(),
-                                   future_col_.data(), 0, 0, out_);
-    EXPECT_EQ(n, 2);
-}
-
-TEST_F(GatherTest, ProposerOrderFollowsPaperCellNumbering) {
-    place_with_future(11, 10, Group::kBottom, 7, 10, 10);  // offset #1 (S)
-    place_with_future(9, 10, Group::kTop, 3, 10, 10);      // offset #6 (N)
-    const int n = gather_proposers(env_, future_row_.data(),
-                                   future_col_.data(), 10, 10, out_);
-    ASSERT_EQ(n, 2);
-    EXPECT_EQ(out_[0], 7);  // S comes first in kNeighborOffsets
-    EXPECT_EQ(out_[1], 3);
 }
 
 // --- Step lengths and deposits -------------------------------------------------------

@@ -161,14 +161,15 @@ TEST(Environment, StaticWallsBlockWithoutCountingAsPopulation) {
     // The raw occupancy carries the SIMT halo sentinel, so the tile
     // loaders treat in-grid walls exactly like off-grid cells.
     EXPECT_EQ(env.occupancy_raw()[env.padded(5, 5)], kWallOcc);
-    // The sentinel frame itself reads as wall through the halo accessors:
-    // padded storage makes "off grid" and "wall" one lane value.
-    EXPECT_FALSE(env.walkable_halo(-1, 5));
-    EXPECT_FALSE(env.walkable_halo(32, 5));
-    EXPECT_FALSE(env.walkable_halo(5, -1));
-    EXPECT_FALSE(env.walkable_halo(5, 32));
-    EXPECT_EQ(env.index_halo(-1, -1), 0);
-    EXPECT_TRUE(env.walkable_halo(6, 5));
+    // The sentinel frame itself reads as wall in padded storage: "off
+    // grid" and "wall" are one lane value.
+    const auto& occ = env.occupancy_raw();
+    EXPECT_EQ(occ[env.padded(-1, 5)], kWallOcc);
+    EXPECT_EQ(occ[env.padded(32, 5)], kWallOcc);
+    EXPECT_EQ(occ[env.padded(5, -1)], kWallOcc);
+    EXPECT_EQ(occ[env.padded(5, 32)], kWallOcc);
+    EXPECT_EQ(env.index_raw()[env.padded(-1, -1)], 0);
+    EXPECT_EQ(occ[env.padded(6, 5)], 0);
 }
 
 TEST(Environment, WallValidation) {

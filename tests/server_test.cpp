@@ -158,6 +158,13 @@ TEST(Protocol, MalformedPayloadsThrow) {
     protocol::Writer w;
     w.u8(7);  // bad source
     EXPECT_THROW(protocol::decode_submit(w.take()), protocol::ProtocolError);
+    // A step count the payload cannot hold: a 12-byte kStep payload that
+    // claims 0xFFFFFFFF records must fail by name, not reserve for them.
+    protocol::Writer steps;
+    steps.u64(1);
+    steps.u32(0xFFFFFFFFu);
+    EXPECT_THROW(protocol::decode_steps(steps.take()),
+                 protocol::ProtocolError);
 }
 
 TEST(Protocol, DirectionSplitCoversTheTypeSpace) {

@@ -3,8 +3,12 @@
 // bit-exact CPU <-> GPU-simt parity the paper's Fig. 6b validation rests on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -304,89 +308,240 @@ void expect_same_state(const Simulator& host, const Simulator& oracle,
     }
 }
 
-TEST(MovementOracle, ProposalWalkMatchesSimtGatherUnderContention) {
-    SimConfig cfg;
-    cfg.grid.rows = cfg.grid.cols = 128;  // 3 bit words per padded row
-    cfg.agents_per_side = 3277;           // ~40% of the 16,384 cells
-    cfg.model = Model::kAco;
-    cfg.forward_priority = false;  // every proposal is a roulette draw
-    cfg.seed = 12;
-    const auto oracle = backend::make_engine(backend::DeviceType::kSimt, cfg);
-    const auto hosts = make_host_engines(cfg);
-
-    constexpr int kSteps = 60;
-    int contested_steps = 0;
-    for (int s = 0; s < kSteps; ++s) {
-        const StepResult want = oracle->step();
-        contested_steps += want.conflicts > 0;
-        for (std::size_t h = 0; h < hosts.size(); ++h) {
-            ASSERT_EQ(hosts[h]->step(), want)
-                << kHostEngines[h].label << " step " << s;
+/// Agents whose gates must hold them this step (no FUTURE): the slow
+/// speed class off its phase, the perturbation speed gate's skipped
+/// steps, and agents dwelling at a waypoint. Read before the step runs.
+std::vector<std::int32_t> gated_agents(const Simulator& sim) {
+    const SimConfig& cfg = sim.config();
+    const PropertyTable& p = sim.properties();
+    const std::uint64_t step = sim.current_step();
+    std::array<std::uint64_t, 3> gate_q{0, 0, 0};
+    for (const auto& sc : cfg.perturb.speeds) {
+        if (sc.fraction < 1.0) {
+            gate_q[sc.group] = static_cast<std::uint64_t>(
+                std::llround(sc.fraction * 4294967296.0));
         }
     }
-    // Most steps must resolve cells with 2 or more proposers, so the
-    // stream-building path of the walk really runs.
-    EXPECT_GT(contested_steps, kSteps / 2);
-    for (std::size_t h = 0; h < hosts.size(); ++h) {
-        expect_same_state(*hosts[h], *oracle, kHostEngines[h].label);
+    std::vector<std::int32_t> held;
+    for (std::size_t i = 1; i < p.rows(); ++i) {
+        if (p.active[i] == 0) continue;
+        const std::uint64_t t = step + i;
+        const auto period =
+            static_cast<std::uint64_t>(std::max(cfg.speed.slow_period, 1));
+        const std::uint64_t q = gate_q[p.group[i]];
+        if ((p.speed_class[i] != 0 && t % period != 0) ||
+            (q != 0 && (((t + 1) * q) >> 32) <= ((t * q) >> 32)) ||
+            p.dwell_until[i] != 0) {
+            held.push_back(static_cast<std::int32_t>(i));
+        }
+    }
+    return held;
+}
+
+struct OracleCase {
+    const char* name;
+    SimConfig cfg;
+};
+
+/// Dense configs that between them reach every gate decide_future runs
+/// before its draw, so the on-demand candidate rows are built (or not)
+/// on every path.
+std::vector<OracleCase> gate_cases() {
+    SimConfig base;
+    base.grid.rows = base.grid.cols = 128;  // 3 bit words per padded row
+    base.agents_per_side = 3277;            // ~40% of the 16,384 cells
+    base.model = Model::kAco;
+    base.seed = 12;
+    const auto cell = [&](int r, int c) {
+        return static_cast<std::uint32_t>(r * base.grid.cols + c);
+    };
+    std::vector<OracleCase> cases;
+
+    auto no_forward = base;
+    no_forward.forward_priority = false;  // every proposal is a draw
+    cases.push_back({"aco_forward_priority_off", no_forward});
+
+    auto speeds = base;
+    speeds.model = Model::kLem;
+    speeds.speed.slow_fraction = 0.3;
+    speeds.speed.slow_period = 3;
+    speeds.perturb.speeds.push_back({/*group=*/1, /*fraction=*/0.6});
+    cases.push_back({"lem_slow_class_and_speed_gate", speeds});
+
+    auto waypoints = base;
+    waypoints.layout.waypoints[0] = {cell(52, 40), cell(70, 90)};
+    waypoints.layout.waypoints[1] = {cell(75, 88), cell(60, 30)};
+    waypoints.layout.waypoint_radius = 3;
+    waypoints.perturb.dwells.push_back({/*group=*/1, /*steps=*/4});
+    waypoints.perturb.dwells.push_back({/*group=*/2, /*steps=*/2});
+    cases.push_back({"aco_waypoint_forward_and_dwell", waypoints});
+
+    auto panic = base;
+    panic.model = Model::kLem;
+    panic.panic = {true, /*trigger_step=*/10, 64, 64, /*radius=*/30.0};
+    cases.push_back({"lem_panic", panic});
+
+    // A door closing mid-corridor at step 25 and reopening at 45: with a
+    // 10-step horizon, scoring blends toward each next phase.
+    auto scan = base;
+    scan.scan.range = 3;
+    scan.scan.congestion_weight = 0.7;
+    scan.anticipate.horizon = 10;
+    scan.doors.push_back({25, 60, 20, 67, 107, DoorAction::kClose});
+    scan.doors.push_back({45, 60, 20, 67, 107, DoorAction::kOpen});
+    cases.push_back({"aco_scan3_anticipation", scan});
+    scan.model = Model::kLem;
+    cases.push_back({"lem_scan3_anticipation", scan});
+    return cases;
+}
+
+TEST(MovementOracle, ProposalWalkMatchesSimtGatherUnderContention) {
+    for (const auto& oc : gate_cases()) {
+        SCOPED_TRACE(oc.name);
+        const auto oracle =
+            backend::make_engine(backend::DeviceType::kSimt, oc.cfg);
+        const auto hosts = make_host_engines(oc.cfg);
+
+        constexpr int kSteps = 60;
+        int contested_steps = 0;
+        std::size_t held = 0;
+        std::size_t panicked = 0;
+        int blended_steps = 0;
+        int advances = 0;
+        for (int s = 0; s < kSteps; ++s) {
+            const auto gated = gated_agents(*oracle);
+            held += gated.size();
+            const StepResult want = oracle->step();
+            contested_steps += want.conflicts > 0;
+            advances += want.waypoint_advances;
+            blended_steps += oracle->scoring_field().blending();
+            const auto& op = oracle->properties();
+            for (std::size_t i = 1; i < op.rows(); ++i) {
+                panicked += op.active[i] != 0 && op.panicked[i] != 0;
+            }
+            for (std::size_t h = 0; h < hosts.size(); ++h) {
+                ASSERT_EQ(hosts[h]->step(), want)
+                    << kHostEngines[h].label << " step " << s;
+                const auto& hp = hosts[h]->properties();
+                for (const std::int32_t i : gated) {
+                    ASSERT_EQ(hp.future_row[static_cast<std::size_t>(i)],
+                              kNoFuture)
+                        << kHostEngines[h].label << " step " << s
+                        << ": gated agent " << i << " proposed";
+                }
+                ASSERT_EQ(hp.panicked, op.panicked)
+                    << kHostEngines[h].label << " step " << s;
+            }
+        }
+        // Most steps must resolve cells with 2 or more proposers, so the
+        // stream-building path of the walk really runs.
+        EXPECT_GT(contested_steps, kSteps / 2);
+        // Each case must reach the gate it was built for.
+        const SimConfig& cfg = oc.cfg;
+        if (cfg.speed.slow_fraction > 0.0 || !cfg.perturb.speeds.empty() ||
+            !cfg.perturb.dwells.empty()) {
+            EXPECT_GT(held, 0u);
+        }
+        if (cfg.panic.enabled) {
+            EXPECT_GT(panicked, 0u);
+        }
+        if (cfg.layout.has_waypoints()) {
+            EXPECT_GT(advances, 0);
+        }
+        if (cfg.anticipate.horizon > 0) {
+            EXPECT_GT(blended_steps, 0);
+        }
+        for (std::size_t h = 0; h < hosts.size(); ++h) {
+            expect_same_state(*hosts[h], *oracle, kHostEngines[h].label);
+        }
     }
 }
 
 TEST(MovementOracle, WordSeamAndCornerContestsMatchSimt) {
-    // Two hand-built three-way contests. Three top-group agents at column
-    // 62 whose only empty neighbour is (10, 63): logical column 63 is
-    // padded bit 64, the first bit of the row's second word, so the cell
-    // and its proposers straddle a word seam. Three bottom-group agents
-    // whose only empty neighbour is the last row's column 0 (padded bit
-    // 1), gathered through the sentinel frame. The corner pocket's east
-    // side is held by two more agents rather than walls, which keeps a
-    // path to the goal and a finite distance field.
-    SimConfig cfg;
-    cfg.grid.rows = cfg.grid.cols = 128;
-    cfg.model = Model::kAco;
-    cfg.forward_priority = false;
-    cfg.seed = 3;
-    const auto cell = [&](int r, int c) {
-        return static_cast<std::uint32_t>(r * cfg.grid.cols + c);
-    };
-    auto& layout = cfg.layout;
-    const auto spawn = [&](grid::Group g, int r, int c) {
-        layout.spawns.push_back({g, r, c, r, c, 1});
-    };
-    for (const auto& [r, c] : std::vector<std::pair<int, int>>{
-             {8, 61}, {8, 62}, {8, 63}, {9, 61}, {9, 63}, {10, 61},
-             {11, 61}, {11, 63}, {12, 61}, {12, 62}, {12, 63},
-             {125, 0}, {125, 1}, {125, 2}}) {
-        layout.wall_cells.push_back(cell(r, c));
-    }
-    for (int r = 9; r <= 11; ++r) spawn(grid::Group::kTop, r, 62);  // 1-3
-    spawn(grid::Group::kBottom, 126, 0);                              // 4
-    spawn(grid::Group::kBottom, 126, 1);                              // 5
-    spawn(grid::Group::kBottom, 127, 1);                              // 6
-    spawn(grid::Group::kBottom, 126, 2);  // blockers, 7-8
-    spawn(grid::Group::kBottom, 127, 2);
+    // Three hand-built contests, each an empty cell whose every proposer
+    // has it as its only empty neighbour:
+    //  - Three top-group agents at column 62 around (10, 63): logical
+    //    column 63 is padded bit 64, the first bit of the row's second
+    //    word, so the cell and its proposers straddle a word seam.
+    //  - Three bottom-group agents around the last row's column 0 (padded
+    //    bit 1), gathered through the sentinel frame. The corner pocket's
+    //    east side is held by two more agents rather than walls, which
+    //    keeps a path to the goal and a finite distance field.
+    //  - Eight agents on every king neighbour of (64, 30), inside a ring
+    //    of walls with one gap held by a ninth agent (the same path
+    //    trick): every proposer-direction bit is set at once, and the
+    //    seeds draw several different winners among the eight.
+    std::set<std::int32_t> pocket_winners;
+    for (const std::uint64_t seed : {3, 4, 5, 6, 7, 8, 9, 10}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        SimConfig cfg;
+        cfg.grid.rows = cfg.grid.cols = 128;
+        cfg.model = Model::kAco;
+        cfg.forward_priority = false;
+        cfg.seed = seed;
+        const auto cell = [&](int r, int c) {
+            return static_cast<std::uint32_t>(r * cfg.grid.cols + c);
+        };
+        auto& layout = cfg.layout;
+        const auto spawn = [&](grid::Group g, int r, int c) {
+            layout.spawns.push_back({g, r, c, r, c, 1});
+        };
+        for (const auto& [r, c] : std::vector<std::pair<int, int>>{
+                 {8, 61}, {8, 62}, {8, 63}, {9, 61}, {9, 63}, {10, 61},
+                 {11, 61}, {11, 63}, {12, 61}, {12, 62}, {12, 63},
+                 {125, 0}, {125, 1}, {125, 2}}) {
+            layout.wall_cells.push_back(cell(r, c));
+        }
+        constexpr int kPr = 64;  // the 8-way pocket's centre
+        constexpr int kPc = 30;
+        for (int dr = -2; dr <= 2; ++dr) {
+            for (int dc = -2; dc <= 2; ++dc) {
+                const bool ring = std::max(std::abs(dr), std::abs(dc)) == 2;
+                if (ring && !(dr == -2 && dc == 0)) {
+                    layout.wall_cells.push_back(cell(kPr + dr, kPc + dc));
+                }
+            }
+        }
+        for (int r = 9; r <= 11; ++r) spawn(grid::Group::kTop, r, 62);  // 1-3
+        spawn(grid::Group::kBottom, 126, 0);                              // 4
+        spawn(grid::Group::kBottom, 126, 1);                              // 5
+        spawn(grid::Group::kBottom, 127, 1);                              // 6
+        spawn(grid::Group::kBottom, 126, 2);  // blockers, 7-8
+        spawn(grid::Group::kBottom, 127, 2);
+        for (const auto off : grid::kNeighborOffsets) {  // 9-16
+            spawn(off.dr < 0 ? grid::Group::kBottom : grid::Group::kTop,
+                  kPr + off.dr, kPc + off.dc);
+        }
+        spawn(grid::Group::kTop, kPr - 2, kPc);  // gap blocker, 17
 
-    const auto oracle = backend::make_engine(backend::DeviceType::kSimt, cfg);
-    const auto hosts = make_host_engines(cfg);
-    const StepResult want = oracle->step();
-    EXPECT_EQ(want.proposals, 8);
-    EXPECT_GE(want.conflicts, 4);  // two losers in each pocket
-    const auto& env = oracle->environment();
-    const std::int32_t seam_winner = env.index_at(10, 63);
-    const std::int32_t corner_winner = env.index_at(127, 0);
-    EXPECT_GE(seam_winner, 1);
-    EXPECT_LE(seam_winner, 3);
-    EXPECT_GE(corner_winner, 4);
-    EXPECT_LE(corner_winner, 6);
-    for (std::size_t h = 0; h < hosts.size(); ++h) {
-        const std::string label = kHostEngines[h].label;
-        EXPECT_EQ(hosts[h]->step(), want) << label;
-        EXPECT_EQ(hosts[h]->environment().index_at(10, 63), seam_winner)
-            << label;
-        EXPECT_EQ(hosts[h]->environment().index_at(127, 0), corner_winner)
-            << label;
-        expect_same_state(*hosts[h], *oracle, label);
+        const auto oracle =
+            backend::make_engine(backend::DeviceType::kSimt, cfg);
+        const auto hosts = make_host_engines(cfg);
+        const StepResult want = oracle->step();
+        EXPECT_EQ(want.proposals, 17);
+        EXPECT_GE(want.conflicts, 11);  // 2 + 2 + 7 losers in the pockets
+        const auto& env = oracle->environment();
+        const std::int32_t seam_winner = env.index_at(10, 63);
+        const std::int32_t corner_winner = env.index_at(127, 0);
+        const std::int32_t pocket_winner = env.index_at(kPr, kPc);
+        EXPECT_GE(seam_winner, 1);
+        EXPECT_LE(seam_winner, 3);
+        EXPECT_GE(corner_winner, 4);
+        EXPECT_LE(corner_winner, 6);
+        EXPECT_GE(pocket_winner, 9);
+        EXPECT_LE(pocket_winner, 16);
+        pocket_winners.insert(pocket_winner);
+        for (std::size_t h = 0; h < hosts.size(); ++h) {
+            const std::string label = kHostEngines[h].label;
+            EXPECT_EQ(hosts[h]->step(), want) << label;
+            const auto& host_env = hosts[h]->environment();
+            EXPECT_EQ(host_env.index_at(10, 63), seam_winner) << label;
+            EXPECT_EQ(host_env.index_at(127, 0), corner_winner) << label;
+            EXPECT_EQ(host_env.index_at(kPr, kPc), pocket_winner) << label;
+            expect_same_state(*hosts[h], *oracle, label);
+        }
     }
+    EXPECT_GE(pocket_winners.size(), 4u);
 }
 
 // --- Crossing / progress semantics ------------------------------------------------------
