@@ -8,14 +8,14 @@
 // both collapse toward gridlock beyond ~51,200 agents; ACO +39.6% overall.
 //
 // The engines are bit-identical for a given seed (tested property), so the
-// default uses the fast sequential engine; pass --engine=gpu to run the
+// default uses the fast sequential engine; pass --backend=gpu to run the
 // instrumented SIMT engine instead (any backend registry name works,
 // e.g. --backend=sharded-cpu:4). Default shrinks the grid with density
 // held fixed so crossings happen within a short step budget; --paper runs
 // the original 480x480 / 25,000-step / 10-repeat protocol.
 //
 //   ./fig6a_throughput_lem_vs_aco [--paper] [--grid=128] [--steps=1500]
-//       [--repeats=2] [--max_density=20] [--engine=cpu|gpu]
+//       [--repeats=2] [--max_density=20] [--backend=cpu|gpu]
 //       [--out=fig6a.csv]
 #include "backend/cli.hpp"
 #include "backend/device.hpp"

@@ -9,7 +9,7 @@
 //
 //   ./scenario_suite                        # full registry, both engines
 //   ./scenario_suite --backend=cpu          # CPU only
-//   ./scenario_suite --backend=sharded-cpu:4  # row-band engine, 4 bands
+//   ./scenario_suite --backend=sharded-cpu:4  # cpu engine, 4 row bands
 //   ./scenario_suite --models=lem,aco       # force both models everywhere
 //   ./scenario_suite --steps=100 --repeats=3
 //   ./scenario_suite --threads=4             # batch runs as pool jobs
@@ -314,9 +314,7 @@ int main(int argc, char** argv) {
             "  [name...]        registry scenarios to run (default: all)\n"
             "  --file=PATH      add a scenario file to the batch\n"
             "  --backend=LIST   cpu, gpu-simt, sharded-cpu[:<bands>]\n"
-            "                   (default cpu,gpu-simt; --engines/--engine\n"
-            "                   are legacy spellings, --bands=N sets the\n"
-            "                   default sharded band count)\n"
+            "                   (default cpu,gpu-simt)\n"
             "  --models=LIST    lem,aco (default: each scenario's own)\n"
             "  --steps=N        override every scenario's step budget\n"
             "  --repeats=N      independent repetitions (default 1; >1\n"

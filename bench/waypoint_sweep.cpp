@@ -61,8 +61,7 @@ int main(int argc, char** argv) {
             "  --steps=N          steps per run (default 200)\n"
             "  --threads=N        engine threads (default 1)\n"
             "  --backend=LIST     cpu, gpu-simt, sharded-cpu[:<bands>]\n"
-            "                     (default cpu,gpu-simt; --engines/--engine\n"
-            "                     are legacy spellings)\n"
+            "                     (default cpu,gpu-simt)\n"
             "  --csv=PATH         also write the records as CSV");
         std::puts(obs::cli_help());
         return 0;

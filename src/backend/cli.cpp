@@ -2,43 +2,23 @@
 
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 namespace pedsim::backend {
 
 std::vector<EngineSelect> engines_from_args(
     const io::ArgParser& args, std::vector<EngineSelect> fallback) {
-    std::string list;
-    if (args.has("backend")) {
-        list = args.get("backend");
-    } else if (args.has("engines")) {
-        list = args.get("engines");
-    } else if (args.has("engine")) {
-        list = args.get("engine");
-    } else {
-        return fallback;
-    }
-    auto engines = parse_device_list(list);
-    if (engines.empty()) return fallback;
-    const int bands = bands_from_args(args);
-    if (bands > 0) {
-        for (auto& sel : engines) {
-            if (sel.type == DeviceType::kShardedCpu && sel.bands == 0) {
-                sel.bands = bands;
-            }
+    for (const char* removed : {"engines", "engine"}) {
+        if (args.has(removed)) {
+            throw std::invalid_argument(std::string("--") + removed +
+                                        " was removed; use --backend");
         }
     }
-    return engines;
-}
-
-int bands_from_args(const io::ArgParser& args) {
-    // Range-checked into int (an out-of-int band count could only wrap
-    // before); negatives keep their own message for continuity.
-    const int bands = args.get_int32("bands", 0);
-    if (bands < 0) {
-        throw std::invalid_argument("--bands must be >= 0");
+    if (args.has("bands")) {
+        throw std::invalid_argument(
+            "--bands was removed; use --backend=sharded-cpu:<bands>");
     }
-    return bands;
+    auto engines = parse_device_list(args.get("backend"));
+    return engines.empty() ? fallback : engines;
 }
 
 }  // namespace pedsim::backend

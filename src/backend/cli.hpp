@@ -1,14 +1,10 @@
 // Shared engine/backend CLI parsing: the one place harness flags turn
 // into backend::EngineSelect lists, replacing the per-bench string
-// comparisons. Every harness accepts the same spellings:
+// comparisons. Every harness accepts the same spelling:
 //
-//   --backend=LIST   canonical (registry names: cpu, gpu-simt,
-//                    sharded-cpu; aliases gpu/simt/sharded; the sharded
-//                    backend takes an optional :<bands> suffix)
-//   --engines=LIST   legacy spelling, same grammar
-//   --engine=NAME    single-engine legacy spelling
-//   --bands=N        default band count for sharded selections without
-//                    an explicit :<bands> suffix (0 = one per thread)
+//   --backend=LIST   registry names cpu, gpu-simt, sharded-cpu (aliases
+//                    gpu/simt/sharded); sharded-cpu takes an optional
+//                    :<bands> suffix
 //
 // Unknown names throw std::invalid_argument with the registry list, so
 // every CLI reports the same message.
@@ -21,14 +17,11 @@
 
 namespace pedsim::backend {
 
-/// Engine selections from --backend/--engines/--engine (first present
-/// wins), with --bands applied to sharded selections that did not pin a
-/// count inline. Returns `fallback` when none of the flags is present.
+/// Engine selections from --backend, or `fallback` when it is absent or
+/// empty. The removed spellings --engines, --engine and --bands throw a
+/// named std::invalid_argument: io::ArgParser ignores unknown flags, so
+/// they would otherwise run the default engines silently.
 std::vector<EngineSelect> engines_from_args(
     const io::ArgParser& args, std::vector<EngineSelect> fallback);
-
-/// The --bands flag alone (for harnesses that construct engines
-/// directly from a fixed device type).
-int bands_from_args(const io::ArgParser& args);
 
 }  // namespace pedsim::backend

@@ -1,74 +1,12 @@
 #include "backend/device.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
-#include "backend/sharded_simulator.hpp"
 #include "core/cpu_simulator.hpp"
 
 namespace pedsim::backend {
-
-namespace {
-
-class CpuDevice final : public Device {
-  public:
-    explicit CpuDevice(DeviceOptions options)
-        : Device(DeviceType::kCpu, std::move(options)) {}
-    using Device::create_engine;
-    [[nodiscard]] std::unique_ptr<core::Simulator> create_engine(
-        const core::SimConfig& cfg,
-        std::shared_ptr<const core::DoorSchedule> warm) const override {
-        return std::make_unique<core::CpuSimulator>(cfg, std::move(warm));
-    }
-};
-
-class SimtDevice final : public Device {
-  public:
-    explicit SimtDevice(DeviceOptions options)
-        : Device(DeviceType::kSimt, std::move(options)) {}
-    using Device::create_engine;
-    [[nodiscard]] std::unique_ptr<core::Simulator> create_engine(
-        const core::SimConfig& cfg,
-        std::shared_ptr<const core::DoorSchedule> warm) const override {
-        return std::make_unique<core::GpuSimulator>(cfg, options().gpu,
-                                                    std::move(warm));
-    }
-};
-
-class ShardedCpuDevice final : public Device {
-  public:
-    explicit ShardedCpuDevice(DeviceOptions options)
-        : Device(DeviceType::kShardedCpu, std::move(options)) {}
-    using Device::create_engine;
-    [[nodiscard]] std::unique_ptr<core::Simulator> create_engine(
-        const core::SimConfig& cfg,
-        std::shared_ptr<const core::DoorSchedule> warm) const override {
-        return std::make_unique<ShardedCpuSimulator>(cfg, options().bands,
-                                                     std::move(warm));
-    }
-};
-
-}  // namespace
-
-const char* Device::name() const { return device_name(type_); }
-
-std::unique_ptr<Device> create_device(DeviceType type, DeviceOptions options) {
-    if (options.bands < 0) {
-        throw std::invalid_argument("create_device: negative band count " +
-                                    std::to_string(options.bands));
-    }
-    switch (type) {
-        case DeviceType::kCpu:
-            return std::make_unique<CpuDevice>(std::move(options));
-        case DeviceType::kSimt:
-            return std::make_unique<SimtDevice>(std::move(options));
-        case DeviceType::kShardedCpu:
-            return std::make_unique<ShardedCpuDevice>(std::move(options));
-    }
-    throw std::invalid_argument("create_device: unknown device type");
-}
 
 const char* device_name(DeviceType type) {
     switch (type) {
@@ -76,21 +14,13 @@ const char* device_name(DeviceType type) {
             return "cpu";
         case DeviceType::kSimt:
             return "gpu-simt";
-        case DeviceType::kShardedCpu:
-            return "sharded-cpu";
     }
     return "unknown";
 }
 
-const std::vector<std::string>& device_names() {
-    static const std::vector<std::string> kNames = {"cpu", "gpu-simt",
-                                                    "sharded-cpu"};
-    return kNames;
-}
-
 bool try_parse_device(std::string_view name, EngineSelect& out) {
     int bands = 0;
-    // Optional ":<bands>" suffix (meaningful for the sharded backend).
+    // Optional ":<bands>" suffix (meaningful for the sharded spelling).
     if (const auto colon = name.find(':'); colon != std::string_view::npos) {
         const std::string_view suffix = name.substr(colon + 1);
         if (suffix.empty()) return false;
@@ -112,7 +42,7 @@ bool try_parse_device(std::string_view name, EngineSelect& out) {
         return bands == 0;
     }
     if (name == "sharded" || name == "sharded-cpu") {
-        out = {DeviceType::kShardedCpu, bands};
+        out = {DeviceType::kCpu, bands};
         return true;
     }
     return false;
@@ -121,15 +51,10 @@ bool try_parse_device(std::string_view name, EngineSelect& out) {
 EngineSelect parse_device(std::string_view name) {
     EngineSelect sel;
     if (!try_parse_device(name, sel)) {
-        std::string names;
-        for (const auto& n : device_names()) {
-            if (!names.empty()) names += ", ";
-            names += n;
-        }
-        throw std::invalid_argument("unknown engine/backend '" +
-                                    std::string(name) + "' (expected one of " +
-                                    names + "; sharded takes an optional " +
-                                    ":<bands> suffix)");
+        throw std::invalid_argument(
+            "unknown engine/backend '" + std::string(name) +
+            "' (expected one of cpu, gpu-simt, sharded-cpu; sharded takes "
+            "an optional :<bands> suffix)");
     }
     return sel;
 }
@@ -146,61 +71,38 @@ std::vector<EngineSelect> parse_device_list(std::string_view csv) {
     return out;
 }
 
-int resolve_bands(const core::SimConfig& cfg, int requested) {
-    // Only the thread-derived default clamps: an explicit over-request is
-    // the configuration error the engine constructor rejects by name.
-    if (requested > cfg.grid.rows) {
-        throw std::invalid_argument(
-            "bands (" + std::to_string(requested) + ") exceeds grid rows (" +
-            std::to_string(cfg.grid.rows) + ")");
-    }
-    const int bands =
-        requested > 0 ? requested : cfg.exec.effective_threads();
-    return std::clamp(bands, 1, cfg.grid.rows);
-}
-
 std::string engine_label(DeviceType type, int bands) {
-    std::string label = device_name(type);
-    if (type == DeviceType::kShardedCpu && bands > 0) {
-        label += ":" + std::to_string(bands);
+    if (type == DeviceType::kCpu && bands > 0) {
+        return "sharded-cpu:" + std::to_string(bands);
     }
-    return label;
+    return device_name(type);
 }
 
 std::unique_ptr<core::Simulator> make_engine(
     const EngineSelect& sel, const core::SimConfig& cfg,
     std::shared_ptr<const core::DoorSchedule> warm) {
-    DeviceOptions options;
-    options.bands = sel.bands;
-    return create_device(sel.type, std::move(options))
-        ->create_engine(cfg, std::move(warm));
+    if (sel.bands < 0) {
+        throw std::invalid_argument("make_engine: negative band count " +
+                                    std::to_string(sel.bands));
+    }
+    switch (sel.type) {
+        case DeviceType::kCpu:
+            return std::make_unique<core::CpuSimulator>(cfg, sel.bands,
+                                                        std::move(warm));
+        case DeviceType::kSimt:
+            return std::make_unique<core::GpuSimulator>(
+                cfg, core::GpuOptions{}, std::move(warm));
+    }
+    throw std::invalid_argument("make_engine: unknown device type");
 }
 
 std::unique_ptr<core::Simulator> make_cpu(const core::SimConfig& cfg) {
-    return create_device(DeviceType::kCpu)->create_engine(cfg);
+    return make_engine(DeviceType::kCpu, cfg);
 }
 
 std::unique_ptr<core::GpuSimulator> make_simt(const core::SimConfig& cfg,
                                               core::GpuOptions options) {
-    // The typed factory still routes construction through the device; the
-    // downcast only widens the static type for launch-log consumers.
-    DeviceOptions device_options;
-    device_options.gpu = std::move(options);
-    auto engine = create_device(DeviceType::kSimt, std::move(device_options))
-                      ->create_engine(cfg);
-    return std::unique_ptr<core::GpuSimulator>(
-        static_cast<core::GpuSimulator*>(engine.release()));
-}
-
-std::unique_ptr<ShardedCpuSimulator> make_sharded(const core::SimConfig& cfg,
-                                                  int bands) {
-    DeviceOptions device_options;
-    device_options.bands = bands;
-    auto engine =
-        create_device(DeviceType::kShardedCpu, std::move(device_options))
-            ->create_engine(cfg);
-    return std::unique_ptr<ShardedCpuSimulator>(
-        static_cast<ShardedCpuSimulator*>(engine.release()));
+    return std::make_unique<core::GpuSimulator>(cfg, std::move(options));
 }
 
 }  // namespace pedsim::backend

@@ -1,13 +1,11 @@
 // Backend seam: every harness selects an engine through this layer.
 //
 // Modeled on poplibs' TestDevice.hpp: one DeviceType enum behind one
-// create_device() factory returning an abstract Device that owns engine
-// construction — and, for backends that decompose the grid, the stage
-// dispatch shape of the engines it creates. The concrete engine classes
-// (core::CpuSimulator, core::GpuSimulator, backend::ShardedCpuSimulator)
-// are construction details of their devices: nothing outside src/backend/
-// constructs an engine directly, and CLIs resolve engine names through the
-// registry helpers here instead of ad-hoc string comparisons.
+// make_engine() switch. The concrete engine classes (core::CpuSimulator,
+// core::GpuSimulator) are construction details of that switch: nothing
+// outside src/backend/ constructs an engine directly, and CLIs resolve
+// engine names through the registry helpers here instead of ad-hoc string
+// comparisons.
 #pragma once
 
 #include <memory>
@@ -20,21 +18,20 @@
 
 namespace pedsim::backend {
 
-class ShardedCpuSimulator;
-
 enum class DeviceType {
-    kCpu,         ///< the paper's sequential / sliced host reference
-    kSimt,        ///< the tiled SIMT engine on the modeled device
-    kShardedCpu,  ///< row-band sharded host engine with halo exchange
+    kCpu,   ///< the paper's sequential / sliced host reference
+    kSimt,  ///< the tiled SIMT engine on the modeled device
 };
 
-/// Engine selection as carried by CLIs and the batch runner: a device plus
-/// the decomposition knob that matters for it (row bands for kShardedCpu;
-/// ignored elsewhere). Implicitly constructible from a bare DeviceType so
-/// call sites without sharding read unchanged.
+/// Engine selection as carried by CLIs, the batch runner and the server:
+/// a device plus, for kCpu, the row-band count its stages slice over
+/// (0 = slices planned from the engine thread count; N > 0 = exactly N
+/// bands, the `sharded-cpu:N` spelling; ignored by kSimt). Implicitly
+/// constructible from a bare DeviceType so call sites without bands read
+/// unchanged.
 struct EngineSelect {
     DeviceType type = DeviceType::kCpu;
-    int bands = 0;  ///< kShardedCpu row bands; 0 = one per engine thread
+    int bands = 0;
 
     EngineSelect() = default;
     // NOLINTNEXTLINE(google-explicit-constructor): DeviceType is a valid
@@ -45,67 +42,13 @@ struct EngineSelect {
     bool operator==(const EngineSelect&) const = default;
 };
 
-/// Per-device construction options (the device-level analogue of
-/// poplibs' createTestDevice arguments).
-struct DeviceOptions {
-    /// kShardedCpu: row bands; 0 = one band per effective engine thread.
-    int bands = 0;
-    /// kSimt: modeled device spec + ablation knobs.
-    core::GpuOptions gpu;
-};
-
-/// An engine-construction backend. Devices are cheap, stateless handles:
-/// create one per selection, then build as many engines as needed from it.
-class Device {
-  public:
-    Device(DeviceType type, DeviceOptions options)
-        : type_(type), options_(std::move(options)) {}
-    virtual ~Device() = default;
-    Device(const Device&) = delete;
-    Device& operator=(const Device&) = delete;
-
-    [[nodiscard]] DeviceType type() const { return type_; }
-    [[nodiscard]] const DeviceOptions& options() const { return options_; }
-    /// Registry name ("cpu", "gpu-simt", "sharded-cpu").
-    [[nodiscard]] const char* name() const;
-
-    /// Build an engine for `cfg` on this device. The engine honours
-    /// `cfg.exec` for host parallelism; the device decides the stage
-    /// dispatch shape (monolithic slices, simulated kernel blocks, or
-    /// row bands with halo exchange).
-    [[nodiscard]] std::unique_ptr<core::Simulator> create_engine(
-        const core::SimConfig& cfg) const {
-        return create_engine(cfg, nullptr);
-    }
-    /// Warm-setup variant: `warm` is a precomputed door schedule to reuse
-    /// instead of rebuilding the field sets (nullptr = build fresh). The
-    /// schedule must come from a config with the same grid/layout/events
-    /// (core::Simulator states the contract); the server's scenario cache
-    /// is the intended supplier.
-    [[nodiscard]] virtual std::unique_ptr<core::Simulator> create_engine(
-        const core::SimConfig& cfg,
-        std::shared_ptr<const core::DoorSchedule> warm) const = 0;
-
-  private:
-    DeviceType type_;
-    DeviceOptions options_;
-};
-
-/// The factory (TestDevice.hpp idiom): the only place in the tree that
-/// constructs concrete engines. Throws std::invalid_argument for an
-/// unknown type or invalid options (e.g. negative bands).
-std::unique_ptr<Device> create_device(DeviceType type,
-                                      DeviceOptions options = {});
-
-/// Registry name of a device type ("cpu", "gpu-simt", "sharded-cpu").
+/// Registry name of a device type ("cpu", "gpu-simt").
 const char* device_name(DeviceType type);
 
-/// All registry names, for CLI help text.
-const std::vector<std::string>& device_names();
-
-/// Parse one engine/backend name. Accepts the registry names plus the
-/// aliases "gpu"/"simt" and "sharded", and an optional ":<bands>" suffix
-/// on the sharded backend ("sharded:4"). Returns false on unknown names.
+/// Parse one engine/backend name: "cpu", "gpu-simt" (aliases "gpu",
+/// "simt"), and "sharded-cpu" (alias "sharded") with an optional
+/// ":<bands>" suffix, which selects kCpu with that band count. Returns
+/// false on unknown names and on a suffix anywhere else ("cpu:4").
 bool try_parse_device(std::string_view name, EngineSelect& out);
 
 /// try_parse_device or throw std::invalid_argument naming the input.
@@ -114,23 +57,18 @@ EngineSelect parse_device(std::string_view name);
 /// Parse a comma-separated engine list ("cpu,gpu-simt,sharded:2").
 std::vector<EngineSelect> parse_device_list(std::string_view csv);
 
-/// Row bands a sharded engine for `cfg` actually uses: `requested`, or
-/// one band per effective engine thread when 0, clamped to the grid.
-/// An explicit request above the grid's row count throws the same named
-/// std::invalid_argument the engine constructor does ("bands (N) exceeds
-/// grid rows (R)"), so the error surfaces at selection time.
-int resolve_bands(const core::SimConfig& cfg, int requested);
-
-/// Display/corpus label of a selection: the registry name, with the
-/// resolved band count suffixed for the sharded backend ("sharded-cpu:4")
-/// so fingerprint rows and bench CSVs stay self-describing without new
-/// columns.
+/// Display/corpus label of a selection: the registry name, or
+/// "sharded-cpu:N" for kCpu with an explicit band count, so fingerprint
+/// rows and bench CSVs stay self-describing without new columns.
 std::string engine_label(DeviceType type, int bands);
 
-// ---- Convenience factories (all route through create_device) ----------
-
-/// Generic: build an engine for a selection; the optional `warm` schedule
-/// skips the field precompute (see Device::create_engine).
+/// The factory (TestDevice.hpp idiom): the only place in the tree that
+/// constructs engines. The optional `warm` schedule skips the field
+/// precompute; it must come from a config with the same grid, layout and
+/// events (core::Simulator states the contract), and the server's
+/// scenario cache is the intended supplier. Throws std::invalid_argument
+/// for a negative band count or one above the grid's rows ("bands (N)
+/// exceeds grid rows (R)").
 std::unique_ptr<core::Simulator> make_engine(
     const EngineSelect& sel, const core::SimConfig& cfg,
     std::shared_ptr<const core::DoorSchedule> warm = nullptr);
@@ -139,14 +77,8 @@ std::unique_ptr<core::Simulator> make_engine(
 std::unique_ptr<core::Simulator> make_cpu(const core::SimConfig& cfg);
 
 /// Typed SIMT factory for harnesses that need engine-specific APIs
-/// (launch_log(), ablation GpuOptions). Construction still lives behind
-/// the seam; only the static type is wider.
+/// (launch_log(), ablation GpuOptions).
 std::unique_ptr<core::GpuSimulator> make_simt(const core::SimConfig& cfg,
                                               core::GpuOptions options = {});
-
-/// Typed sharded factory (band introspection for tests; bands = 0 means
-/// one band per effective engine thread).
-std::unique_ptr<ShardedCpuSimulator> make_sharded(const core::SimConfig& cfg,
-                                                  int bands = 0);
 
 }  // namespace pedsim::backend

@@ -1,47 +1,74 @@
 #include "core/cpu_simulator.hpp"
 
+#include <stdexcept>
+#include <string>
+
 #include "core/rules.hpp"
-#include "exec/thread_pool.hpp"
 
 namespace pedsim::core {
 
-void CpuSimulator::stage_reset() { props_.reset_futures(); }
-
-void CpuSimulator::tour_construction_agents(std::size_t begin,
-                                            std::size_t end) {
-    const EnvEmpty empty(env_);
-    for (std::size_t i = begin; i < end; ++i) {
-        if (props_.active[i] == 0) continue;
-        decide_host(static_cast<std::int32_t>(i), empty);
+CpuSimulator::CpuSimulator(const SimConfig& config, int bands,
+                           std::shared_ptr<const DoorSchedule> warm)
+    : Simulator(config, std::move(warm)), bands_(bands) {
+    // Every band must own at least one row: an explicit count the grid
+    // cannot honour is a configuration error, not something to clamp.
+    if (bands > config_.grid.rows) {
+        throw std::invalid_argument(
+            "bands (" + std::to_string(bands) + ") exceeds grid rows (" +
+            std::to_string(config_.grid.rows) + ")");
     }
+    allocate_proposal_planes();
 }
 
+std::vector<exec::Slice> CpuSimulator::slices(std::int64_t begin,
+                                              std::int64_t end) const {
+    return bands_ > 0 ? exec::partition(begin, end, bands_)
+                      : exec::plan_slices(config_.exec, begin, end);
+}
+
+void CpuSimulator::stage_reset() { props_.reset_futures(); }
+
 void CpuSimulator::stage_tour_construction() {
-    exec::for_slices(config_.exec, 1,
-                     static_cast<std::int64_t>(props_.rows()),
-                     [this](int, std::int64_t b, std::int64_t e) {
-                         tour_construction_agents(
-                             static_cast<std::size_t>(b),
-                             static_cast<std::size_t>(e));
-                     });
+    // The fused initial calc + tour construction: each agent writes only
+    // its own property row, so agent slices are disjoint.
+    const auto agents = slices(1, static_cast<std::int64_t>(props_.rows()));
+    const EnvEmpty empty(env_);
+    const auto body = [&](const exec::Slice& sl) {
+        for (auto i = static_cast<std::size_t>(sl.begin);
+             i < static_cast<std::size_t>(sl.end); ++i) {
+            if (props_.active[i] == 0) continue;
+            decide_host(static_cast<std::int32_t>(i), empty);
+        }
+    };
+    if (!parallel(agents.size())) {
+        for (const auto& sl : agents) body(sl);
+        return;
+    }
+    exec::ThreadPool::shared().run(
+        static_cast<int>(agents.size()), config_.exec.effective_threads(),
+        [&](int s) { body(agents[static_cast<std::size_t>(s)]); });
 }
 
 void CpuSimulator::stage_movement(std::vector<Move>& out_moves) {
-    const EnvEmpty empty(env_);
-    const EnvIndex index(env_);
-    const auto slices = exec::plan_slices(config_.exec, 0, env_.rows());
-    if (slices.size() <= 1) {
-        resolve_proposals(empty, index, 0, env_.rows(), out_moves);
+    // Each cell belongs to exactly one row slice, so no move is emitted
+    // twice, and its stream is keyed on the global cell whatever slice
+    // resolves it. Slices append in slice order — inline, or through
+    // per-slice scratch on the pool — and the concatenation of contiguous
+    // row ranges is the serial row-major move order.
+    const auto rows = slices(0, env_.rows());
+    if (!parallel(rows.size())) {
+        for (const auto& sl : rows) {
+            resolve_proposals(static_cast<int>(sl.begin),
+                              static_cast<int>(sl.end), out_moves);
+        }
         return;
     }
-    // Per-slice scratch, merged in slice order: the concatenation of
-    // contiguous row bands reproduces the serial row-major move order.
-    std::vector<std::vector<Move>> parts(slices.size());
+    std::vector<std::vector<Move>> parts(rows.size());
     exec::ThreadPool::shared().run(
-        static_cast<int>(slices.size()), config_.exec.effective_threads(),
+        static_cast<int>(rows.size()), config_.exec.effective_threads(),
         [&](int s) {
-            const auto& sl = slices[static_cast<std::size_t>(s)];
-            resolve_proposals(empty, index, static_cast<int>(sl.begin),
+            const auto& sl = rows[static_cast<std::size_t>(s)];
+            resolve_proposals(static_cast<int>(sl.begin),
                               static_cast<int>(sl.end),
                               parts[static_cast<std::size_t>(s)]);
         });

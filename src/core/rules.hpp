@@ -27,13 +27,7 @@ inline constexpr double kMinHeuristicDistance = 0.5;
 /// padded-occupancy read answers in-bounds + no-wall + no-agent at once
 /// (the sentinel frame reads as wall). A concrete type — rather than the
 /// lambda the engines used to pass — so ray_congestion can dispatch its
-/// vectorized overload on it.
-///
-/// The functor is a (base, origin, stride) window over ANY storage that
-/// uses the padded-row byte layout: the CPU/SIMT engines wrap the whole
-/// grid::Environment, the sharded backend wraps a band's private replica
-/// plane (same layout, band-local backing rows). Reads are valid wherever
-/// the window has backing rows — for a whole-grid view that is the full
+/// vectorized overload on it. Reads are valid over the environment's full
 /// sentinel frame (r in [-1, rows], c in [-1, stride - 2]), which is all
 /// the builders probe.
 struct EnvEmpty {
@@ -41,14 +35,10 @@ struct EnvEmpty {
     std::ptrdiff_t origin = 0;          ///< offset of logical cell (0, 0)
     std::ptrdiff_t stride = 0;          ///< padded row pitch in bytes
 
-    EnvEmpty() = default;
     explicit EnvEmpty(const grid::Environment& env)
         : occ(env.occupancy_raw().data()),
           origin(static_cast<std::ptrdiff_t>(env.padded(0, 0))),
           stride(env.stride()) {}
-    EnvEmpty(const std::uint8_t* base, std::ptrdiff_t origin_offset,
-             std::ptrdiff_t row_stride)
-        : occ(base), origin(origin_offset), stride(row_stride) {}
 
     [[nodiscard]] bool operator()(int r, int c) const {
         return occ[origin + r * stride + c] == 0;
@@ -57,28 +47,6 @@ struct EnvEmpty {
     /// addressable around it) — the vectorized congestion ray's span base.
     [[nodiscard]] const std::uint8_t* row(int r) const {
         return occ + origin + r * stride;
-    }
-};
-
-/// index_at() companion with the same window geometry: frame cells read 0
-/// (no agent), so neighbour gathers need no bounds test on any backing
-/// storage — the whole environment or a sharded band's replica plane.
-struct EnvIndex {
-    const std::int32_t* idx = nullptr;
-    std::ptrdiff_t origin = 0;  ///< offset of logical cell (0, 0)
-    std::ptrdiff_t stride = 0;  ///< padded row pitch in elements
-
-    EnvIndex() = default;
-    explicit EnvIndex(const grid::Environment& env)
-        : idx(env.index_raw().data()),
-          origin(static_cast<std::ptrdiff_t>(env.padded(0, 0))),
-          stride(env.stride()) {}
-    EnvIndex(const std::int32_t* base, std::ptrdiff_t origin_offset,
-             std::ptrdiff_t row_stride)
-        : idx(base), origin(origin_offset), stride(row_stride) {}
-
-    [[nodiscard]] std::int32_t at(int r, int c) const {
-        return idx[origin + r * stride + c];
     }
 };
 

@@ -163,7 +163,6 @@ void Simulator::fire_due_drops() {
         props_.active[idx] = 0;
         props_.dwell_until[idx] = 0;
         ++perturb_retired_;
-        on_cells_changed(props_.row[idx], props_.row[idx]);
     }
 }
 
@@ -205,7 +204,6 @@ void Simulator::fire_due_surges() {
         }
         obs::MetricsRegistry::add("perturb.surge_agents",
                                   static_cast<std::uint64_t>(cells.size()));
-        on_cells_changed(s.row0, s.row1);
     }
 }
 
@@ -418,8 +416,6 @@ void Simulator::apply_door(const DoorEvent& event) {
             }
         }
     }
-    // Replicating backends re-pull these rows before the next stage reads.
-    on_cells_changed(event.row0, event.row1);
 }
 
 StepResult Simulator::step() {
@@ -514,9 +510,7 @@ StepResult Simulator::step() {
     return res;
 }
 
-void Simulator::resolve_proposals(const EnvEmpty& empty,
-                                  const EnvIndex& index, int begin_row,
-                                  int end_row,
+void Simulator::resolve_proposals(int begin_row, int end_row,
                                   std::vector<Move>& out_moves) {
     // Scatter-to-gather (section IV.d) over the proposed cells only. Every
     // FUTURE cell is an empty king-neighbour of its agent, so any other
@@ -537,7 +531,7 @@ void Simulator::resolve_proposals(const EnvEmpty& empty,
         simd::for_each_set_bit(row, nwords, [&](int p) {
             unsigned bits = std::exchange(dirs[p], std::uint8_t{0});
             const int c = p - 1;  // padded bit position -> logical column
-            if (!empty(r, c)) return;
+            if (!env_.empty(r, c)) return;
             // select_winner draws nothing for a lone proposer, so the
             // cell's stream is built only when there is a contest.
             const int n = std::popcount(bits);
@@ -551,7 +545,7 @@ void Simulator::resolve_proposals(const EnvEmpty& empty,
             for (; w > 0; --w) bits &= bits - 1;
             const auto off = grid::kNeighborOffsets[static_cast<std::size_t>(
                 std::countr_zero(bits))];
-            out_moves.push_back({index.at(r + off.dr, c + off.dc), r, c});
+            out_moves.push_back({env_.index_at(r + off.dr, c + off.dc), r, c});
         });
         std::fill_n(row, nwords, 0);
     }
@@ -642,10 +636,6 @@ void Simulator::finish_step(const std::vector<Move>& moves,
         if (config_.exit_on_cross) {
             env_.clear(props_.row[idx], props_.col[idx]);
             props_.active[idx] = 0;
-            // An agent can cross the instant its last dwell expires —
-            // without a move — so replicating backends must be told this
-            // cell changed (mover-row marking would miss it).
-            on_cells_changed(props_.row[idx], props_.row[idx]);
         }
     }
 }

@@ -25,8 +25,7 @@
 
 namespace pedsim::core {
 
-struct EnvEmpty;  // rules.hpp: windowed emptiness view
-struct EnvIndex;  // rules.hpp: windowed agent-index view
+struct EnvEmpty;  // rules.hpp: padded-occupancy emptiness view
 
 /// One agent's candidate row (a scan-matrix row, section IV.a): `count`
 /// slots of scores plus the 0-based grid::kNeighborOffsets index of each
@@ -166,29 +165,27 @@ class Simulator {
 
   protected:
     // Stage hooks (paper section IV b-e). `out_moves` receives resolved
-    // movements in row-major cell order. The host engines fold initial
-    // calculation into their tour-construction pass (decide_host), so
-    // only gpu-simt overrides stage_initial_calc.
+    // movements in row-major cell order. The host engine folds initial
+    // calculation into its tour-construction pass (decide_host), so only
+    // gpu-simt overrides stage_initial_calc.
     virtual void stage_reset() = 0;                       // supporting kernel
     virtual void stage_initial_calc() {}                  // IV.b
     virtual void stage_tour_construction() = 0;           // IV.c
     virtual void stage_movement(std::vector<Move>& out_moves) = 0;  // IV.d
 
     /// Allocate the proposal planes (proposed_, proposers_) so step()
-    /// marks them and resolve_proposals can walk them. Host engines call
-    /// this from their constructors; gpu-simt's movement kernel gathers
-    /// at every cell and never needs them.
+    /// marks them and resolve_proposals can walk them. The host engine
+    /// calls this from its constructor; gpu-simt's movement kernel
+    /// gathers at every cell and never needs them.
     void allocate_proposal_planes();
 
     /// Host stage-d body over rows [begin_row, end_row): resolve every
     /// cell of the proposal plane set in those rows, row-major and
-    /// column-ascending, reading occupancy and agent indices through the
-    /// given window views (the whole environment, or a sharded band's
-    /// replica planes). Appends the winners to `out_moves` and clears the
-    /// rows' proposal words and proposer bytes for the next step, so
-    /// disjoint row ranges may run concurrently.
-    void resolve_proposals(const EnvEmpty& empty, const EnvIndex& index,
-                           int begin_row, int end_row,
+    /// column-ascending, reading occupancy and agent indices from env_.
+    /// Appends the winners to `out_moves` and clears the rows' proposal
+    /// words and proposer bytes for the next step, so disjoint row ranges
+    /// may run concurrently.
+    void resolve_proposals(int begin_row, int end_row,
                            std::vector<Move>& out_moves);
 
     /// Shared stage-d epilogue: apply the (disjoint) moves, update tour
@@ -198,7 +195,7 @@ class Simulator {
     /// Decision core shared by every engine's tour construction: given
     /// agent i (active, on-grid), run the gates in order and, only when
     /// the draw is reached, call `row()` once for agent i's CandidateRow.
-    /// The host engines build that row on demand (decide_host); gpu-simt
+    /// The host engine builds that row on demand (decide_host); gpu-simt
     /// returns the row its initial-calc kernel stored. Writes the FUTURE
     /// cell and returns true when a proposal was made.
     template <typename RowFn>
@@ -208,7 +205,7 @@ class Simulator {
         return draw_future(i, row());
     }
 
-    /// The host engines' fused stage b + c for agent i (active, on-grid):
+    /// The host engine's fused stage b + c for agent i (active, on-grid):
     /// set its FRONT CELL and panic flags, then decide_future with the
     /// candidate row built in a stack buffer through `empty`, only when
     /// the draw needs it. Reads only state frozen for the stage and writes
@@ -224,17 +221,6 @@ class Simulator {
     int fill_scan_row(std::int32_t i, int r, int c, grid::Group g,
                       const EnvEmpty& empty, double* values,
                       std::int8_t* cells) const;
-
-    /// Environment-mutation hook: called on the host thread whenever rows
-    /// [row0, row1] of the occupancy/index planes change outside the move
-    /// epilogue (today: door events firing at the step boundary). Backends
-    /// keeping replicated views of those planes override it to mark the
-    /// rows for their next exchange; the default engine state is
-    /// unreplicated, so the base hook is a no-op.
-    virtual void on_cells_changed(int row0, int row1) {
-        (void)row0;
-        (void)row1;
-    }
 
     /// True when agent i flees this step (panic active and in radius).
     [[nodiscard]] bool panic_applies(int r, int c) const {
@@ -269,7 +255,7 @@ class Simulator {
     std::vector<grid::BlendedField> wp_blend_;
     std::vector<grid::PlacedAgent> placed_;
     PropertyTable props_;
-    /// Proposal plane (host engines only; empty until
+    /// Proposal plane (host engine only; empty until
     /// allocate_proposal_planes): rows x env_.bit_words() words in the
     /// padded rows' bit layout — bit c + 1 of row r is set when some
     /// agent's FUTURE cell this step is (r, c).

@@ -135,15 +135,6 @@ class Environment {
     [[nodiscard]] const std::int32_t* idx_row(int r) const {
         return index_.data() + padded(r, 0);
     }
-    /// Pointer to the START of padded row r (the sentinel column), always
-    /// kRowAlign-aligned within the allocation: the whole-row image the
-    /// sharded engine's halo exchange copies. Byte p is logical column
-    /// p - 1.
-    [[nodiscard]] const std::uint8_t* occ_row_padded(int r) const {
-        return occupancy_.data() +
-               static_cast<std::size_t>(r + 1) *
-                   static_cast<std::size_t>(stride_);
-    }
 
     /// Raw PADDED storage (framing sentinels included); size is
     /// (rows + 2) * stride(). Index with padded(), never flat().

@@ -39,9 +39,11 @@ long long to_int(const std::string& key, const std::string& v) {
     return x;
 }
 
-/// Rect coordinates, translations and horizons are ints: a value outside
-/// int range would otherwise narrow-cast to a wrapped coordinate that can
-/// pass grid validation and land an event on the wrong cells.
+/// Every int field (grid size, step budget, rect coordinates, ranges,
+/// horizons) goes through here: a value outside int range would otherwise
+/// narrow-cast to a wrapped one that can pass validation — rows =
+/// 4294967360 became a 64-row grid, an event rect landed on the wrong
+/// cells.
 int to_int32(const std::string& key, const std::string& v) {
     const long long x = to_int(key, v);
     if (x < std::numeric_limits<int>::min() ||
@@ -50,6 +52,18 @@ int to_int32(const std::string& key, const std::string& v) {
                                     " value out of int range: '" + v + "'");
     }
     return static_cast<int>(x);
+}
+
+/// Population counts are unsigned: a negative value would wrap to
+/// 2^64 - 1 and fail much later with an unrelated placement error.
+std::size_t to_count(const std::string& key, const std::string& v) {
+    const long long x = to_int(key, v);
+    if (x < 0) {
+        throw std::invalid_argument("scenario: " + key +
+                                    " count must be non-negative: '" + v +
+                                    "'");
+    }
+    return static_cast<std::size_t>(x);
 }
 
 std::uint64_t to_uint64(const std::string& key, const std::string& v) {
@@ -123,12 +137,12 @@ void apply_key(scenario::Scenario& s, ParseState& st, const std::string& key,
     } else if (key == "description") {
         s.description = value;
     } else if (key == "steps") {
-        s.default_steps = static_cast<int>(to_int(key, value));
+        s.default_steps = to_int32(key, value);
     } else if (key == "rows") {
-        sim.grid.rows = static_cast<int>(to_int(key, value));
+        sim.grid.rows = to_int32(key, value);
         st.saw_rows = true;
     } else if (key == "cols") {
-        sim.grid.cols = static_cast<int>(to_int(key, value));
+        sim.grid.cols = to_int32(key, value);
         st.saw_cols = true;
     } else if (key == "model") {
         if (value == "lem") {
@@ -144,13 +158,13 @@ void apply_key(scenario::Scenario& s, ParseState& st, const std::string& key,
         // property suite generates them above int64 max.
         sim.seed = to_uint64(key, value);
     } else if (key == "agents_per_side") {
-        sim.agents_per_side = static_cast<std::size_t>(to_int(key, value));
+        sim.agents_per_side = to_count(key, value);
     } else if (key == "band_rows") {
-        sim.band_rows = static_cast<int>(to_int(key, value));
+        sim.band_rows = to_int32(key, value);
     } else if (key == "max_band_fill") {
         sim.max_band_fill = to_double(key, value);
     } else if (key == "cross_margin") {
-        sim.cross_margin = static_cast<int>(to_int(key, value));
+        sim.cross_margin = to_int32(key, value);
     } else if (key == "exit_on_cross") {
         sim.exit_on_cross = to_bool(key, value);
     } else if (key == "forward_priority") {
@@ -170,13 +184,13 @@ void apply_key(scenario::Scenario& s, ParseState& st, const std::string& key,
     } else if (key == "tau_min") {
         sim.aco.tau_min = to_double(key, value);
     } else if (key == "scan_range") {
-        sim.scan.range = static_cast<int>(to_int(key, value));
+        sim.scan.range = to_int32(key, value);
     } else if (key == "congestion_weight") {
         sim.scan.congestion_weight = to_double(key, value);
     } else if (key == "slow_fraction") {
         sim.speed.slow_fraction = to_double(key, value);
     } else if (key == "slow_period") {
-        sim.speed.slow_period = static_cast<int>(to_int(key, value));
+        sim.speed.slow_period = to_int32(key, value);
     } else if (key == "noshow") {
         const auto f = split_ws(value);
         if (f.size() != 3) {
@@ -237,8 +251,8 @@ void apply_key(scenario::Scenario& s, ParseState& st, const std::string& key,
         }
         sim.panic.enabled = true;
         sim.panic.trigger_step = to_step(key, f[0]);
-        sim.panic.row = static_cast<int>(to_int(key, f[1]));
-        sim.panic.col = static_cast<int>(to_int(key, f[2]));
+        sim.panic.row = to_int32(key, f[1]);
+        sim.panic.col = to_int32(key, f[2]);
         sim.panic.radius = to_double(key, f[3]);
     } else if (key == "door") {
         const auto f = split_ws(value);
@@ -335,11 +349,11 @@ void apply_key(scenario::Scenario& s, ParseState& st, const std::string& key,
         }
         grid::RegionSpawn r;
         r.group = to_group(f[0]);
-        r.row0 = static_cast<int>(to_int(key, f[1]));
-        r.col0 = static_cast<int>(to_int(key, f[2]));
-        r.row1 = static_cast<int>(to_int(key, f[3]));
-        r.col1 = static_cast<int>(to_int(key, f[4]));
-        r.count = static_cast<std::size_t>(to_int(key, f[5]));
+        r.row0 = to_int32(key, f[1]);
+        r.col0 = to_int32(key, f[2]);
+        r.row1 = to_int32(key, f[3]);
+        r.col1 = to_int32(key, f[4]);
+        r.count = to_count(key, f[5]);
         sim.layout.spawns.push_back(r);
     } else {
         throw std::invalid_argument("scenario: unknown key '" + key + "'");

@@ -84,12 +84,6 @@ RunRecord ScenarioRunner::run_prepared(const PreparedScenario& p,
         cfg.model = model;
         cfg.seed = seed;
         if (opts_.engine_threads > 0) cfg.exec.threads = opts_.engine_threads;
-        // Pin the resolved band count before construction so the record's
-        // label is machine-independent for explicit selections and
-        // self-describing for thread-derived ones.
-        if (engine.type == EngineKind::kShardedCpu) {
-            engine.bands = backend::resolve_bands(cfg, engine.bands);
-        }
         const obs::Stopwatch setup_watch;
         const auto sim = backend::make_engine(engine, cfg, p.schedule);
         const double setup_seconds = setup_watch.seconds();

@@ -16,16 +16,16 @@
 namespace pedsim::scenario {
 
 /// Engine selection is the backend layer's: the runner adds batch
-/// orchestration on top of backend::create_device(), nothing engine-shaped
+/// orchestration on top of backend::make_engine(), nothing engine-shaped
 /// of its own. The aliases keep the historical scenario:: spellings alive
 /// for tests and harnesses.
 using EngineKind = backend::DeviceType;
 using EngineSelect = backend::EngineSelect;
 
-/// Registry name of a device type ("cpu", "gpu-simt", "sharded-cpu").
+/// Registry name of a device type ("cpu", "gpu-simt").
 const char* engine_name(EngineKind e);
-/// Display/corpus label of a run's engine ("sharded-cpu:4" carries the
-/// resolved band count; other devices are just the registry name).
+/// Display/corpus label of a run's engine ("sharded-cpu:4" for a cpu run
+/// with an explicit band count; otherwise just the registry name).
 std::string engine_label(EngineKind e, int bands);
 
 struct RunnerOptions {
@@ -52,9 +52,9 @@ struct RunnerOptions {
 struct RunRecord {
     std::string scenario;
     EngineKind engine = EngineKind::kCpu;
-    /// Resolved row-band count of a sharded run (0 for other engines) —
-    /// carried in the engine label, not a separate CSV column, so bench
-    /// schemas are unchanged.
+    /// Requested row-band count of a cpu run (0 = slices planned from the
+    /// thread count) — carried in the engine label, not a separate CSV
+    /// column, so bench schemas are unchanged.
     int bands = 0;
     core::Model model = core::Model::kLem;
     std::uint64_t seed = 0;
@@ -94,7 +94,7 @@ std::uint64_t position_fingerprint(const core::Simulator& sim);
 std::uint64_t repeat_seed(std::uint64_t base, int rep);
 
 /// Engine factory shared by the runner, benches and tests — a thin
-/// delegate to backend::create_device().
+/// delegate to backend::make_engine().
 std::unique_ptr<core::Simulator> make_engine(const EngineSelect& e,
                                              const core::SimConfig& cfg);
 

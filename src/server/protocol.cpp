@@ -218,8 +218,7 @@ JobRequest decode_submit(const std::vector<std::uint8_t>& payload) {
     }
     req.registry = source == 1;
     const std::uint8_t engine = r.u8();
-    if (engine > static_cast<std::uint8_t>(
-                     backend::DeviceType::kShardedCpu)) {
+    if (engine > static_cast<std::uint8_t>(backend::DeviceType::kSimt)) {
         throw ProtocolError("submit: bad engine " + std::to_string(engine));
     }
     req.engine.type = static_cast<backend::DeviceType>(engine);

@@ -187,7 +187,7 @@ struct DoneMsg {
     std::uint64_t fingerprint = 0;
     core::RunResult result;
     double setup_seconds = 0.0;
-    /// Resolved band count (sharded engines; 0 otherwise) and the
+    /// The requested band count (the job's EngineSelect::bands) and the
     /// engine-internal thread count the run actually used.
     std::int32_t bands = 0;
     std::int32_t engine_threads = 0;

@@ -297,7 +297,7 @@ void Server::handle_submit(const std::shared_ptr<Connection>& conn,
         return;
     }
     // Admission owns field sanity: a negative band count or thread
-    // override would otherwise travel all the way into device creation /
+    // override would otherwise travel all the way into engine creation /
     // thread-pool construction and fail there with an unrelated message
     // (or worse, a wrapped allocation size).
     if (req.engine.bands < 0) {

@@ -1,7 +1,6 @@
 #include "stats/special_functions.hpp"
 
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 namespace pedsim::stats {
@@ -63,46 +62,6 @@ double incomplete_beta(double a, double b, double x) {
     return 1.0 - front * betacf(b, a, 1.0 - x) / b;
 }
 
-double incomplete_gamma_p(double a, double x) {
-    if (a <= 0.0 || x < 0.0) {
-        throw std::invalid_argument("incomplete_gamma_p: bad arguments");
-    }
-    if (x == 0.0) return 0.0;
-    if (x < a + 1.0) {
-        // Series representation.
-        double ap = a;
-        double sum = 1.0 / a;
-        double del = sum;
-        for (int n = 0; n < 500; ++n) {
-            ap += 1.0;
-            del *= x / ap;
-            sum += del;
-            if (std::fabs(del) < std::fabs(sum) * 3e-14) break;
-        }
-        return sum * std::exp(-x + a * std::log(x) - std::lgamma(a));
-    }
-    // Continued fraction for Q(a, x), then P = 1 - Q.
-    constexpr double kFpMin = 1e-300;
-    double b = x + 1.0 - a;
-    double c = 1.0 / kFpMin;
-    double d = 1.0 / b;
-    double h = d;
-    for (int i = 1; i <= 500; ++i) {
-        const double an = -static_cast<double>(i) * (static_cast<double>(i) - a);
-        b += 2.0;
-        d = an * d + b;
-        if (std::fabs(d) < kFpMin) d = kFpMin;
-        c = b + an / c;
-        if (std::fabs(c) < kFpMin) c = kFpMin;
-        d = 1.0 / d;
-        const double del = d * c;
-        h *= del;
-        if (std::fabs(del - 1.0) < 3e-14) break;
-    }
-    const double q = std::exp(-x + a * std::log(x) - std::lgamma(a)) * h;
-    return 1.0 - q;
-}
-
 double normal_cdf(double z) { return 0.5 * std::erfc(-z / std::sqrt(2.0)); }
 
 double normal_two_sided_p(double z) {
@@ -119,11 +78,6 @@ double student_t_cdf(double t, double df) {
 double student_t_two_sided_p(double t, double df) {
     const double x = df / (df + t * t);
     return incomplete_beta(df / 2.0, 0.5, x);
-}
-
-double chi_square_upper_p(double x, double df) {
-    if (x <= 0.0) return 1.0;
-    return 1.0 - incomplete_gamma_p(df / 2.0, x / 2.0);
 }
 
 }  // namespace pedsim::stats

@@ -1,6 +1,5 @@
-// Special functions needed by the hypothesis tests and the binomial GLM:
-// regularized incomplete beta/gamma, and the normal / Student-t /
-// chi-square distribution functions built on them.
+// Special functions needed by the binomial GLM: the regularized
+// incomplete beta, and the normal / Student-t distribution functions.
 #pragma once
 
 namespace pedsim::stats {
@@ -8,9 +7,6 @@ namespace pedsim::stats {
 /// Regularized incomplete beta I_x(a, b) via the Lentz continued fraction
 /// (Numerical Recipes formulation). Domain: a, b > 0, x in [0, 1].
 double incomplete_beta(double a, double b, double x);
-
-/// Regularized lower incomplete gamma P(a, x), a > 0, x >= 0.
-double incomplete_gamma_p(double a, double x);
 
 /// Standard normal CDF.
 double normal_cdf(double z);
@@ -21,8 +17,5 @@ double normal_two_sided_p(double z);
 double student_t_cdf(double t, double df);
 /// Two-sided t-test p-value.
 double student_t_two_sided_p(double t, double df);
-
-/// Chi-square upper tail probability with `df` degrees of freedom.
-double chi_square_upper_p(double x, double df);
 
 }  // namespace pedsim::stats

@@ -163,8 +163,8 @@ TEST(GoldenSequence, EveryEngineAndThreadCountReproducesTheCheckedInStream) {
         for (const auto& engine :
              {scenario::EngineSelect{scenario::EngineKind::kCpu},
               scenario::EngineSelect{scenario::EngineKind::kSimt},
-              scenario::EngineSelect{scenario::EngineKind::kShardedCpu, 2},
-              scenario::EngineSelect{scenario::EngineKind::kShardedCpu, 8}}) {
+              scenario::EngineSelect{scenario::EngineKind::kCpu, 2},
+              scenario::EngineSelect{scenario::EngineKind::kCpu, 8}}) {
             for (const int threads : kSequenceThreads) {
                 const auto live =
                     run_stream(s, engine, threads,

@@ -413,4 +413,39 @@ TEST(ScenarioProperty, ParserRejectsIntOverflowInsteadOfWrapping) {
                      "cycle = 9223372036854775807 4611686018427387904 4 1 "
                      "0 0 8 3\n"),
                  std::invalid_argument);
+    // Every int key: rows = 4294967360 used to parse as a 64-row grid,
+    // scan_range = 4294967297 as 1 and steps = 4294967396 as 100.
+    for (const char* text :
+         {"steps = 4294967396\n", "rows = 4294967360\n",
+          "cols = 4294967360\n", "band_rows = 4294967297\n",
+          "cross_margin = 4294967297\n", "scan_range = 4294967297\n",
+          "slow_period = 4294967297\n", "panic = 5 4294967297 3 2.0\n",
+          "panic = 5 3 4294967297 2.0\n",
+          "spawn = top 4294967297 0 8 3 10\n",
+          "spawn = top 0 4294967297 8 3 10\n",
+          "spawn = top 0 0 4294967297 3 10\n",
+          "spawn = top 0 0 8 4294967297 10\n"}) {
+        try {
+            io::parse_scenario(text);
+            ADD_FAILURE() << "accepted: " << text;
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find("out of int range"),
+                      std::string::npos)
+                << text << ": " << e.what();
+        }
+    }
+    // Negative counts used to wrap to 2^64 - 1 and fail later with the
+    // unrelated "placement band too small for population".
+    for (const char* text :
+         {"agents_per_side = -1\n", "spawn = top 0 0 8 3 -1\n"}) {
+        try {
+            io::parse_scenario(text);
+            ADD_FAILURE() << "accepted: " << text;
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(
+                std::string(e.what()).find("count must be non-negative"),
+                std::string::npos)
+                << text << ": " << e.what();
+        }
+    }
 }

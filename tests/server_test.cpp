@@ -89,7 +89,7 @@ TEST(Protocol, SubmitRoundTrip) {
     protocol::JobRequest req;
     req.registry = false;
     req.scenario = "name = x\nsteps = 7\n";
-    req.engine = {backend::DeviceType::kShardedCpu, 4};
+    req.engine = {backend::DeviceType::kCpu, 4};
     req.model = core::Model::kAco;
     req.seed = 0xDEADBEEFCAFEF00Dull;
     req.steps = 123;
@@ -158,6 +158,11 @@ TEST(Protocol, MalformedPayloadsThrow) {
     protocol::Writer w;
     w.u8(7);  // bad source
     EXPECT_THROW(protocol::decode_submit(w.take()), protocol::ProtocolError);
+    // Engine byte 2 names no device: sharded-cpu:N travels as engine 0
+    // (cpu) with its band count.
+    auto sharded = protocol::encode_submit(protocol::JobRequest{});
+    sharded[1] = 2;
+    EXPECT_THROW(protocol::decode_submit(sharded), protocol::ProtocolError);
     // A step count the payload cannot hold: a 12-byte kStep payload that
     // claims 0xFFFFFFFF records must fail by name, not reserve for them.
     protocol::Writer steps;
@@ -467,7 +472,7 @@ TEST(ServerRoundTrip, GarbageScenarioTextFailsPerJobNotPerServer) {
     // Engine-level configuration errors are also per-job: bands beyond
     // the grid's rows.
     auto over = registry_job("corridor_small",
-                             {backend::DeviceType::kShardedCpu, 1 << 14}, 10);
+                             {backend::DeviceType::kCpu, 1 << 14}, 10);
     ASSERT_TRUE(client.submit(over).accepted);
     const auto r2 = client.wait_any();
     EXPECT_TRUE(r2.failed);
@@ -626,7 +631,7 @@ TEST(ServerRoundTrip, NegativeEngineKnobsAreRejectedAtAdmission) {
     Client client(sock);
 
     auto bands = registry_job("corridor_small",
-                              {backend::DeviceType::kShardedCpu, -3}, 10);
+                              {backend::DeviceType::kCpu, -3}, 10);
     const auto s1 = client.submit(bands);
     EXPECT_FALSE(s1.accepted);
     EXPECT_NE(s1.reason.find("engine bands must be >= 0, got -3"),
@@ -719,7 +724,7 @@ TEST(ServerRoundTrip, PerturbedScenariosMatchLocalRunsBitForBit) {
     const std::vector<std::string> scenarios = {
         "no_show_commute", "platform_dwell", "surge_stadium"};
     const std::vector<backend::EngineSelect> engines = {
-        {backend::DeviceType::kCpu}, {backend::DeviceType::kShardedCpu, 2}};
+        {backend::DeviceType::kCpu}, {backend::DeviceType::kCpu, 2}};
     for (const auto& name : scenarios) {
         const auto truth =
             local_run(registry_job(name, {backend::DeviceType::kCpu}, 60));
@@ -747,7 +752,7 @@ TEST(ServerConcurrency, ConcurrentClientsGetDeterministicResults) {
     const std::vector<backend::EngineSelect> engines = {
         {backend::DeviceType::kCpu},
         {backend::DeviceType::kSimt},
-        {backend::DeviceType::kShardedCpu, 2}};
+        {backend::DeviceType::kCpu, 2}};
 
     std::vector<std::thread> threads;
     std::vector<std::string> failures(scenarios.size());

@@ -1,15 +1,15 @@
-// Sharded row-band engine suite: the halo-exchange contract of
-// docs/PARALLELISM.md. The ShardedCpu backend must be bit-identical to
-// the monolithic CPU engine — same StepResult sequence, same final
-// position fingerprint — at ANY band count and thread count, including
-// the adversarial seam cases: agents crossing band boundaries in both
-// directions within one step, conflict resolution astride a seam, and
-// door/mover rects spanning seams.
+// Row-band suite: the cpu engine with an explicit band count (the
+// `sharded-cpu:N` selection) must be bit-identical to the plain cpu
+// engine — same StepResult sequence, same final position fingerprint — at
+// ANY band count and thread count, including the adversarial seam cases:
+// agents crossing band boundaries in both directions within one step,
+// conflict resolution astride a seam, and door/mover rects spanning
+// seams.
 //
 // PEDSIM_TEST_BANDS (comma-separated) replaces the default {1, 2, 3, 8}
-// band counts; the CI sharded lane runs the suite at --bands 2 and
-// --bands 4 via this hook. PEDSIM_TEST_THREADS narrows the thread matrix
-// the same way it does for the determinism suite.
+// band counts; CI runs the suite at bands 2 and 4 via this hook.
+// PEDSIM_TEST_THREADS narrows the thread matrix the same way it does for
+// the determinism suite.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -17,8 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "backend/cli.hpp"
 #include "backend/device.hpp"
-#include "backend/sharded_simulator.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
 #include "test_budget.hpp"
@@ -77,7 +77,8 @@ Trace trace_sharded(const core::SimConfig& base, int bands, int threads,
                     int steps) {
     core::SimConfig cfg = base;
     cfg.exec.threads = threads;
-    const auto sim = backend::make_sharded(cfg, bands);
+    const auto sim =
+        backend::make_engine({backend::DeviceType::kCpu, bands}, cfg);
     Trace t;
     sim->run(steps, [&t](const core::StepResult& sr) {
         t.steps.push_back(sr);
@@ -87,7 +88,7 @@ Trace trace_sharded(const core::SimConfig& base, int bands, int threads,
     return t;
 }
 
-/// Assert bit-parity of the sharded engine against a CPU baseline over
+/// Assert bit-parity of the banded engine against a CPU baseline over
 /// the full band x thread matrix.
 void expect_parity(const std::string& label, const core::SimConfig& base,
                    int steps) {
@@ -123,89 +124,66 @@ core::SimConfig crossing_config(std::size_t agents = 500,
 
 // --- Backend seam basics ----------------------------------------------------
 
-TEST(ShardDevice, FactoryConstructsShardedEngine) {
-    const auto cfg = crossing_config(60);
-    const auto dev = backend::create_device(backend::DeviceType::kShardedCpu,
-                                            {.bands = 3, .gpu = {}});
-    EXPECT_STREQ(dev->name(), "sharded-cpu");
-    const auto sim = dev->create_engine(cfg);
-    ASSERT_NE(sim, nullptr);
-    sim->step();
-}
-
 TEST(ShardDevice, ParseNamesRoundTrip) {
     const auto sel = backend::parse_device("sharded-cpu:6");
-    EXPECT_EQ(sel.type, backend::DeviceType::kShardedCpu);
+    EXPECT_EQ(sel.type, backend::DeviceType::kCpu);
     EXPECT_EQ(sel.bands, 6);
     EXPECT_EQ(backend::engine_label(sel.type, sel.bands), "sharded-cpu:6");
     backend::EngineSelect out;
     EXPECT_FALSE(backend::try_parse_device("cpu:4", out));
+    EXPECT_FALSE(backend::try_parse_device("gpu:2", out));
     EXPECT_FALSE(backend::try_parse_device("warp9", out));
     EXPECT_TRUE(backend::try_parse_device("sharded", out));
-    EXPECT_EQ(out.bands, 0);
-}
-
-TEST(ShardDevice, BandPartitionCoversGridExactly) {
-    const auto cfg = crossing_config(60);
-    for (const int bands : {1, 2, 3, 7, 48}) {
-        const auto sim = backend::make_sharded(cfg, bands);
-        ASSERT_EQ(sim->bands(), bands);
-        int next = 0;
-        for (int b = 0; b < sim->bands(); ++b) {
-            const auto [begin, end] = sim->band_rows(b);
-            EXPECT_EQ(begin, next);
-            EXPECT_LT(begin, end);
-            next = end;
-        }
-        EXPECT_EQ(next, cfg.grid.rows);
-    }
+    EXPECT_EQ(out, backend::EngineSelect(backend::DeviceType::kCpu));
+    EXPECT_EQ(backend::engine_label(out.type, out.bands), "cpu");
 }
 
 TEST(ShardDevice, ExplicitBandCountAboveRowsIsRejected) {
     // An explicit request the grid cannot honour (every band must own at
     // least one row) is a configuration error named at creation time, not
-    // something to clamp away silently. Both the engine constructor and
-    // the selection-time resolver throw the same named message.
+    // something to clamp away silently.
     const auto cfg = crossing_config(60);
     try {
-        backend::make_sharded(cfg, cfg.grid.rows + 1);
+        backend::make_engine({backend::DeviceType::kCpu, cfg.grid.rows + 1},
+                             cfg);
         FAIL() << "expected std::invalid_argument";
     } catch (const std::invalid_argument& e) {
         EXPECT_NE(std::string(e.what()).find("bands (49) exceeds grid rows"),
                   std::string::npos)
             << e.what();
     }
-    EXPECT_THROW(backend::resolve_bands(cfg, 1 << 14),
-                 std::invalid_argument);
-    // The exact row count is still fine, and the thread-derived default
-    // (0) clamps to the grid as before.
-    EXPECT_EQ(backend::make_sharded(cfg, cfg.grid.rows)->bands(),
-              cfg.grid.rows);
-    auto wide = cfg;
-    wide.exec.threads = 1 << 14;
-    EXPECT_EQ(backend::make_sharded(wide, 0)->bands(), wide.grid.rows);
+    EXPECT_THROW(
+        backend::make_engine({backend::DeviceType::kCpu, -1}, cfg),
+        std::invalid_argument);
+    // The exact row count is still fine: one band per row.
+    const auto sim =
+        backend::make_engine({backend::DeviceType::kCpu, cfg.grid.rows}, cfg);
+    EXPECT_NO_THROW(sim->step());
 }
 
-TEST(ShardDevice, HaloWidthTracksScanRange) {
-    auto cfg = crossing_config(60);
-    EXPECT_EQ(backend::make_sharded(cfg, 2)->halo_width(), 1);
-    cfg.scan.range = 3;
-    EXPECT_EQ(backend::make_sharded(cfg, 2)->halo_width(), 3);
-}
-
-TEST(ShardDevice, HaloExchangeIsIncremental) {
-    // After the all-dirty first exchange, only rows actually touched by
-    // moves (or doors) are re-copied — the counter must grow by less than
-    // a full-grid refresh per step in a sparse scenario.
-    auto cfg = crossing_config(8);
-    const auto sim = backend::make_sharded(cfg, 4);
-    sim->step();
-    const auto first = sim->rows_exchanged();
-    // 4 bands x (12 interior + up to 2 on-grid halo rows) >= full grid.
-    EXPECT_GE(first, static_cast<std::uint64_t>(cfg.grid.rows));
-    sim->step();
-    const auto second = sim->rows_exchanged() - first;
-    EXPECT_LT(second, first);
+TEST(ShardDevice, RemovedEngineFlagsAreNamedErrors) {
+    // io::ArgParser ignores unknown flags, so a removed spelling must fail
+    // by name instead of silently running the default engines.
+    const std::vector<backend::EngineSelect> fallback = {
+        backend::DeviceType::kCpu};
+    for (const char* flag : {"--engines=gpu", "--engine=gpu", "--bands=4"}) {
+        const char* argv[] = {"prog", flag};
+        const io::ArgParser args(2, argv);
+        try {
+            backend::engines_from_args(args, fallback);
+            FAIL() << flag << " accepted";
+        } catch (const std::invalid_argument& e) {
+            const std::string name(flag, std::string(flag).find('='));
+            EXPECT_EQ(std::string(e.what()).rfind(name + " was removed", 0),
+                      0u)
+                << e.what();
+        }
+    }
+    const char* argv[] = {"prog", "--backend=sharded:3,gpu"};
+    const io::ArgParser args(2, argv);
+    const std::vector<backend::EngineSelect> expected = {
+        {backend::DeviceType::kCpu, 3}, {backend::DeviceType::kSimt}};
+    EXPECT_EQ(backend::engines_from_args(args, fallback), expected);
 }
 
 // --- Adversarial seam cases -------------------------------------------------
@@ -239,7 +217,8 @@ TEST(ShardSeams, ConflictResolutionAstrideSeam) {
 TEST(ShardSeams, DoorRectSpanningSeamTogglesBothSides) {
     // A wall column straddling the 2-band seam (rows 20..28 on a 48-row
     // grid) opens mid-run and closes again later: the door rect spans the
-    // seam, so the open/close must dirty rows in BOTH bands' windows.
+    // seam, so both bands must see the open/close before their next
+    // stage reads.
     auto cfg = crossing_config(300, 77);
     scenario::Scenario s;
     s.sim = cfg;
@@ -257,8 +236,8 @@ TEST(ShardSeams, DoorRectSpanningSeamTogglesBothSides) {
 TEST(ShardSeams, MoverRectCrawlsAcrossSeams) {
     // A moving wall translating one row per firing walks straight through
     // every seam on the grid: each firing is an open at the old rows plus
-    // a close at the new ones, both of which must reach neighbouring
-    // bands' halos before the next step's stages run.
+    // a close at the new ones, which the bands on both sides of a seam
+    // must see before the next step's stages run.
     auto cfg = crossing_config(250, 79);
     core::MoverEvent mover;
     mover.start = 5;
@@ -276,8 +255,9 @@ TEST(ShardSeams, MoverRectCrawlsAcrossSeams) {
 
 TEST(ShardSeams, ScanRangeWidensTheHaloCorrectly)
 {
-    // Look-ahead rays reach scan.range rows past a candidate: parity at
-    // range 3 exercises the widened exchange window (halo > 1).
+    // Look-ahead rays reach scan.range rows past a candidate, across band
+    // seams: parity at range 3 exercises reads several rows out of the
+    // band.
     auto cfg = crossing_config(400, 83);
     cfg.scan.range = 3;
     cfg.scan.congestion_weight = 0.8;

@@ -132,16 +132,15 @@ TEST(Environment, PaddedFrameIsWallSentinelAroundLogicalCells) {
 
 // End-to-end pin: the backend this build compiled (AVX2/NEON with
 // PEDSIM_SIMD=ON, the scalar fallback with OFF) must reproduce the
-// committed golden fingerprints. A handful of cpu single-thread rows
-// suffices here — the full corpus runs in golden_test — because any mask,
-// congestion or gather divergence perturbs a trajectory within a few
-// steps.
+// committed golden fingerprints. A handful of corpus rows, run on cpu at
+// one thread, suffices here — the full matrix runs in golden_test —
+// because any mask, congestion or gather divergence perturbs a trajectory
+// within a few steps.
 TEST(SimdGolden, ActiveBackendReproducesCommittedFingerprints) {
     std::ifstream in(PEDSIM_GOLDEN_FILE);
     ASSERT_TRUE(in) << "cannot read " << PEDSIM_GOLDEN_FILE;
     struct Row {
         std::string scenario;
-        int threads;
         int steps;
         std::uint64_t fingerprint;
     };
@@ -154,21 +153,18 @@ TEST(SimdGolden, ActiveBackendReproducesCommittedFingerprints) {
             continue;
         }
         std::istringstream is(line);
-        std::string scenario, engine, threads, steps, fp;
+        std::string scenario, steps, fp;
         ASSERT_TRUE(std::getline(is, scenario, ',') &&
-                    std::getline(is, engine, ',') &&
-                    std::getline(is, threads, ',') &&
                     std::getline(is, steps, ',') && std::getline(is, fp))
             << line;
-        if (engine != "cpu" || threads != "1") continue;
-        rows.push_back({scenario, 1, std::stoi(steps),
+        rows.push_back({scenario, std::stoi(steps),
                         std::stoull(fp, nullptr, 16)});
     }
     ASSERT_FALSE(rows.empty());
     for (const auto& row : rows) {
         ASSERT_TRUE(scenario::has(row.scenario)) << row.scenario;
         core::SimConfig cfg = scenario::get(row.scenario).sim;
-        cfg.exec.threads = row.threads;
+        cfg.exec.threads = 1;
         const auto sim =
             scenario::make_engine(scenario::EngineKind::kCpu, cfg);
         sim->run(row.steps);

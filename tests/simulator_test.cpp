@@ -276,9 +276,9 @@ struct HostEngine {
 const HostEngine kHostEngines[] = {
     {"cpu@1", {backend::DeviceType::kCpu}, 1},
     {"cpu@4", {backend::DeviceType::kCpu}, 4},
-    {"sharded-cpu:1", {backend::DeviceType::kShardedCpu, 1}, 4},
-    {"sharded-cpu:3", {backend::DeviceType::kShardedCpu, 3}, 4},
-    {"sharded-cpu:8", {backend::DeviceType::kShardedCpu, 8}, 4},
+    {"sharded-cpu:1", {backend::DeviceType::kCpu, 1}, 4},
+    {"sharded-cpu:3", {backend::DeviceType::kCpu, 3}, 4},
+    {"sharded-cpu:8", {backend::DeviceType::kCpu, 8}, 4},
 };
 
 /// One engine per kHostEngines entry, in the same order.
