@@ -1,12 +1,14 @@
 // Ablation: ACO parameter sensitivity (alpha, beta, rho, q) and the
 // forward-priority rule.
 //
-// The paper does not publish its alpha/beta/rho/Q; DESIGN.md section 6
-// documents our defaults. This bench shows how the Fig. 6a medium-density
-// throughput responds to each parameter, justifying the calibration, and
-// quantifies the forward-priority modification (section III).
+// The paper does not publish its alpha/beta/rho/Q; the ablation_aco_params
+// row of docs/REPRODUCTION.md records our defaults. This bench shows how
+// the Fig. 6a medium-density throughput responds to each parameter,
+// justifying the calibration, and quantifies the forward-priority
+// modification (section III).
 //
 //   ./ablation_aco_params [--grid=128] [--steps=1500] [--density=15]
+//       [--repeats=2]
 #include "backend/device.hpp"
 #include "bench_common.hpp"
 
@@ -30,8 +32,8 @@ int main(int argc, char** argv) {
     const io::ArgParser args(argc, argv);
     const int grid = args.get_int32("grid", 128);
     const int steps = args.get_int32("steps", 1500);
-    const int density = args.get_int32("density", 15);
-    const int repeats = args.get_int32("repeats", 2);
+    const int density = args.get_int32("density", 15, 1, bench::kMaxDensity);
+    const int repeats = args.get_int32("repeats", 2, 1);
 
     core::SimConfig base;
     base.grid.rows = base.grid.cols = grid;
@@ -90,7 +92,7 @@ int main(int argc, char** argv) {
     table.print();
     std::printf(
         "\nalpha=0 removes the pheromone term (pure goal heuristic); large "
-        "rho erases trails each step. The baseline column justifies the "
-        "DESIGN.md defaults.\n");
+        "rho erases trails each step. The baseline row justifies the "
+        "defaults (docs/REPRODUCTION.md, ablation_aco_params row).\n");
     return 0;
 }

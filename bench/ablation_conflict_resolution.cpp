@@ -6,7 +6,7 @@
 // identical functional behaviour, but the movement kernel is re-costed
 // with one global atomic per proposer.
 //
-//   ./ablation_conflict_resolution [--densities=5,10,20,30] [--measure=10]
+//   ./ablation_conflict_resolution [--measure=10] [--warmup=5]
 #include "backend/device.hpp"
 #include "bench_common.hpp"
 
@@ -14,8 +14,8 @@ using namespace pedsim;
 
 int main(int argc, char** argv) {
     const io::ArgParser args(argc, argv);
-    const int warmup = args.get_int32("warmup", 5);
-    const int measure = args.get_int32("measure", 10);
+    const int warmup = args.get_int32("warmup", 5, 0);
+    const int measure = args.get_int32("measure", 10, 1);
 
     bench::print_protocol(
         "Ablation — movement conflict resolution: scatter-to-gather vs "

@@ -5,7 +5,7 @@
 // GTX 560 Ti (Table I), a Kepler GK110, and the occupancy consequences of
 // alternative block sizes.
 //
-//   ./ablation_device [--density=10] [--measure=10]
+//   ./ablation_device [--density=10] [--measure=10] [--warmup=3]
 #include "backend/device.hpp"
 #include "bench_common.hpp"
 #include "simt/occupancy.hpp"
@@ -14,9 +14,9 @@ using namespace pedsim;
 
 int main(int argc, char** argv) {
     const io::ArgParser args(argc, argv);
-    const int warmup = args.get_int32("warmup", 3);
-    const int measure = args.get_int32("measure", 10);
-    const int density = args.get_int32("density", 10);
+    const int warmup = args.get_int32("warmup", 3, 0);
+    const int measure = args.get_int32("measure", 10, 1);
+    const int density = args.get_int32("density", 10, 1, bench::kMaxDensity);
 
     bench::print_protocol(
         "Ablation — device generation and block sizing",

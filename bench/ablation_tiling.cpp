@@ -7,7 +7,7 @@
 // kernels under both strategies — functional results are identical
 // (tested), only cost differs.
 //
-//   ./ablation_tiling [--densities=5,20] [--measure=10]
+//   ./ablation_tiling [--measure=10] [--warmup=3]
 #include "backend/device.hpp"
 #include "bench_common.hpp"
 
@@ -15,8 +15,8 @@ using namespace pedsim;
 
 int main(int argc, char** argv) {
     const io::ArgParser args(argc, argv);
-    const int warmup = args.get_int32("warmup", 3);
-    const int measure = args.get_int32("measure", 10);
+    const int warmup = args.get_int32("warmup", 3, 0);
+    const int measure = args.get_int32("measure", 10, 1);
 
     bench::print_protocol(
         "Ablation — halo-tile loading: warp-remapped (paper) vs naive",

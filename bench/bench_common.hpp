@@ -23,8 +23,10 @@
 
 namespace pedsim::bench {
 
-/// The paper's population sweep: density index d (1-based) has
-/// 2,560 * d total agents (1,280 * d per side), up to d = 40.
+/// The paper's population sweep: density index d in 1..kMaxDensity has
+/// 2,560 * d total agents (1,280 * d per side).
+inline constexpr int kMaxDensity = 40;
+
 inline std::size_t paper_agents_per_side(int density_index) {
     return static_cast<std::size_t>(1280) *
            static_cast<std::size_t>(density_index);
@@ -39,34 +41,21 @@ inline std::size_t scaled_agents_per_side(int density_index, int grid_edge) {
     return scaled == 0 ? 1 : scaled;
 }
 
-struct TimedRun {
-    // Host seconds come from core::Simulator::run, which reads the shared
-    // obs::Stopwatch clock — bench columns and trace spans agree on time.
-    double wall_seconds_per_step = 0.0;     ///< measured host seconds
-    double modeled_seconds_per_step = 0.0;  ///< device model (GPU engine)
-    std::size_t crossed = 0;
-    std::uint64_t moves = 0;
-};
-
-/// Run `warmup` unmeasured steps then `measure` measured steps.
-inline TimedRun timed_run(core::Simulator& sim, int warmup, int measure) {
+/// Host wall seconds per step over `measure` steps, after `warmup`
+/// unmeasured ones. Host seconds come from core::Simulator::run, which
+/// reads the shared obs::Stopwatch clock — bench columns and trace spans
+/// agree on time.
+inline double timed_run(core::Simulator& sim, int warmup, int measure) {
     sim.run(warmup);
-    const auto rr = sim.run(measure);
-    TimedRun t;
-    t.wall_seconds_per_step = rr.wall_seconds / measure;
-    t.modeled_seconds_per_step = rr.modeled_device_seconds / measure;
-    t.crossed = rr.crossed_total();
-    t.moves = rr.total_moves;
-    return t;
+    return sim.run(measure).wall_seconds / measure;
 }
 
 /// Measured window on the GPU engine: per-step modeled device seconds,
-/// per-step modeled sequential (i7-930) seconds from the same operation
-/// counts, and the aggregated kernel stats.
+/// and per-step modeled sequential (i7-930) seconds from the same
+/// operation counts.
 struct GpuWindow {
     double gpu_seconds_per_step = 0.0;
     double cpu_model_seconds_per_step = 0.0;
-    simt::KernelStats stats;
 };
 
 inline GpuWindow gpu_window(core::GpuSimulator& sim, int warmup,
@@ -75,15 +64,13 @@ inline GpuWindow gpu_window(core::GpuSimulator& sim, int warmup,
     const auto before = sim.launch_log().records().size();
     const double m0 = sim.modeled_seconds();
     sim.run(measure);
-    GpuWindow w;
+    simt::KernelStats stats;
     const auto& recs = sim.launch_log().records();
     for (std::size_t i = before; i < recs.size(); ++i) {
-        w.stats.merge(recs[i].stats);
+        stats.merge(recs[i].stats);
     }
-    w.gpu_seconds_per_step = (sim.modeled_seconds() - m0) / measure;
-    w.cpu_model_seconds_per_step =
-        simt::SequentialCostModel{}.seconds(w.stats) / measure;
-    return w;
+    return {(sim.modeled_seconds() - m0) / measure,
+            simt::SequentialCostModel{}.seconds(stats) / measure};
 }
 
 /// CSV output directory (bench binaries drop series next to the binary).

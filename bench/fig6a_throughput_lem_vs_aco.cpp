@@ -30,9 +30,9 @@ int main(int argc, char** argv) {
     const int grid = args.get_int32("grid", paper ? 480 : 128);
     const int steps =
         args.get_int32("steps", paper ? 25000 : 1500);
-    const int repeats = args.get_int32("repeats", paper ? 10 : 2);
+    const int repeats = args.get_int32("repeats", paper ? 10 : 2, 1);
     const int max_density =
-        args.get_int32("max_density", 20);
+        args.get_int32("max_density", 20, 1, bench::kMaxDensity);
     const backend::EngineSelect engine =
         backend::engines_from_args(args, {backend::DeviceType::kCpu})
             .front();

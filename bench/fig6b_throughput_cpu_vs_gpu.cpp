@@ -30,10 +30,9 @@ int main(int argc, char** argv) {
     const int grid = args.get_int32("grid", paper ? 480 : 96);
     const int steps =
         args.get_int32("steps", paper ? 25000 : 700);
-    const int repeats =
-        args.get_int32("repeats", paper ? 10 : 1);
+    const int repeats = args.get_int32("repeats", paper ? 10 : 1, 1);
     const int max_density =
-        args.get_int32("max_density", paper ? 40 : 20);
+        args.get_int32("max_density", paper ? 40 : 20, 1, bench::kMaxDensity);
 
     bench::print_protocol(
         "Figure 6b — ACO throughput, CPU vs GPU engine + binomial GLM",

@@ -29,7 +29,7 @@ struct LemParams {
 /// Modified-ACO tuning. The paper leaves alpha/beta/rho/Q unspecified;
 /// defaults follow Dorigo & Stuetzle's classic Ant System values, with the
 /// deposit Q and floor tau_min calibrated on the Fig. 6a medium-density
-/// scenarios (DESIGN.md section 6).
+/// scenarios (docs/REPRODUCTION.md, ablation_aco_params row).
 struct AcoParams {
     double alpha = 1.0;    ///< pheromone weight
     double beta = 2.0;     ///< goal-heuristic weight

@@ -36,35 +36,4 @@ bool GridlockDetector::update(const StepResult& sr) {
     return gridlocked_;
 }
 
-std::vector<int> row_occupancy(const grid::Environment& env, grid::Group g) {
-    std::vector<int> hist(static_cast<std::size_t>(env.rows()), 0);
-    for (int r = 0; r < env.rows(); ++r) {
-        for (int c = 0; c < env.cols(); ++c) {
-            if (env.occupancy(r, c) == g) ++hist[static_cast<std::size_t>(r)];
-        }
-    }
-    return hist;
-}
-
-double mean_progress(const PropertyTable& props,
-                     const grid::DistanceField& df, grid::Group g,
-                     int grid_rows) {
-    (void)df;
-    double sum = 0.0;
-    std::size_t n = 0;
-    for (std::size_t i = 1; i < props.rows(); ++i) {
-        if (props.active[i] == 0 ||
-            props.group[i] != static_cast<std::uint8_t>(g)) {
-            continue;
-        }
-        const int r = props.row[i];
-        // Rows advanced from the starting edge toward the target.
-        sum += g == grid::Group::kTop
-                   ? static_cast<double>(r)
-                   : static_cast<double>(grid_rows - 1 - r);
-        ++n;
-    }
-    return n == 0 ? 0.0 : sum / static_cast<double>(n);
-}
-
 }  // namespace pedsim::core

@@ -1,5 +1,5 @@
-// Run-level instrumentation: throughput series, gridlock detection, and
-// occupancy profiles used by the Fig. 6 benches and examples.
+// Run-level instrumentation for the examples: per-step throughput series
+// and gridlock detection.
 #pragma once
 
 #include <cstdint>
@@ -48,14 +48,5 @@ class GridlockDetector {
     bool gridlocked_ = false;
     std::int64_t since_ = -1;
 };
-
-/// Row-occupancy histogram of one group: how far its agents have advanced.
-std::vector<int> row_occupancy(const grid::Environment& env, grid::Group g);
-
-/// Mean progress (rows advanced toward the target, averaged over active
-/// agents of the group); 0 when the group has no active agents.
-double mean_progress(const PropertyTable& props,
-                     const grid::DistanceField& df, grid::Group g,
-                     int grid_rows);
 
 }  // namespace pedsim::core

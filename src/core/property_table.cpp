@@ -41,12 +41,4 @@ std::size_t PropertyTable::active_count() const {
     return n;
 }
 
-std::size_t PropertyTable::crossed_count(grid::Group g) const {
-    std::size_t n = 0;
-    for (std::size_t i = 1; i < rows(); ++i) {
-        n += (crossed[i] != 0 && group[i] == static_cast<std::uint8_t>(g));
-    }
-    return n;
-}
-
 }  // namespace pedsim::core

@@ -60,7 +60,6 @@ class PropertyTable {
     void reset_futures();
 
     [[nodiscard]] std::size_t active_count() const;
-    [[nodiscard]] std::size_t crossed_count(grid::Group g) const;
 
   private:
     std::size_t count_ = 0;

@@ -37,9 +37,4 @@ int roulette(Stream& s, const double* weights, int n) {
     return last_positive;
 }
 
-double exponential(Stream& s, double rate) {
-    const double u = 1.0 - s.next_double();
-    return -std::log(u) / rate;
-}
-
 }  // namespace pedsim::rng

@@ -28,7 +28,4 @@ int lem_rank_draw(Stream& s, int candidate_count, double sigma = 1.0);
 /// This is the ACO random-proportional rule's sampling step (paper eq. 2).
 int roulette(Stream& s, const double* weights, int n);
 
-/// Exponential variate with given rate (> 0); used by workload generators.
-double exponential(Stream& s, double rate);
-
 }  // namespace pedsim::rng

@@ -42,10 +42,6 @@ double Stream::next_double() noexcept {
     return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
-float Stream::next_float() noexcept {
-    return static_cast<float>(next_u32() >> 8) * 0x1.0p-24f;
-}
-
 std::uint32_t Stream::next_below(std::uint32_t bound) noexcept {
     // Lemire 2019: multiply-shift with rejection of the biased residue.
     std::uint64_t m = static_cast<std::uint64_t>(next_u32()) * bound;

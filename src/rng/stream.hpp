@@ -43,10 +43,6 @@ class Stream {
     /// Uniform double in [0, 1). 53-bit resolution.
     double next_double() noexcept;
 
-    /// Uniform float in [0, 1). 24-bit resolution — matches
-    /// curand_uniform's granularity class.
-    float next_float() noexcept;
-
     /// Unbiased uniform integer in [0, bound). bound must be > 0.
     /// Uses Lemire's multiply-shift rejection method.
     std::uint32_t next_below(std::uint32_t bound) noexcept;

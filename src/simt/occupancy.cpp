@@ -7,17 +7,6 @@ namespace pedsim::simt {
 
 SmLimits SmLimits::cc20() { return SmLimits{}; }
 
-SmLimits SmLimits::cc35() {
-    SmLimits l;
-    l.max_threads_per_sm = 2048;
-    l.max_warps_per_sm = 64;
-    l.max_blocks_per_sm = 16;
-    l.registers_per_sm = 65536;
-    l.register_alloc_unit = 256;
-    l.shared_mem_alloc_unit = 256;
-    return l;
-}
-
 namespace {
 std::int64_t round_up(std::int64_t v, std::int64_t unit) {
     return unit <= 0 ? v : ((v + unit - 1) / unit) * unit;

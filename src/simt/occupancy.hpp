@@ -25,8 +25,6 @@ struct SmLimits {
 
     /// Fermi CC 2.0 (the paper's GTX 560 Ti).
     static SmLimits cc20();
-    /// Kepler CC 3.5 (paper future work).
-    static SmLimits cc35();
 };
 
 struct OccupancyResult {

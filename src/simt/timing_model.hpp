@@ -1,7 +1,7 @@
 // Analytic timing model: KernelStats -> modeled seconds on a DeviceSpec.
 //
 // The model is deliberately simple and fully documented, because the
-// reproduction claims *shape*, not absolute seconds (DESIGN.md section 2):
+// reproduction claims *shape*, not absolute seconds (docs/REPRODUCTION.md):
 //
 //   t_compute = warp_issues * warp_size / lane_ops_per_sec
 //               where warp_issues includes the divergence penalty
@@ -72,7 +72,7 @@ class TimingModel {
 /// arithmetic, branch misses, the gap between one "counted op" and the
 /// machine instructions it expands to); the default is calibrated so the
 /// low-density Fig. 5b point lands near the paper's i7-930 measurement.
-/// Fig. 5b/5c also report this host's *measured* wall time — the model
+/// Fig. 5b also reports this host's *measured* wall time — the model
 /// exists so the CPU-vs-GPU comparison is era-consistent (a 2026 host
 /// against a 2011 GPU model says nothing about the paper's claim).
 struct SequentialCostModel {

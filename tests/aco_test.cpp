@@ -7,12 +7,7 @@
 #include <cmath>
 #include <set>
 
-#include <cstdio>
-#include <sstream>
-
 #include "aco/ant_system.hpp"
-#include "aco/max_min_ant_system.hpp"
-#include "aco/tsplib.hpp"
 #include "aco/tsp.hpp"
 
 namespace pedsim::aco {
@@ -217,146 +212,6 @@ TEST(AntSystem, AntCountDefaultsToCityCount) {
     // assert iterate() runs and finds a finite best.
     EXPECT_TRUE(std::isfinite(as.iterate()));
     EXPECT_EQ(as.best_tour().size(), 9u);
-}
-
-
-// --- MAX-MIN Ant System ------------------------------------------------------
-
-TEST(MaxMin, TrailLimitsAreOrderedAndRespected) {
-    const auto tsp = TspInstance::random_uniform(15, 100.0, 41);
-    MaxMinParams params;
-    params.seed = 3;
-    MaxMinAntSystem mmas(tsp, params);
-    mmas.run(25);
-    EXPECT_GT(mmas.tau_max(), mmas.tau_min());
-    for (std::size_t i = 0; i < tsp.size(); ++i) {
-        for (std::size_t j = 0; j < tsp.size(); ++j) {
-            if (i == j) continue;
-            EXPECT_GE(mmas.pheromone_at(i, j), mmas.tau_min() - 1e-12);
-            EXPECT_LE(mmas.pheromone_at(i, j), mmas.tau_max() + 1e-12);
-        }
-    }
-}
-
-TEST(MaxMin, SolvesCircleToOptimum) {
-    const auto tsp = TspInstance::circle(16, 100.0);
-    MaxMinParams params;
-    params.seed = 5;
-    MaxMinAntSystem mmas(tsp, params);
-    const auto result = mmas.run(60);
-    const double opt = TspInstance::circle_optimum(16, 100.0);
-    EXPECT_NEAR(result.best_length, opt, opt * 0.001);
-}
-
-TEST(MaxMin, TrailLimitsTightenAsBestImproves) {
-    const auto tsp = TspInstance::random_uniform(20, 100.0, 43);
-    MaxMinParams params;
-    params.seed = 7;
-    MaxMinAntSystem mmas(tsp, params);
-    const double tau_max_0 = mmas.tau_max();
-    mmas.run(40);
-    // tau_max = 1/(rho L_best): improving L_best raises tau_max.
-    EXPECT_GE(mmas.tau_max(), tau_max_0);
-}
-
-TEST(MaxMin, MatchesOrBeatsPlainAntSystem) {
-    // On a moderately hard random instance MMAS should not lose to AS
-    // given the same budget (elite deposits + bounded trails).
-    const auto tsp = TspInstance::random_uniform(30, 100.0, 47);
-    AntSystemParams as_params;
-    as_params.seed = 9;
-    AntSystem as(tsp, as_params);
-    MaxMinParams mm_params;
-    mm_params.seed = 9;
-    MaxMinAntSystem mmas(tsp, mm_params);
-    const double as_best = as.run(60).best_length;
-    const double mm_best = mmas.run(60).best_length;
-    EXPECT_LE(mm_best, as_best * 1.05);
-}
-
-TEST(MaxMin, RejectsDegenerateInstances) {
-    const auto tiny = TspInstance::from_points({0, 1}, {0, 0});
-    EXPECT_THROW(MaxMinAntSystem(tiny, {}), std::invalid_argument);
-}
-
-// --- TSPLIB I/O ----------------------------------------------------------------
-
-TEST(Tsplib, RoundTripPreservesGeometry) {
-    const auto original = TspInstance::random_uniform(12, 100.0, 53);
-    std::stringstream ss;
-    write_tsplib(ss, original, "roundtrip12");
-    std::string name;
-    const auto loaded = read_tsplib(ss, &name);
-    EXPECT_EQ(name, "roundtrip12");
-    ASSERT_EQ(loaded.size(), original.size());
-    for (std::size_t i = 0; i < loaded.size(); ++i) {
-        EXPECT_NEAR(loaded.xs[i], original.xs[i], 1e-9);
-        EXPECT_NEAR(loaded.ys[i], original.ys[i], 1e-9);
-    }
-    for (std::size_t i = 0; i < loaded.size(); ++i) {
-        for (std::size_t j = 0; j < loaded.size(); ++j) {
-            EXPECT_NEAR(loaded.distance(i, j), original.distance(i, j),
-                        1e-9);
-        }
-    }
-}
-
-TEST(Tsplib, ParsesHandWrittenInstance) {
-    std::stringstream ss(
-        "NAME : square4\n"
-        "COMMENT : unit square\n"
-        "TYPE : TSP\n"
-        "DIMENSION : 4\n"
-        "EDGE_WEIGHT_TYPE : EUC_2D\n"
-        "NODE_COORD_SECTION\n"
-        "1 0 0\n"
-        "2 0 1\n"
-        "3 1 1\n"
-        "4 1 0\n"
-        "EOF\n");
-    const auto tsp = read_tsplib(ss);
-    ASSERT_EQ(tsp.size(), 4u);
-    EXPECT_DOUBLE_EQ(tsp.distance(0, 2), std::sqrt(2.0));
-    // Optimal square tour = perimeter 4.
-    EXPECT_DOUBLE_EQ(tsp.tour_length({0, 1, 2, 3}), 4.0);
-}
-
-TEST(Tsplib, RejectsMalformedInput) {
-    {
-        std::stringstream ss("TYPE : TOUR\nDIMENSION : 3\n");
-        EXPECT_THROW(read_tsplib(ss), std::runtime_error);
-    }
-    {
-        std::stringstream ss(
-            "DIMENSION : 3\nEDGE_WEIGHT_TYPE : GEO\n");
-        EXPECT_THROW(read_tsplib(ss), std::runtime_error);
-    }
-    {
-        std::stringstream ss(
-            "DIMENSION : 3\nEDGE_WEIGHT_TYPE : EUC_2D\n"
-            "NODE_COORD_SECTION\n1 0 0\n2 1 1\n");  // truncated
-        EXPECT_THROW(read_tsplib(ss), std::runtime_error);
-    }
-    {
-        std::stringstream ss("NAME : empty\nEOF\n");
-        EXPECT_THROW(read_tsplib(ss), std::runtime_error);
-    }
-    {
-        std::stringstream ss(
-            "DIMENSION : 2\nEDGE_WEIGHT_TYPE : EUC_2D\n"
-            "NODE_COORD_SECTION\n1 0 0\n1 1 1\n");  // duplicate id
-        EXPECT_THROW(read_tsplib(ss), std::runtime_error);
-    }
-}
-
-TEST(Tsplib, FileRoundTrip) {
-    const auto tsp = TspInstance::circle(8, 50.0);
-    const std::string path = ::testing::TempDir() + "pedsim_circle8.tsp";
-    write_tsplib_file(path, tsp, "circle8");
-    const auto loaded = read_tsplib_file(path);
-    EXPECT_EQ(loaded.size(), 8u);
-    std::remove(path.c_str());
-    EXPECT_THROW(read_tsplib_file("/no/such/file.tsp"), std::runtime_error);
 }
 
 }  // namespace

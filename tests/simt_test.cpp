@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "simt/device_spec.hpp"
-#include "simt/event.hpp"
 #include "simt/launch.hpp"
 #include "simt/occupancy.hpp"
 #include "simt/shared_tile.hpp"
@@ -388,19 +387,7 @@ TEST(Timing, KeplerOutrunsFermiOnComputeBoundWork) {
     EXPECT_LT(kepler, fermi);
 }
 
-// --- Events ------------------------------------------------------------------------
-
-TEST(Event, ElapsedTracksLaunchLog) {
-    LaunchLog log;
-    Event start, stop;
-    start.record(log);
-    LaunchRecord rec;
-    rec.kernel_name = "k";
-    rec.modeled_seconds = 0.25;
-    log.add(rec);
-    stop.record(log);
-    EXPECT_DOUBLE_EQ(Event::elapsed_ms(start, stop), 250.0);
-}
+// --- Launch log ---------------------------------------------------------------------
 
 TEST(LaunchLog, AggregatesByKernelName) {
     LaunchLog log;

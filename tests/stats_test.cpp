@@ -5,40 +5,12 @@
 
 #include <cmath>
 
-#include "stats/descriptive.hpp"
 #include "stats/glm.hpp"
 #include "stats/linalg.hpp"
 #include "stats/special_functions.hpp"
 
 namespace pedsim::stats {
 namespace {
-
-// --- Descriptive ---------------------------------------------------------
-
-TEST(Descriptive, RunningStatMatchesBatch) {
-    const std::vector<double> xs{1.0, 4.0, 9.0, 16.0, 25.0};
-    RunningStat rs;
-    for (const double x : xs) rs.add(x);
-    EXPECT_EQ(rs.count(), 5u);
-    EXPECT_DOUBLE_EQ(rs.mean(), mean(xs));
-    EXPECT_NEAR(rs.variance(), sample_variance(xs), 1e-12);
-}
-
-TEST(Descriptive, RunningStatEdgeCases) {
-    RunningStat rs;
-    EXPECT_DOUBLE_EQ(rs.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(rs.variance(), 0.0);
-    rs.add(3.5);
-    EXPECT_DOUBLE_EQ(rs.mean(), 3.5);
-    EXPECT_DOUBLE_EQ(rs.variance(), 0.0);
-    EXPECT_DOUBLE_EQ(rs.sem(), 0.0);
-}
-
-TEST(Descriptive, MedianOddEven) {
-    EXPECT_DOUBLE_EQ(median({3.0, 1.0, 2.0}), 2.0);
-    EXPECT_DOUBLE_EQ(median({4.0, 1.0, 3.0, 2.0}), 2.5);
-    EXPECT_DOUBLE_EQ(median({}), 0.0);
-}
 
 // --- Special functions -----------------------------------------------------
 // Reference values from scipy.special / R.
