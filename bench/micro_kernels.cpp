@@ -1,21 +1,14 @@
 // Micro-benchmarks (google-benchmark) of the hot building blocks: Philox
-// draws, the SIMD row primitives behind the scan-row/candidate hot path
-// (field gathers and the congestion accumulator — each against
-// its scalar reference, so the per-primitive speedup of the active
-// backend is one run away), and one full simulation step per engine.
-// These bound the per-step cost that the figure harnesses extrapolate
-// from. `--benchmark_format=csv` emits the machine-readable table the
-// perf-trajectory workflow (docs/PERFORMANCE.md) archives alongside the
-// BENCH_*.json artifacts.
+// draws and the SIMD row primitives behind the scan-row/candidate hot path
+// (field gathers and the congestion accumulator — each against its scalar
+// reference, so the per-primitive speedup of the active backend is one
+// run away). Whole steps are timed on fixed workloads by perfbench
+// (`core.step_ms_p50.*`, perfbench/README.md), not here.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <vector>
 
-#include "backend/device.hpp"
-#include "core/cpu_simulator.hpp"
-#include "core/gpu_simulator.hpp"
-#include "core/rules.hpp"
 #include "grid/environment.hpp"
 #include "rng/distributions.hpp"
 #include "rng/stream.hpp"
@@ -136,48 +129,5 @@ void BM_CongestionAccumulateScalar(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_CongestionAccumulateScalar);
-
-// --- engine step benches -------------------------------------------------
-
-core::SimConfig small_config(core::Model model) {
-    core::SimConfig cfg;
-    cfg.grid.rows = cfg.grid.cols = 96;
-    cfg.agents_per_side = 512;
-    cfg.model = model;
-    cfg.seed = 99;
-    return cfg;
-}
-
-void BM_CpuStepLem(benchmark::State& state) {
-    auto sim = backend::make_cpu(small_config(core::Model::kLem));
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(sim->step());
-    }
-}
-BENCHMARK(BM_CpuStepLem);
-
-void BM_CpuStepAco(benchmark::State& state) {
-    auto sim = backend::make_cpu(small_config(core::Model::kAco));
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(sim->step());
-    }
-}
-BENCHMARK(BM_CpuStepAco);
-
-void BM_GpuSimtStepLem(benchmark::State& state) {
-    const auto sim = backend::make_simt(small_config(core::Model::kLem));
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(sim->step());
-    }
-}
-BENCHMARK(BM_GpuSimtStepLem);
-
-void BM_GpuSimtStepAco(benchmark::State& state) {
-    const auto sim = backend::make_simt(small_config(core::Model::kAco));
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(sim->step());
-    }
-}
-BENCHMARK(BM_GpuSimtStepAco);
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Batch scenario suite: run scenario x model x engine combinations from
-// the built-in registry (or user scenario files) with deterministic
-// per-repeat seeds, and print the aggregated metrics table. The per-run
-// fingerprint column makes cross-engine bit-parity visible at a glance;
-// the doors/cycles/movers/anticipate/waypoints and steps_per_s columns
+// the built-in registry (or user scenario files) at each scenario's own
+// seed, and print one metrics row per run. The per-run fingerprint
+// column makes cross-engine bit-parity visible at a glance; the
+// doors/cycles/movers/anticipate/waypoints and steps_per_s columns
 // make throughput-vs-event-count (and throughput-vs-waypoint-count — see
 // also waypoint_sweep) measurable across the dynamic-environment and
 // multi-goal scenarios.
@@ -11,24 +11,20 @@
 //   ./scenario_suite --backend=cpu          # CPU only
 //   ./scenario_suite --backend=sharded-cpu:4  # cpu engine, 4 row bands
 //   ./scenario_suite --models=lem,aco       # force both models everywhere
-//   ./scenario_suite --steps=100 --repeats=3
+//   ./scenario_suite --steps=100
 //   ./scenario_suite --threads=4             # batch runs as pool jobs
 //   ./scenario_suite --file=my.scenario     # run a scenario file instead
 //   ./scenario_suite --csv=out.csv          # also dump CSV
-//   ./scenario_suite --json=BENCH.json      # perf-trajectory artifact
 //   ./scenario_suite --server=/tmp/pedsim.sock  # submit to a pedsim_server
 //   ./scenario_suite --trace=out.json --metrics   # observability
-#include <algorithm>
-#include <cinttypes>
 #include <cstdio>
-#include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "backend/cli.hpp"
 #include "io/args.hpp"
 #include "io/csv.hpp"
-#include "io/json.hpp"
 #include "io/scenario_file.hpp"
 #include "obs/cli.hpp"
 #include "obs/clock.hpp"
@@ -53,188 +49,6 @@ std::vector<std::string> split_csv(const std::string& s) {
     }
     if (!cur.empty()) out.push_back(cur);
     return out;
-}
-
-/// One (scenario, engine, model, threads, steps) combination aggregated
-/// over its repeats. Medians — not means — feed the perf trajectory: a
-/// single preempted repeat shifts a mean but not a median, so BENCH_*.json
-/// files diff meaningfully across PRs even from noisy hosts. Fingerprints
-/// are per-run (repeats draw distinct seeds via repeat_seed), so the
-/// aggregate carries timing only.
-struct Aggregate {
-    std::string scenario;
-    std::string engine;
-    std::string model;
-    int threads = 0;
-    int steps = 0;
-    std::vector<double> wall_s;
-    std::vector<double> steps_per_s;
-    double median_wall_s = 0.0;
-    double median_steps_per_s = 0.0;
-};
-
-double median(std::vector<double> v) {
-    if (v.empty()) return 0.0;
-    std::sort(v.begin(), v.end());
-    const std::size_t n = v.size();
-    return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
-}
-
-/// Group records by combination in first-seen order (the runner expands
-/// repeats innermost-adjacent, but grouping by key is robust to any
-/// expansion order) and compute the medians.
-std::vector<Aggregate> aggregate(
-    const std::vector<scenario::RunRecord>& records) {
-    std::vector<Aggregate> groups;
-    for (const auto& r : records) {
-        const std::string engine = scenario::engine_label(r.engine, r.bands);
-        const std::string model =
-            r.model == core::Model::kLem ? "lem" : "aco";
-        Aggregate* g = nullptr;
-        for (auto& cand : groups) {
-            if (cand.scenario == r.scenario && cand.engine == engine &&
-                cand.model == model && cand.threads == r.engine_threads &&
-                cand.steps == r.steps) {
-                g = &cand;
-                break;
-            }
-        }
-        if (g == nullptr) {
-            groups.push_back(
-                {r.scenario, engine, model, r.engine_threads, r.steps,
-                 {}, {}, 0.0, 0.0});
-            g = &groups.back();
-        }
-        g->wall_s.push_back(r.result.wall_seconds);
-        g->steps_per_s.push_back(
-            r.result.wall_seconds > 0.0
-                ? r.result.steps_run / r.result.wall_seconds
-                : 0.0);
-    }
-    for (auto& g : groups) {
-        g.median_wall_s = median(g.wall_s);
-        g.median_steps_per_s = median(g.steps_per_s);
-    }
-    return groups;
-}
-
-std::string aggregate_table(const std::vector<Aggregate>& groups) {
-    std::string out =
-        "\naggregates (median over repeats)\n"
-        "scenario              engine  model  threads  steps  repeats  "
-        "median_wall_s  median_steps_per_s\n";
-    for (const auto& g : groups) {
-        char line[160];
-        std::snprintf(line, sizeof(line),
-                      "%-21s %-7s %-6s %7d  %5d  %7zu  %13.4f  %18.1f\n",
-                      g.scenario.c_str(), g.engine.c_str(), g.model.c_str(),
-                      g.threads, g.steps, g.wall_s.size(), g.median_wall_s,
-                      g.median_steps_per_s);
-        out += line;
-    }
-    return out;
-}
-
-/// The perf-trajectory artifact (schema "pedsim-bench-v1", documented in
-/// docs/OBSERVABILITY.md): one run object per scenario x engine x repeat
-/// with setup/stepping wall time split and throughput. Key set and
-/// meanings are stable across PRs so BENCH_*.json files diff cleanly.
-std::string bench_json(const std::vector<scenario::RunRecord>& records,
-                       const std::vector<Aggregate>& aggregates,
-                       const scenario::RunnerOptions& opts,
-                       double batch_wall_s) {
-    io::JsonWriter w;
-    w.begin_object();
-    w.key("schema");
-    w.value("pedsim-bench-v1");
-    w.key("suite");
-    w.value("scenario_suite");
-    w.key("threads");
-    w.value(opts.threads);
-    w.key("engine_threads");
-    w.value(opts.engine_threads);
-    w.key("repeats");
-    w.value(opts.repeats);
-    w.key("batch_wall_s");
-    w.value(batch_wall_s);
-    w.key("runs");
-    w.begin_array();
-    for (const auto& r : records) {
-        const double sps = r.result.wall_seconds > 0.0
-                               ? r.result.steps_run / r.result.wall_seconds
-                               : 0.0;
-        char fp[20];
-        std::snprintf(fp, sizeof(fp), "%016" PRIx64, r.fingerprint);
-        w.begin_object();
-        w.key("scenario");
-        w.value(r.scenario);
-        w.key("engine");
-        w.value(scenario::engine_label(r.engine, r.bands));
-        w.key("model");
-        w.value(r.model == core::Model::kLem ? "lem" : "aco");
-        w.key("seed");
-        w.value(r.seed);
-        w.key("steps");
-        w.value(r.steps);
-        w.key("threads");
-        w.value(r.engine_threads);
-        w.key("doors");
-        w.value(r.door_events);
-        w.key("cycles");
-        w.value(r.cycle_events);
-        w.key("movers");
-        w.value(r.mover_events);
-        w.key("anticipate");
-        w.value(r.anticipate_horizon);
-        w.key("waypoints");
-        w.value(r.waypoint_cells);
-        w.key("crossed");
-        w.value(static_cast<std::int64_t>(r.result.crossed_total()));
-        w.key("moves");
-        w.value(r.result.total_moves);
-        w.key("conflicts");
-        w.value(r.result.total_conflicts);
-        w.key("setup_s");
-        w.value(r.setup_seconds);
-        w.key("wall_s");
-        w.value(r.result.wall_seconds);
-        w.key("steps_per_s");
-        w.value(sps);
-        w.key("modeled_s");
-        w.value(r.result.modeled_device_seconds);
-        w.key("fingerprint");
-        w.value(fp);
-        w.end_object();
-    }
-    w.end_array();
-    // Per-combination medians over repeats: the stable per-PR signal that
-    // tools/bench_compare.py (and any trend tooling) should prefer over
-    // the raw runs when repeats > 1.
-    w.key("aggregates");
-    w.begin_array();
-    for (const auto& g : aggregates) {
-        w.begin_object();
-        w.key("scenario");
-        w.value(g.scenario);
-        w.key("engine");
-        w.value(g.engine);
-        w.key("model");
-        w.value(g.model);
-        w.key("threads");
-        w.value(g.threads);
-        w.key("steps");
-        w.value(g.steps);
-        w.key("repeats");
-        w.value(static_cast<std::int64_t>(g.wall_s.size()));
-        w.key("median_wall_s");
-        w.value(g.median_wall_s);
-        w.key("median_steps_per_s");
-        w.value(g.median_steps_per_s);
-        w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    return w.str();
 }
 
 /// Remote execution: submit exactly the batch run() would execute — the
@@ -317,9 +131,7 @@ int main(int argc, char** argv) {
             "                   (default cpu,gpu-simt)\n"
             "  --models=LIST    lem,aco (default: each scenario's own)\n"
             "  --steps=N        override every scenario's step budget\n"
-            "  --repeats=N      independent repetitions (default 1; >1\n"
-            "                   adds a median-aggregate table, CSV median\n"
-            "                   columns and a JSON `aggregates` array)\n"
+            "                   (default 0: each scenario's own)\n"
             "  --threads=N      batch-level pool jobs (default: hardware\n"
             "                   concurrency; results identical at any N)\n"
             "  --engine-threads=N  threads inside each engine (default:\n"
@@ -327,8 +139,6 @@ int main(int argc, char** argv) {
             "                   with --threads=1 — in a parallel batch,\n"
             "                   nested dispatches run inline)\n"
             "  --csv=PATH       also write the records as CSV\n"
-            "  --json=PATH      write the perf-trajectory JSON artifact\n"
-            "                   (schema pedsim-bench-v1)\n"
             "  --server=SOCK    submit the batch to a resident\n"
             "                   pedsim_server on that Unix socket instead\n"
             "                   of running in-process (same plan, same\n"
@@ -339,26 +149,33 @@ int main(int argc, char** argv) {
 
     scenario::RunnerOptions opts;
     try {
+        // io::ArgParser ignores unknown flags, so the removed ones would
+        // otherwise run the full registry silently.
+        for (const char* removed : {"json", "repeats"}) {
+            if (args.has(removed)) {
+                throw std::invalid_argument(
+                    std::string("--") + removed +
+                    " was removed; perfbench/run.py and tools/perf_ab.py "
+                    "measure performance");
+            }
+        }
         opts.engines = backend::engines_from_args(args, opts.engines);
+        for (const auto& m : split_csv(args.get("models", ""))) {
+            if (m == "lem") {
+                opts.models.push_back(core::Model::kLem);
+            } else if (m == "aco") {
+                opts.models.push_back(core::Model::kAco);
+            } else {
+                throw std::invalid_argument("unknown model: " + m);
+            }
+        }
+        opts.steps_override = args.get_int32("steps", 0, 0);
+        opts.threads = args.get_threads();
+        opts.engine_threads = args.get_int32("engine-threads", 0, 0);
     } catch (const std::exception& e) {
         std::fprintf(stderr, "%s\n", e.what());
         return 1;
     }
-    for (const auto& m : split_csv(args.get("models", ""))) {
-        if (m == "lem") {
-            opts.models.push_back(core::Model::kLem);
-        } else if (m == "aco") {
-            opts.models.push_back(core::Model::kAco);
-        } else {
-            std::fprintf(stderr, "unknown model: %s\n", m.c_str());
-            return 1;
-        }
-    }
-    opts.steps_override = args.get_int32("steps", 0);
-    opts.repeats = args.get_int32("repeats", 1);
-    opts.threads = args.get_threads();
-    opts.engine_threads =
-        args.get_int32("engine-threads", 0);
 
     std::vector<scenario::Scenario> scenarios;
     std::vector<bool> from_registry;  // remote submission: by name vs text
@@ -403,23 +220,18 @@ int main(int argc, char** argv) {
     session.finish();
     std::fputs(scenario::ScenarioRunner::summary_table(records).c_str(),
                stdout);
-    const auto aggregates = aggregate(records);
-    if (opts.repeats > 1) {
-        std::fputs(aggregate_table(aggregates).c_str(), stdout);
-    }
     std::printf("\nbatch: %zu runs in %.3f s at %d thread(s)\n",
                 records.size(), batch_wall, opts.threads);
 
     if (args.has("csv")) {
         io::CsvWriter csv(args.get("csv"));
-        // The median columns ride AFTER fingerprint (column 20): the CI
-        // thread-count diff cuts columns 1-5,7-14,20 by position, so new
-        // columns must only ever append.
+        // CI's fingerprint diffs cut columns 1-5,7-14,20 by position, so
+        // new columns may only append after fingerprint (column 20).
         csv.header({"scenario", "engine", "model", "seed", "steps",
                     "threads", "doors", "cycles", "movers", "anticipate",
                     "waypoints", "crossed", "moves", "conflicts", "setup_s",
                     "wall_s", "steps_per_s", "modeled_s", "batch_wall_s",
-                    "fingerprint", "median_wall_s", "median_steps_per_s"});
+                    "fingerprint"});
         for (const auto& r : records) {
             char fp[20];
             std::snprintf(fp, sizeof(fp), "%016llx",
@@ -428,42 +240,16 @@ int main(int argc, char** argv) {
                 r.result.wall_seconds > 0.0
                     ? r.result.steps_run / r.result.wall_seconds
                     : 0.0;
-            const std::string engine = scenario::engine_label(r.engine, r.bands);
-            const std::string model =
-                r.model == core::Model::kLem ? "lem" : "aco";
-            double med_wall = r.result.wall_seconds;
-            double med_sps = sps;
-            for (const auto& g : aggregates) {
-                if (g.scenario == r.scenario && g.engine == engine &&
-                    g.model == model && g.threads == r.engine_threads &&
-                    g.steps == r.steps) {
-                    med_wall = g.median_wall_s;
-                    med_sps = g.median_steps_per_s;
-                    break;
-                }
-            }
-            csv.row(r.scenario, engine, model, r.seed,
+            csv.row(r.scenario, backend::engine_label(r.engine, r.bands),
+                    r.model == core::Model::kLem ? "lem" : "aco", r.seed,
                     r.steps, opts.threads, r.door_events, r.cycle_events,
                     r.mover_events, r.anticipate_horizon, r.waypoint_cells,
                     r.result.crossed_total(), r.result.total_moves,
                     r.result.total_conflicts, r.setup_seconds,
                     r.result.wall_seconds, sps,
-                    r.result.modeled_device_seconds, batch_wall, fp,
-                    med_wall, med_sps);
+                    r.result.modeled_device_seconds, batch_wall, fp);
         }
         std::printf("\nwrote %s\n", args.get("csv").c_str());
-    }
-
-    if (args.has("json")) {
-        const std::string path = args.get("json");
-        std::ofstream out(path);
-        out << bench_json(records, aggregates, opts, batch_wall) << "\n";
-        out.close();
-        if (!out) {
-            std::fprintf(stderr, "cannot write %s\n", path.c_str());
-            return 1;
-        }
-        std::printf("\nwrote %s\n", path.c_str());
     }
     return 0;
 }

@@ -15,6 +15,7 @@
 #include <string>
 
 #include "backend/cli.hpp"
+#include "backend/device.hpp"
 #include "io/args.hpp"
 #include "io/csv.hpp"
 #include "io/table.hpp"
@@ -59,7 +60,8 @@ int main(int argc, char** argv) {
             "  --max-waypoints=K  sweep chains of 0..K cells (default 6)\n"
             "  --agents=N         agents per side (default 150)\n"
             "  --steps=N          steps per run (default 200)\n"
-            "  --threads=N        engine threads (default 1)\n"
+            "  --threads=N        engine threads (default 1; 0 = hardware\n"
+            "                     concurrency)\n"
             "  --backend=LIST     cpu, gpu-simt, sharded-cpu[:<bands>]\n"
             "                     (default cpu,gpu-simt)\n"
             "  --csv=PATH         also write the records as CSV");
@@ -67,10 +69,10 @@ int main(int argc, char** argv) {
         return 0;
     }
     obs::ObsSession session(args);
-    const int max_wps = args.get_int32("max-waypoints", 6);
-    const int agents = args.get_int32("agents", 150);
-    const int steps = args.get_int32("steps", 200);
-    const int threads = args.get_int32("threads", 1);
+    const int max_wps = args.get_int32("max-waypoints", 6, 0);
+    const int agents = args.get_int32("agents", 150, 1);
+    const int steps = args.get_int32("steps", 200, 1);
+    const int threads = args.get_int32("threads", 1, 0);
 
     std::vector<scenario::EngineSelect> engines = backend::engines_from_args(
         args, {scenario::EngineKind::kCpu, scenario::EngineKind::kSimt});
@@ -92,7 +94,7 @@ int main(int argc, char** argv) {
         const auto s = make_case(k, agents, threads);
         for (const auto engine : engines) {
             const obs::Stopwatch setup_watch;
-            const auto sim = scenario::make_engine(engine, s.sim);
+            const auto sim = backend::make_engine(engine, s.sim);
             const double setup_s = setup_watch.seconds();
             long long advances = 0;
             const auto rr =
@@ -107,7 +109,7 @@ int main(int argc, char** argv) {
                                          rr.wall_seconds
                                    : 0.0;
             rows.push_back({k,
-                            scenario::engine_label(engine.type, engine.bands),
+                            backend::engine_label(engine.type, engine.bands),
                             setup_s, sps, mps, rr.crossed_total(), advances,
                             scenario::position_fingerprint(*sim)});
             char fp[20];

@@ -6,16 +6,9 @@
 #include "exec/thread_pool.hpp"
 #include "io/table.hpp"
 #include "obs/clock.hpp"
-#include "rng/philox.hpp"
 #include "scenario/registry.hpp"
 
 namespace pedsim::scenario {
-
-const char* engine_name(EngineKind e) { return backend::device_name(e); }
-
-std::string engine_label(EngineKind e, int bands) {
-    return backend::engine_label(e, bands);
-}
 
 namespace {
 
@@ -42,16 +35,6 @@ std::uint64_t position_fingerprint(const core::Simulator& sim) {
         fnv_mix(h, p.crossed[i]);
     }
     return h;
-}
-
-std::uint64_t repeat_seed(std::uint64_t base, int rep) {
-    if (rep == 0) return base;
-    return rng::splitmix64(base + static_cast<std::uint64_t>(rep));
-}
-
-std::unique_ptr<core::Simulator> make_engine(const EngineSelect& e,
-                                             const core::SimConfig& cfg) {
-    return backend::make_engine(e, cfg);
 }
 
 PreparedScenario prepare_scenario(const Scenario& s) {
@@ -109,7 +92,7 @@ RunRecord ScenarioRunner::run_prepared(const PreparedScenario& p,
     } catch (const std::exception& e) {
         throw std::runtime_error(
             "scenario '" + s.name + "' (" +
-            scenario::engine_label(engine.type, engine.bands) + ", " +
+            backend::engine_label(engine.type, engine.bands) + ", " +
             (model == core::Model::kLem ? "lem" : "aco") + ", seed " +
             std::to_string(seed) + "): " + e.what());
     }
@@ -117,10 +100,10 @@ RunRecord ScenarioRunner::run_prepared(const PreparedScenario& p,
 
 std::vector<ScenarioRunner::JobSpec> ScenarioRunner::plan(
     const std::vector<Scenario>& scenarios) const {
-    // Expand the scenario x model x repeat x engine nest into a flat job
-    // list; job j writes records[j], so the collected batch keeps the
-    // serial nesting order at any thread count (and a remote batch
-    // submits in the identical order).
+    // Expand the scenario x model x engine nest into a flat job list; job
+    // j writes records[j], so the collected batch keeps the serial
+    // nesting order at any thread count (and a remote batch submits in
+    // the identical order).
     std::vector<JobSpec> jobs;
     for (std::size_t si = 0; si < scenarios.size(); ++si) {
         const auto& s = scenarios[si];
@@ -130,11 +113,8 @@ std::vector<ScenarioRunner::JobSpec> ScenarioRunner::plan(
             opts_.models.empty() ? std::vector<core::Model>{s.sim.model}
                                  : opts_.models;
         for (const auto model : models) {
-            for (int rep = 0; rep < opts_.repeats; ++rep) {
-                const auto seed = repeat_seed(s.sim.seed, rep);
-                for (const auto engine : opts_.engines) {
-                    jobs.push_back({si, engine, model, seed, steps});
-                }
+            for (const auto engine : opts_.engines) {
+                jobs.push_back({si, engine, model, s.sim.seed, steps});
             }
         }
     }
@@ -182,7 +162,7 @@ std::string ScenarioRunner::summary_table(
                                ? r.result.steps_run / r.result.wall_seconds
                                : 0.0;
         table.add_row(
-            {r.scenario, scenario::engine_label(r.engine, r.bands),
+            {r.scenario, backend::engine_label(r.engine, r.bands),
              r.model == core::Model::kLem ? "lem" : "aco",
              std::to_string(r.seed), std::to_string(r.steps),
              std::to_string(r.door_events), std::to_string(r.cycle_events),

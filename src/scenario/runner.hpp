@@ -1,7 +1,7 @@
 // Batch scenario runner: executes scenario x model x engine combinations
-// with deterministic per-run seeds, collects RunResult counters plus an
+// at each scenario's own seed, collects RunResult counters plus an
 // agent-position fingerprint per run (the cross-engine bit-parity witness),
-// and renders an aggregated metrics table.
+// and renders a metrics table.
 #pragma once
 
 #include <cstdint>
@@ -22,21 +22,12 @@ namespace pedsim::scenario {
 using EngineKind = backend::DeviceType;
 using EngineSelect = backend::EngineSelect;
 
-/// Registry name of a device type ("cpu", "gpu-simt").
-const char* engine_name(EngineKind e);
-/// Display/corpus label of a run's engine ("sharded-cpu:4" for a cpu run
-/// with an explicit band count; otherwise just the registry name).
-std::string engine_label(EngineKind e, int bands);
-
 struct RunnerOptions {
     std::vector<EngineSelect> engines{EngineKind::kCpu, EngineKind::kSimt};
     /// Models to force per scenario; empty = each scenario's own model.
     std::vector<core::Model> models;
     /// Step budget override; 0 = each scenario's default_steps.
     int steps_override = 0;
-    /// Independent repetitions per combination (seeds derived per repeat;
-    /// repeat 0 keeps the scenario's own seed).
-    int repeats = 1;
     /// Batch parallelism: runs are embarrassingly parallel (per-run RNG
     /// streams, per-run engines), so they execute as exec::ThreadPool jobs
     /// with results collected in the serial batch order. 1 = serial,
@@ -89,15 +80,6 @@ struct RunRecord {
 /// bit-exact witness of the final simulation state.
 std::uint64_t position_fingerprint(const core::Simulator& sim);
 
-/// Seed of repetition `rep` derived from a scenario's base seed; rep 0 is
-/// the base seed itself so single runs reproduce the scenario exactly.
-std::uint64_t repeat_seed(std::uint64_t base, int rep);
-
-/// Engine factory shared by the runner, benches and tests — a thin
-/// delegate to backend::make_engine().
-std::unique_ptr<core::Simulator> make_engine(const EngineSelect& e,
-                                             const core::SimConfig& cfg);
-
 /// A scenario with the expensive half of its setup precomputed: the
 /// immutable door schedule carrying every phase's geodesic distance field
 /// and the chained waypoint field sets. Engines built against it skip
@@ -137,8 +119,8 @@ class ScenarioRunner {
         std::uint64_t seed, int steps,
         const core::StepObserver& observer = nullptr) const;
 
-    /// One job of the flat batch expansion (scenario x model x repeat x
-    /// engine, in that nesting order). Exposed so remote execution
+    /// One job of the flat batch expansion (scenario x model x engine, in
+    /// that nesting order). Exposed so remote execution
     /// (scenario_suite --server) submits exactly the batch run() would
     /// execute in-process.
     struct JobSpec {
@@ -158,7 +140,7 @@ class ScenarioRunner {
     /// The full batch over every registry built-in.
     [[nodiscard]] std::vector<RunRecord> run_registry() const;
 
-    /// Aggregated metrics table (one row per run).
+    /// Metrics table (one row per run).
     static std::string summary_table(const std::vector<RunRecord>& records);
 
   private:

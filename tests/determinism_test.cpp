@@ -73,7 +73,7 @@ Trace trace_run(scenario::EngineKind engine, const core::SimConfig& base,
                 int threads, int steps) {
     core::SimConfig cfg = base;
     cfg.exec.threads = threads;
-    const auto sim = scenario::make_engine(engine, cfg);
+    const auto sim = backend::make_engine(engine, cfg);
     Trace t;
     sim->run(steps, [&t](const core::StepResult& sr) {
         t.steps.push_back(sr);
@@ -97,10 +97,10 @@ TEST(Determinism, StepResultsIdenticalAcrossThreadCountsEveryScenario) {
                 if (threads == 1) continue;
                 const Trace t = trace_run(engine, s.sim, threads, steps);
                 EXPECT_EQ(t.steps, base.steps)
-                    << s.name << " / " << scenario::engine_name(engine)
+                    << s.name << " / " << backend::device_name(engine)
                     << " @ " << threads << " threads";
                 EXPECT_EQ(t.fingerprint, base.fingerprint)
-                    << s.name << " / " << scenario::engine_name(engine)
+                    << s.name << " / " << backend::device_name(engine)
                     << " @ " << threads << " threads";
             }
         }

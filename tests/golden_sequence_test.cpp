@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "backend/device.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
 #include "test_budget.hpp"
@@ -75,7 +76,7 @@ std::vector<core::StepResult> run_stream(const scenario::Scenario& s,
                                          int threads, int steps) {
     core::SimConfig cfg = s.sim;
     cfg.exec.threads = threads;
-    const auto sim = scenario::make_engine(engine, cfg);
+    const auto sim = backend::make_engine(engine, cfg);
     std::vector<core::StepResult> stream;
     stream.reserve(static_cast<std::size_t>(steps));
     sim->run(steps, [&stream](const core::StepResult& sr) {
@@ -172,7 +173,7 @@ TEST(GoldenSequence, EveryEngineAndThreadCountReproducesTheCheckedInStream) {
                 const int at = first_divergence(golden, live);
                 EXPECT_EQ(at, -1)
                     << name << " / "
-                    << scenario::engine_label(engine.type, engine.bands)
+                    << backend::engine_label(engine.type, engine.bands)
                     << " @ " << threads << " threads: stream diverges at "
                     << "step " << at << " — if intended, regenerate with "
                     << "./golden_sequence_test --update-golden";

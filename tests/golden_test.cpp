@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "backend/device.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
 #include "test_budget.hpp"
@@ -94,14 +95,14 @@ std::vector<LiveRun> run_matrix() {
         for (const auto& engine : golden_engines()) {
             for (const int threads : kGoldenThreads) {
                 const std::string label =
-                    scenario::engine_label(engine.type, engine.bands);
+                    backend::engine_label(engine.type, engine.bands);
                 // Like ScenarioRunner::run_one, attach the run's
                 // coordinates to anything thrown — an anonymous abort of
                 // a 152-run sweep is undiagnosable.
                 try {
                     core::SimConfig cfg = s.sim;
                     cfg.exec.threads = threads;
-                    const auto sim = scenario::make_engine(engine, cfg);
+                    const auto sim = backend::make_engine(engine, cfg);
                     sim->run(steps);
                     runs.push_back(
                         {{s.name, steps, scenario::position_fingerprint(*sim)},

@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "backend/device.hpp"
 #include "obs/cli.hpp"
 #include "obs/clock.hpp"
 #include "obs/metrics.hpp"
@@ -421,7 +422,7 @@ TEST(ObsDeterminism, TracingDoesNotPerturbEitherEngine) {
     const auto fingerprint_of = [&](scenario::EngineKind engine) {
         core::SimConfig cfg = s.sim;
         cfg.exec.threads = 4;
-        const auto sim = scenario::make_engine(engine, cfg);
+        const auto sim = backend::make_engine(engine, cfg);
         sim->run(kSteps);
         return scenario::position_fingerprint(*sim);
     };

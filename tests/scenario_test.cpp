@@ -189,28 +189,24 @@ TEST(ScenarioFile, RejectsMalformedInput) {
 
 // --- Runner ------------------------------------------------------------------
 
-TEST(Runner, RepeatSeedsAreDeterministicAndDistinct) {
-    EXPECT_EQ(repeat_seed(42, 0), 42u);
-    EXPECT_EQ(repeat_seed(42, 3), repeat_seed(42, 3));
-    EXPECT_NE(repeat_seed(42, 1), repeat_seed(42, 2));
-    EXPECT_NE(repeat_seed(42, 1), repeat_seed(43, 1));
-}
-
 TEST(Runner, BatchCoversScenarioModelEngineGrid) {
     RunnerOptions opts;
-    opts.engines = {EngineKind::kCpu};
+    opts.engines = {EngineKind::kCpu, EngineKind::kSimt};
     opts.models = {core::Model::kLem, core::Model::kAco};
     opts.steps_override = 5;
-    opts.repeats = 2;
     const ScenarioRunner runner(opts);
-    const auto records = runner.run({get("corridor_small")});
-    ASSERT_EQ(records.size(), 4u);  // 2 models x 2 repeats x 1 engine
-    for (const auto& r : records) {
+    const auto s = get("corridor_small");
+    const auto records = runner.run({s});
+    ASSERT_EQ(records.size(), 4u);  // 2 models x 2 engines, engine inner
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        const auto& r = records[i];
         EXPECT_EQ(r.scenario, "corridor_small");
+        EXPECT_EQ(r.seed, s.sim.seed);
         EXPECT_EQ(r.steps, 5);
         EXPECT_EQ(r.result.steps_run, 5);
+        EXPECT_EQ(r.model, opts.models[i / 2]);
+        EXPECT_EQ(r.engine, opts.engines[i % 2].type);
     }
-    EXPECT_NE(records[0].seed, records[1].seed);  // repeats differ
 }
 
 TEST(Runner, SummaryTableHasOneRowPerRun) {
@@ -307,10 +303,10 @@ TEST(SeedReproduction, CorridorSmallMatchesDirectConfigOnBothEngines) {
     for (const auto engine : {EngineKind::kCpu, EngineKind::kSimt}) {
         const auto rec =
             runner.run_one(s, engine, s.sim.model, s.sim.seed, 120);
-        const auto sim = scenario::make_engine(engine, direct);
+        const auto sim = backend::make_engine(engine, direct);
         sim->run(120);
         EXPECT_EQ(rec.fingerprint, position_fingerprint(*sim))
-            << scenario::engine_name(engine);
+            << backend::device_name(engine);
     }
 }
 

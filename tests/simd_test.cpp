@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "backend/device.hpp"
 #include "grid/environment.hpp"
 #include "rng/stream.hpp"
 #include "scenario/registry.hpp"
@@ -166,7 +167,7 @@ TEST(SimdGolden, ActiveBackendReproducesCommittedFingerprints) {
         core::SimConfig cfg = scenario::get(row.scenario).sim;
         cfg.exec.threads = 1;
         const auto sim =
-            scenario::make_engine(scenario::EngineKind::kCpu, cfg);
+            backend::make_engine(scenario::EngineKind::kCpu, cfg);
         sim->run(row.steps);
         EXPECT_EQ(scenario::position_fingerprint(*sim), row.fingerprint)
             << row.scenario << " diverged on backend "

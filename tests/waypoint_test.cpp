@@ -126,7 +126,7 @@ TEST(Waypoint, CpuVsSimtBitIdenticalAcross148Threads) {
             for (const int threads : {1, 4, 8}) {
                 core::SimConfig cfg = s.sim;
                 cfg.exec.threads = threads;
-                const auto sim = scenario::make_engine(engine, cfg);
+                const auto sim = backend::make_engine(engine, cfg);
                 std::vector<core::StepResult> stream;
                 sim->run(steps, [&stream](const core::StepResult& sr) {
                     stream.push_back(sr);
@@ -140,10 +140,10 @@ TEST(Waypoint, CpuVsSimtBitIdenticalAcross148Threads) {
                     continue;
                 }
                 EXPECT_EQ(stream, base)
-                    << name << " / " << scenario::engine_name(engine)
+                    << name << " / " << backend::device_name(engine)
                     << " @ " << threads << " threads";
                 EXPECT_EQ(fp, base_fp)
-                    << name << " / " << scenario::engine_name(engine)
+                    << name << " / " << backend::device_name(engine)
                     << " @ " << threads << " threads";
             }
         }
