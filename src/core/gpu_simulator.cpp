@@ -112,9 +112,9 @@ void GpuSimulator::stage_initial_calc() {
     const simt::Dim2 block{simt::kTileEdge, simt::kTileEdge};
     const simt::Dim2 grid{env_.cols() / simt::kTileEdge,
                           env_.rows() / simt::kTileEdge};
-    // The environment's rows are padded for SIMD; the views carry the
-    // stride so kernel-side (r, c) addressing is unchanged. Pheromone
-    // fields stay dense (stride = cols default).
+    // The environment's rows are padded; the views carry the stride so
+    // kernel-side (r, c) addressing is unchanged. Pheromone fields stay
+    // dense (stride = cols default).
     const simt::GlobalView<std::uint8_t> occ_view{
         env_.occ_row(0), env_.rows(), env_.cols(), env_.stride()};
     const simt::GlobalView<std::int32_t> idx_view{

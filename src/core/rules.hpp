@@ -25,11 +25,9 @@ inline constexpr double kMinHeuristicDistance = 0.5;
 
 /// Emptiness functor for the candidate builders: one branch-free
 /// padded-occupancy read answers in-bounds + no-wall + no-agent at once
-/// (the sentinel frame reads as wall). A concrete type — rather than the
-/// lambda the engines used to pass — so ray_congestion can dispatch its
-/// vectorized overload on it. Reads are valid over the environment's full
-/// sentinel frame (r in [-1, rows], c in [-1, stride - 2]), which is all
-/// the builders probe.
+/// (the sentinel frame reads as wall). Reads are valid over the
+/// environment's full sentinel frame (r in [-1, rows], c in
+/// [-1, stride - 2]), which is all the builders probe.
 struct EnvEmpty {
     const std::uint8_t* occ = nullptr;  ///< padded occupancy storage base
     std::ptrdiff_t origin = 0;          ///< offset of logical cell (0, 0)
@@ -42,11 +40,6 @@ struct EnvEmpty {
 
     [[nodiscard]] bool operator()(int r, int c) const {
         return occ[origin + r * stride + c] == 0;
-    }
-    /// Pointer to logical column 0 of row r (columns -1 .. stride - 2 are
-    /// addressable around it) — the vectorized congestion ray's span base.
-    [[nodiscard]] const std::uint8_t* row(int r) const {
-        return occ + origin + r * stride;
     }
 };
 
@@ -138,17 +131,6 @@ double ray_congestion(EmptyFn&& empty, int nr, int nc, int dr, int dc,
     return static_cast<double>(occupied) / static_cast<double>(range - 1);
 }
 
-/// ray_congestion for the env-backed functor: horizontal rays (dr == 0)
-/// are one contiguous span of a padded occupancy row, counted with a SIMD
-/// nonzero-byte count (walls and agents both block; the span is clipped to
-/// the grid so off-grid cells count free, exactly like the generic loop);
-/// vertical and diagonal rays keep the scalar walk. Being a non-template
-/// exact match, this overload wins resolution inside the scan builders
-/// whenever the engines pass an EnvEmpty. Integer count, same division —
-/// bit-identical to the template for every input.
-double ray_congestion(const EnvEmpty& empty, int nr, int nc, int dr, int dc,
-                      int range, const grid::GridConfig& g);
-
 /// LEM candidates with the scanning-range look-ahead: effort = distance *
 /// (1 + w * congestion), insertion-sorted ascending (stable, so range = 1
 /// degenerates to the plain builder's ordering).
@@ -235,18 +217,6 @@ int build_candidates_flee_t(EmptyFn&& empty, const PanicConfig& panic,
     }
     return n;
 }
-
-/// Plain-LEM candidates over a raw geodesic table (`geo` = the group's
-/// flat distance-to-goal array, logical `cols` pitch): collect the
-/// walkable neighbours in ranked order, fetch their distances with ONE
-/// batched simd::gather_f64, then apply the same stable insertion sort as
-/// build_candidates_lem_t. Gathers are verbatim element loads, so results
-/// are bit-identical to the generic builder reading a non-blending
-/// geodesic field — the engines dispatch here from fill_scan_row exactly
-/// in that case.
-int build_candidates_lem_geo(const EnvEmpty& empty, const double* geo,
-                             int cols, grid::Group g, int r, int c,
-                             double* values, std::int8_t* cells);
 
 /// LEM selection (section IV.c): rounded-normal rank draw over the
 /// distance-ascending candidates. Returns the chosen slot.

@@ -11,7 +11,6 @@
 #include "obs/clock.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "simd/row_ops.hpp"
 
 namespace pedsim::core {
 
@@ -229,13 +228,6 @@ int Simulator::fill_scan_row(std::int32_t i, int r, int c, grid::Group g,
             return build_candidates_lem_scan_t(empty, field, config_.scan,
                                                config_.grid, g, r, c, values,
                                                cells);
-        }
-        // Plain geodesic LEM: cost() is a bare table read, so the batched
-        // gather builder produces bit-identical values.
-        if (!field.blending() && field.now()->geodesic()) {
-            return build_candidates_lem_geo(empty, field.now()->geo_data(g),
-                                            config_.grid.cols, g, r, c,
-                                            values, cells);
         }
         return build_candidates_lem_t(empty, field, g, r, c, values, cells);
     }
@@ -528,26 +520,30 @@ void Simulator::resolve_proposals(int begin_row, int end_row,
             static_cast<std::size_t>(r) * static_cast<std::size_t>(nwords);
         std::uint8_t* const dirs =
             proposers_.data() + static_cast<std::size_t>(r) * stride;
-        simd::for_each_set_bit(row, nwords, [&](int p) {
-            unsigned bits = std::exchange(dirs[p], std::uint8_t{0});
-            const int c = p - 1;  // padded bit position -> logical column
-            if (!env_.empty(r, c)) return;
-            // select_winner draws nothing for a lone proposer, so the
-            // cell's stream is built only when there is a contest.
-            const int n = std::popcount(bits);
-            int w = 0;
-            if (n > 1) {
-                rng::Stream stream(config_.seed, rng::Stage::kMovement,
-                                   static_cast<std::uint64_t>(env_.flat(r, c)),
-                                   step_);
-                w = select_winner(stream, n);
+        for (int wi = 0; wi < nwords; ++wi) {
+            for (std::uint64_t m = std::exchange(row[wi], 0); m != 0;
+                 m &= m - 1) {
+                const int p = wi * 64 + std::countr_zero(m);
+                unsigned bits = std::exchange(dirs[p], std::uint8_t{0});
+                const int c = p - 1;  // padded bit position -> logical column
+                if (!env_.empty(r, c)) continue;
+                // select_winner draws nothing for a lone proposer, so the
+                // cell's stream is built only when there is a contest.
+                const int n = std::popcount(bits);
+                int w = 0;
+                if (n > 1) {
+                    rng::Stream stream(
+                        config_.seed, rng::Stage::kMovement,
+                        static_cast<std::uint64_t>(env_.flat(r, c)), step_);
+                    w = select_winner(stream, n);
+                }
+                for (; w > 0; --w) bits &= bits - 1;
+                const auto off = grid::kNeighborOffsets[
+                    static_cast<std::size_t>(std::countr_zero(bits))];
+                out_moves.push_back(
+                    {env_.index_at(r + off.dr, c + off.dc), r, c});
             }
-            for (; w > 0; --w) bits &= bits - 1;
-            const auto off = grid::kNeighborOffsets[static_cast<std::size_t>(
-                std::countr_zero(bits))];
-            out_moves.push_back({env_.index_at(r + off.dr, c + off.dc), r, c});
-        });
-        std::fill_n(row, nwords, 0);
+        }
     }
 }
 
@@ -589,27 +585,10 @@ void Simulator::finish_step(const std::vector<Move>& moves,
     const int margin = config_.effective_cross_margin();
     if (!dwell_enabled_) {
         for (const auto& m : moves) {
-            const auto idx = static_cast<std::size_t>(m.agent);
-            if (props_.crossed[idx] != 0) continue;
-            result.waypoint_advances += advance_waypoints(m.agent, step_ + 1);
-            if (waypoint_pending(m.agent)) continue;
-            const grid::Group g = props_.group_of(m.agent);
-            if (!df_->crossed_at(g, props_.row[idx], props_.col[idx],
-                                 margin)) {
+            if (props_.crossed[static_cast<std::size_t>(m.agent)] != 0) {
                 continue;
             }
-            props_.crossed[idx] = 1;
-            if (g == grid::Group::kTop) {
-                ++crossed_top_;
-                ++result.crossed_top;
-            } else {
-                ++crossed_bottom_;
-                ++result.crossed_bottom;
-            }
-            if (config_.exit_on_cross) {
-                env_.clear(props_.row[idx], props_.col[idx]);
-                props_.active[idx] = 0;
-            }
+            finish_agent(m.agent, margin, result);
         }
         return;
     }
@@ -618,25 +597,27 @@ void Simulator::finish_step(const std::vector<Move>& moves,
     // agent — not just this step's movers — runs the epilogue.
     for (std::size_t idx = 1; idx < props_.rows(); ++idx) {
         if (props_.active[idx] == 0 || props_.crossed[idx] != 0) continue;
-        const auto i = static_cast<std::int32_t>(idx);
-        result.waypoint_advances += advance_waypoints(i, step_ + 1);
-        if (waypoint_pending(i)) continue;
-        const grid::Group g = props_.group_of(i);
-        if (!df_->crossed_at(g, props_.row[idx], props_.col[idx], margin)) {
-            continue;
-        }
-        props_.crossed[idx] = 1;
-        if (g == grid::Group::kTop) {
-            ++crossed_top_;
-            ++result.crossed_top;
-        } else {
-            ++crossed_bottom_;
-            ++result.crossed_bottom;
-        }
-        if (config_.exit_on_cross) {
-            env_.clear(props_.row[idx], props_.col[idx]);
-            props_.active[idx] = 0;
-        }
+        finish_agent(static_cast<std::int32_t>(idx), margin, result);
+    }
+}
+
+void Simulator::finish_agent(std::int32_t i, int margin, StepResult& result) {
+    const auto idx = static_cast<std::size_t>(i);
+    result.waypoint_advances += advance_waypoints(i, step_ + 1);
+    if (waypoint_pending(i)) return;
+    const grid::Group g = props_.group_of(i);
+    if (!df_->crossed_at(g, props_.row[idx], props_.col[idx], margin)) return;
+    props_.crossed[idx] = 1;
+    if (g == grid::Group::kTop) {
+        ++crossed_top_;
+        ++result.crossed_top;
+    } else {
+        ++crossed_bottom_;
+        ++result.crossed_bottom;
+    }
+    if (config_.exit_on_cross) {
+        env_.clear(props_.row[idx], props_.col[idx]);
+        props_.active[idx] = 0;
     }
 }
 

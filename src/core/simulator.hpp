@@ -191,6 +191,11 @@ class Simulator {
     /// Shared stage-d epilogue: apply the (disjoint) moves, update tour
     /// lengths, evaporate + deposit pheromone (ACO), retire crossed agents.
     void finish_step(const std::vector<Move>& moves, StepResult& result);
+    /// finish_step's per-agent crossing epilogue for an active, uncrossed
+    /// agent i: advance its waypoints, then — once its chain is complete
+    /// and it stands within `margin` of its target edge — mark it crossed,
+    /// count it, and retire it when exit_on_cross is set.
+    void finish_agent(std::int32_t i, int margin, StepResult& result);
 
     /// Decision core shared by every engine's tour construction: given
     /// agent i (active, on-grid), run the gates in order and, only when

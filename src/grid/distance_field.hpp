@@ -154,8 +154,8 @@ class DistanceField {
                     static_cast<std::size_t>(c)];
     }
 
-    /// Raw flat geodesic table of group g (logical `cols` pitch) — the
-    /// base pointer for the SIMD candidate gathers. Geodesic mode only.
+    /// Raw flat geodesic table of group g (logical `cols` pitch).
+    /// Geodesic mode only.
     [[nodiscard]] const double* geo_data(Group g) const {
         return geo_[g == Group::kTop ? 0 : 1].data();
     }

@@ -9,12 +9,11 @@ Environment::Environment(GridConfig config) : config_(config) {
             "tile edge (paper section IV.a)");
     }
     // Padded layout: sentinel column + cols cells + trailing pad, rounded
-    // to the SIMD row alignment, with one halo row above and below. The
-    // whole allocation starts as wall sentinel; only the logical cells are
-    // then opened up — so the frame needs no separate initialization and
-    // any byte outside the logical grid reads kWallOcc forever.
-    stride_ = ((config_.cols + 2 + simd::kRowAlign - 1) / simd::kRowAlign) *
-              simd::kRowAlign;
+    // to kRowAlign, with one halo row above and below. The whole
+    // allocation starts as wall sentinel; only the logical cells are then
+    // opened up — so the frame needs no separate initialization and any
+    // byte outside the logical grid reads kWallOcc forever.
+    stride_ = ((config_.cols + 2 + kRowAlign - 1) / kRowAlign) * kRowAlign;
     const auto padded_size = static_cast<std::size_t>(config_.rows + 2) *
                              static_cast<std::size_t>(stride_);
     occupancy_.assign(padded_size, kWallOcc);

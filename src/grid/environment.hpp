@@ -2,8 +2,8 @@
 // parallel index matrix that maps an occupied cell to the row of the
 // property/scan matrices describing its agent (section IV.a, Fig. 2a/2b).
 //
-// Storage layout (since the SIMD hot path landed): rows are padded to
-// simd::kRowAlign bytes and framed by kWallOcc sentinels —
+// Storage layout: rows are padded to kRowAlign bytes and framed by
+// kWallOcc sentinels —
 //
 //   stride = round_up(cols + 2, kRowAlign)
 //   padded row r = [sentinel][cols logical cells][trailing pad....]
@@ -13,9 +13,7 @@
 // r in [-1, rows], c in [-1, stride - 2], and a read there answers the
 // walkability question branch-free: off-grid and walls are kWallOcc in
 // occupancy (index 0), exactly the SIMT halo loaders' edge semantics. The
-// index matrix shares the geometry with 0-filled framing. The stride is
-// fixed at kRowAlign regardless of which SIMD backend is compiled, so the
-// state layout — and every Environment comparison — is build-invariant.
+// index matrix shares the geometry with 0-filled framing.
 //
 // `flat(r, c)` stays the LOGICAL row-major id (r * cols + c): it keys the
 // movement-stage RNG streams, DistanceField cells and scenario-file cell
@@ -27,7 +25,6 @@
 #include <vector>
 
 #include "grid/neighborhood.hpp"
-#include "simd/simd.hpp"
 
 namespace pedsim::grid {
 
@@ -35,9 +32,13 @@ namespace pedsim::grid {
 /// use this value for off-grid cells, so in-grid walls flow through both
 /// engines' emptiness tests with zero new branches: any non-zero occupancy
 /// blocks movement, and a wall's index stays 0 so it never proposes,
-/// gathers, or deposits. The padded-row framing reuses it, which is what
-/// lets the SIMD masks treat "off grid" and "wall" as one lane value.
+/// gathers, or deposits. The padded-row framing reuses it, so one
+/// occupancy read treats "off grid" and "wall" alike.
 inline constexpr std::uint8_t kWallOcc = 255;
+
+/// Row alignment of the padded storage, in bytes. One 64-bit word of the
+/// host engine's proposal plane covers one 64-byte block of a padded row.
+inline constexpr int kRowAlign = 64;
 
 /// Geometry of the environment. The paper fixes 480x480 and requires
 /// dimensions to be multiples of the 16x16 tile edge.
@@ -121,7 +122,7 @@ class Environment {
                    static_cast<std::size_t>(stride_) +
                static_cast<std::size_t>(c + 1);
     }
-    /// Padded bytes per row (multiple of simd::kRowAlign).
+    /// Padded bytes per row (multiple of kRowAlign).
     [[nodiscard]] int stride() const { return stride_; }
     /// 64-bit mask words per padded row.
     [[nodiscard]] int bit_words() const { return stride_ / 64; }

@@ -1,5 +1,6 @@
 #include "io/scenario_file.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -495,6 +496,17 @@ scenario::Scenario parse_scenario(const std::string& text) {
                                 s.sim.grid);
     // Same late-validation rationale: surge rects need the final grid.
     core::validate_perturbations(s.sim.perturb, s.sim.grid);
+    // The look-ahead walks scan_range - 1 cells per candidate, and a ray
+    // longer than the grid sees no more cells: bound it by the grid so a
+    // huge value cannot stall a step or overflow the ray arithmetic.
+    const int max_range = std::max(s.sim.grid.rows, s.sim.grid.cols);
+    if (s.sim.scan.range < 1 || s.sim.scan.range > max_range) {
+        throw std::invalid_argument(
+            "scenario: scan_range " + std::to_string(s.sim.scan.range) +
+            " outside 1.." + std::to_string(max_range) + " for the " +
+            std::to_string(s.sim.grid.rows) + "x" +
+            std::to_string(s.sim.grid.cols) + " grid");
+    }
     return s;
 }
 

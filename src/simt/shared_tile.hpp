@@ -27,7 +27,7 @@ namespace pedsim::simt {
 /// A read-only view of a device global array with address instrumentation.
 /// `stride` is the element pitch between consecutive rows: it defaults to
 /// `cols` (a dense array) but lets the view walk the environment's padded
-/// SIMD rows in place — the logical (r, c) addressing the kernels use is
+/// rows in place — the logical (r, c) addressing the kernels use is
 /// unchanged either way.
 template <typename T>
 struct GlobalView {

@@ -108,7 +108,9 @@ TEST(Panic, FlagsOnlyAgentsInRadius) {
         const double dr = p.row[i];
         const double dc = p.col[i];
         const double d = std::sqrt(dr * dr + dc * dc);
-        if (d > 12.0) EXPECT_EQ(p.panicked[i], 0) << "agent " << i;
+        if (d > 12.0) {
+            EXPECT_EQ(p.panicked[i], 0) << "agent " << i;
+        }
     }
 }
 

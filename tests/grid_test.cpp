@@ -162,7 +162,7 @@ TEST(Environment, StaticWallsBlockWithoutCountingAsPopulation) {
     // loaders treat in-grid walls exactly like off-grid cells.
     EXPECT_EQ(env.occupancy_raw()[env.padded(5, 5)], kWallOcc);
     // The sentinel frame itself reads as wall in padded storage: "off
-    // grid" and "wall" are one lane value.
+    // grid" and "wall" are one occupancy value.
     const auto& occ = env.occupancy_raw();
     EXPECT_EQ(occ[env.padded(-1, 5)], kWallOcc);
     EXPECT_EQ(occ[env.padded(32, 5)], kWallOcc);
@@ -170,6 +170,30 @@ TEST(Environment, StaticWallsBlockWithoutCountingAsPopulation) {
     EXPECT_EQ(occ[env.padded(5, 32)], kWallOcc);
     EXPECT_EQ(env.index_raw()[env.padded(-1, -1)], 0);
     EXPECT_EQ(occ[env.padded(6, 5)], 0);
+}
+
+TEST(Environment, PaddedFrameIsWallSentinelAroundLogicalCells) {
+    Environment env(GridConfig{32, 32});
+    EXPECT_EQ(env.stride() % kRowAlign, 0);
+    EXPECT_GE(env.stride(), env.cols() + 2);
+    EXPECT_EQ(env.bit_words() * 64, env.stride());
+    env.place(0, 0, Group::kTop, 1);
+    env.set_wall(31, 31);
+    const auto& occ = env.occupancy_raw();
+    ASSERT_EQ(occ.size(), static_cast<std::size_t>(env.rows() + 2) *
+                              static_cast<std::size_t>(env.stride()));
+    for (int r = -1; r <= env.rows(); ++r) {
+        for (int c = -1; c <= env.stride() - 2; ++c) {
+            if (env.in_bounds(r, c)) continue;
+            EXPECT_EQ(occ[env.padded(r, c)], kWallOcc)
+                << "frame (" << r << "," << c << ")";
+            EXPECT_EQ(env.index_raw()[env.padded(r, c)], 0);
+        }
+    }
+    EXPECT_EQ(env.occupancy(0, 0), Group::kTop);
+    EXPECT_TRUE(env.is_wall(31, 31));
+    EXPECT_EQ(env.population(), 1u);
+    EXPECT_EQ(env.wall_count(), 1u);
 }
 
 TEST(Environment, WallValidation) {
@@ -641,7 +665,9 @@ TEST(Placement, AutoBandSizing) {
     EXPECT_EQ(agents.size(), 2000u);
     const int band = required_band_rows(1000, 96, 0.55);
     for (const auto& a : agents) {
-        if (a.group == Group::kTop) EXPECT_LT(a.row, band);
+        if (a.group == Group::kTop) {
+            EXPECT_LT(a.row, band);
+        }
     }
 }
 

@@ -140,23 +140,25 @@ TEST(Args, RejectsTrailingGarbageInNumericFlags) {
     const char* argv[] = {"prog", "--steps=100abc", "--rho=0.5x",
                           "--threads=2q"};
     ArgParser args(4, argv);
-    EXPECT_THROW(args.get_int("steps", 0), std::invalid_argument);
-    EXPECT_THROW(args.get_double("rho", 0.0), std::invalid_argument);
-    EXPECT_THROW(args.get_threads(), std::invalid_argument);
+    EXPECT_THROW(static_cast<void>(args.get_int("steps", 0)),
+                 std::invalid_argument);
+    EXPECT_THROW(static_cast<void>(args.get_double("rho", 0.0)),
+                 std::invalid_argument);
+    EXPECT_THROW(static_cast<void>(args.get_threads()), std::invalid_argument);
 }
 
 TEST(Args, RejectsNonNumericValuesNamingTheFlag) {
     const char* argv[] = {"prog", "--steps=abc", "--rho=high"};
     ArgParser args(3, argv);
     try {
-        args.get_int("steps", 0);
+        static_cast<void>(args.get_int("steps", 0));
         FAIL() << "--steps=abc accepted";
     } catch (const std::invalid_argument& e) {
         EXPECT_NE(std::string(e.what()).find("--steps"), std::string::npos)
             << e.what();
     }
     try {
-        args.get_double("rho", 0.0);
+        static_cast<void>(args.get_double("rho", 0.0));
         FAIL() << "--rho=high accepted";
     } catch (const std::invalid_argument& e) {
         EXPECT_NE(std::string(e.what()).find("--rho"), std::string::npos)
@@ -190,7 +192,7 @@ TEST(Args, BoolRejectsUnrecognizedTokensNamingTheFlag) {
     const char* argv[] = {"prog", "--metrics=TRUE", "--trace=o", "--x=on"};
     ArgParser args(4, argv);
     try {
-        args.get_bool("metrics", false);
+        static_cast<void>(args.get_bool("metrics", false));
         FAIL() << "--metrics=TRUE accepted";
     } catch (const std::invalid_argument& e) {
         EXPECT_NE(std::string(e.what()).find("--metrics"), std::string::npos)
@@ -198,8 +200,10 @@ TEST(Args, BoolRejectsUnrecognizedTokensNamingTheFlag) {
         EXPECT_NE(std::string(e.what()).find("TRUE"), std::string::npos)
             << e.what();
     }
-    EXPECT_THROW(args.get_bool("trace", true), std::invalid_argument);
-    EXPECT_THROW(args.get_bool("x", false), std::invalid_argument);
+    EXPECT_THROW(static_cast<void>(args.get_bool("trace", true)),
+                 std::invalid_argument);
+    EXPECT_THROW(static_cast<void>(args.get_bool("x", false)),
+                 std::invalid_argument);
 }
 
 TEST(Args, ThreadsRejectsOutOfRangeAndNegative) {
@@ -209,7 +213,7 @@ TEST(Args, ThreadsRejectsOutOfRangeAndNegative) {
         const char* argv[] = {"prog", "--threads=4294967297"};
         ArgParser args(2, argv);
         try {
-            args.get_threads();
+            static_cast<void>(args.get_threads());
             FAIL() << "--threads=4294967297 accepted";
         } catch (const std::invalid_argument& e) {
             EXPECT_NE(std::string(e.what()).find("--threads"),
@@ -220,7 +224,8 @@ TEST(Args, ThreadsRejectsOutOfRangeAndNegative) {
     {
         const char* argv[] = {"prog", "--threads=-2"};
         ArgParser args(2, argv);
-        EXPECT_THROW(args.get_threads(), std::invalid_argument);
+        EXPECT_THROW(static_cast<void>(args.get_threads()),
+                     std::invalid_argument);
     }
     {
         const char* argv[] = {"prog", "--threads=4"};
@@ -235,10 +240,12 @@ TEST(Args, GetInt32RangeChecks) {
     ArgParser args(4, argv);
     // 2^33 is a valid long long but not an int: naming the flag beats
     // wrapping to 0.
-    EXPECT_THROW(args.get_int32("steps", 0), std::invalid_argument);
+    EXPECT_THROW(static_cast<void>(args.get_int32("steps", 0)),
+                 std::invalid_argument);
     EXPECT_EQ(args.get_int32("repeats", 1), 3);
     EXPECT_EQ(args.get_int32("bands", 0), -1);  // full int range by default
-    EXPECT_THROW(args.get_int32("bands", 0, 0), std::invalid_argument);
+    EXPECT_THROW(static_cast<void>(args.get_int32("bands", 0, 0)),
+                 std::invalid_argument);
     EXPECT_EQ(args.get_int32("missing", 42), 42);
 }
 

@@ -185,6 +185,21 @@ TEST(ScenarioFile, RejectsMalformedInput) {
         bad += r == 3 ? "....?...........\n" : "................\n";
     }
     EXPECT_THROW(io::parse_scenario(bad), std::invalid_argument);
+    // scan_range is bounded by the grid: each look-ahead ray walks
+    // scan_range - 1 cells, so an unbounded value stalls every step.
+    const std::string grid64 = "rows = 64\ncols = 64\n";
+    for (const char* range : {"0", "-1", "65", "2000000000"}) {
+        try {
+            io::parse_scenario(grid64 + "scan_range = " + range + "\n");
+            ADD_FAILURE() << "accepted scan_range = " << range;
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find("scan_range"),
+                      std::string::npos)
+                << range << ": " << e.what();
+        }
+    }
+    EXPECT_EQ(io::parse_scenario(grid64 + "scan_range = 64\n").sim.scan.range,
+              64);
 }
 
 // --- Runner ------------------------------------------------------------------

@@ -479,14 +479,28 @@ TEST(ServerRoundTrip, GarbageScenarioTextFailsPerJobNotPerServer) {
     EXPECT_NE(r2.error.find("exceeds grid rows"), std::string::npos)
         << r2.error;
 
-    // The server survived both: a good job still runs on the same
+    // An unbounded look-ahead is rejected at parse time instead of
+    // pinning the executor on its first step.
+    auto far = scenario::get("corridor_small");
+    far.sim.scan.range = 2000000000;
+    protocol::JobRequest pinned;
+    pinned.registry = false;
+    pinned.scenario = io::scenario_to_text(far);
+    pinned.engine = {backend::DeviceType::kCpu};
+    pinned.steps = 10;
+    ASSERT_TRUE(client.submit(pinned).accepted);
+    const auto r3 = client.wait_any();
+    EXPECT_TRUE(r3.failed);
+    EXPECT_NE(r3.error.find("scan_range"), std::string::npos) << r3.error;
+
+    // The server survived all three: a good job still runs on the same
     // connection.
     const auto good = registry_job("corridor_small",
                                    {backend::DeviceType::kCpu}, 20);
     ASSERT_TRUE(client.submit(good).accepted);
-    const auto r3 = client.wait_any();
-    ASSERT_FALSE(r3.failed) << r3.error;
-    EXPECT_EQ(r3.fingerprint, local_run(good).fingerprint);
+    const auto r4 = client.wait_any();
+    ASSERT_FALSE(r4.failed) << r4.error;
+    EXPECT_EQ(r4.fingerprint, local_run(good).fingerprint);
 }
 
 TEST(ServerRoundTrip, UnknownRegistryNameAndBadStepsAreRejected) {
