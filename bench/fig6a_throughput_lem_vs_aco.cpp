@@ -9,8 +9,7 @@
 //
 // The engines are bit-identical for a given seed (tested property), so the
 // default uses the fast sequential engine; pass --backend=gpu to run the
-// instrumented SIMT engine instead (any backend registry name works,
-// e.g. --backend=sharded-cpu:4). Default shrinks the grid with density
+// instrumented SIMT engine instead. Default shrinks the grid with density
 // held fixed so crossings happen within a short step budget; --paper runs
 // the original 480x480 / 25,000-step / 10-repeat protocol.
 //
@@ -33,7 +32,7 @@ int main(int argc, char** argv) {
     const int repeats = args.get_int32("repeats", paper ? 10 : 2, 1);
     const int max_density =
         args.get_int32("max_density", 20, 1, bench::kMaxDensity);
-    const backend::EngineSelect engine =
+    const backend::DeviceType engine =
         backend::engines_from_args(args, {backend::DeviceType::kCpu})
             .front();
 
@@ -42,8 +41,7 @@ int main(int argc, char** argv) {
         std::to_string(grid) + "x" + std::to_string(grid) + " grid, " +
             std::to_string(steps) + " steps, " + std::to_string(repeats) +
             " repeats, densities 1.." + std::to_string(max_density) +
-            " (engine: " +
-            backend::engine_label(engine.type, engine.bands) +
+            " (engine: " + backend::device_name(engine) +
             "; engines are bit-identical)");
 
     io::CsvWriter csv(bench::csv_path(args, "fig6a.csv"));

@@ -9,7 +9,6 @@
 //
 //   ./scenario_suite                        # full registry, both engines
 //   ./scenario_suite --backend=cpu          # CPU only
-//   ./scenario_suite --backend=sharded-cpu:4  # cpu engine, 4 row bands
 //   ./scenario_suite --models=lem,aco       # force both models everywhere
 //   ./scenario_suite --steps=100
 //   ./scenario_suite --threads=4             # batch runs as pool jobs
@@ -98,8 +97,7 @@ std::vector<scenario::RunRecord> run_remote(
         // to what the server parsed — same text/name); run-derived ones
         // from the server's DoneMsg.
         rec.scenario = s.name;
-        rec.engine = jobs[j].engine.type;
-        rec.bands = r.bands;
+        rec.engine = jobs[j].engine;
         rec.model = jobs[j].model;
         rec.seed = jobs[j].seed;
         rec.steps = jobs[j].steps;
@@ -127,7 +125,7 @@ int main(int argc, char** argv) {
             "scenario_suite — batch scenario x model x engine runner\n"
             "  [name...]        registry scenarios to run (default: all)\n"
             "  --file=PATH      add a scenario file to the batch\n"
-            "  --backend=LIST   cpu, gpu-simt, sharded-cpu[:<bands>]\n"
+            "  --backend=LIST   cpu, gpu-simt\n"
             "                   (default cpu,gpu-simt)\n"
             "  --models=LIST    lem,aco (default: each scenario's own)\n"
             "  --steps=N        override every scenario's step budget\n"
@@ -240,7 +238,7 @@ int main(int argc, char** argv) {
                 r.result.wall_seconds > 0.0
                     ? r.result.steps_run / r.result.wall_seconds
                     : 0.0;
-            csv.row(r.scenario, backend::engine_label(r.engine, r.bands),
+            csv.row(r.scenario, backend::device_name(r.engine),
                     r.model == core::Model::kLem ? "lem" : "aco", r.seed,
                     r.steps, opts.threads, r.door_events, r.cycle_events,
                     r.mover_events, r.anticipate_horizon, r.waypoint_cells,

@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
             "  --steps=N          steps per run (default 200)\n"
             "  --threads=N        engine threads (default 1; 0 = hardware\n"
             "                     concurrency)\n"
-            "  --backend=LIST     cpu, gpu-simt, sharded-cpu[:<bands>]\n"
+            "  --backend=LIST     cpu, gpu-simt\n"
             "                     (default cpu,gpu-simt)\n"
             "  --csv=PATH         also write the records as CSV");
         std::puts(obs::cli_help());
@@ -74,8 +74,9 @@ int main(int argc, char** argv) {
     const int steps = args.get_int32("steps", 200, 1);
     const int threads = args.get_int32("threads", 1, 0);
 
-    std::vector<scenario::EngineSelect> engines = backend::engines_from_args(
-        args, {scenario::EngineKind::kCpu, scenario::EngineKind::kSimt});
+    const std::vector<backend::DeviceType> engines =
+        backend::engines_from_args(
+            args, {backend::DeviceType::kCpu, backend::DeviceType::kSimt});
 
     io::TablePrinter table({"waypoints", "engine", "setup_s", "steps_per_s",
                             "moves_per_s", "crossed", "advances",
@@ -108,9 +109,8 @@ int main(int argc, char** argv) {
                                    ? static_cast<double>(rr.total_moves) /
                                          rr.wall_seconds
                                    : 0.0;
-            rows.push_back({k,
-                            backend::engine_label(engine.type, engine.bands),
-                            setup_s, sps, mps, rr.crossed_total(), advances,
+            rows.push_back({k, backend::device_name(engine), setup_s, sps,
+                            mps, rr.crossed_total(), advances,
                             scenario::position_fingerprint(*sim)});
             char fp[20];
             std::snprintf(fp, sizeof(fp), "%016llx",

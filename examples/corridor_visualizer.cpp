@@ -37,14 +37,14 @@ int main(int argc, char** argv) {
 
     core::SimConfig cfg;
     cfg.grid.rows = cfg.grid.cols = args.get_int32("grid", 96);
-    cfg.agents_per_side = static_cast<std::size_t>(args.get_int("agents", 500));
+    cfg.agents_per_side =
+        static_cast<std::size_t>(args.get_int32("agents", 500, 1));
     cfg.model = args.get("model", "aco") == "lem" ? core::Model::kLem
                                                   : core::Model::kAco;
     cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
-    const int steps = args.get_int32("steps", 600);
-    const int frame_every =
-        std::max(1, args.get_int32("frame_every", 10));
-    const int fps = args.get_int32("fps", 0);
+    const int steps = args.get_int32("steps", 600, 1);
+    const int frame_every = args.get_int32("frame_every", 10, 1);
+    const int fps = args.get_int32("fps", 0, 0);
 
     const auto sim = backend::make_cpu(cfg);
     core::GridlockDetector gridlock(60);

@@ -33,8 +33,8 @@ int main(int argc, char** argv) {
     }
 
     const int grid = args.get_int32("grid", 128);
-    const int steps = args.get_int32("steps", 1500);
-    const int levels = args.get_int32("densities", 8);
+    const int steps = args.get_int32("steps", 1500, 1);
+    const int levels = args.get_int32("densities", 8, 1);
     const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 3));
 
     std::printf(

@@ -64,17 +64,17 @@ int main(int argc, char** argv) {
     core::SimConfig cfg;
     cfg.grid.rows = cfg.grid.cols = args.get_int32("grid", 96);
     cfg.agents_per_side =
-        static_cast<std::size_t>(args.get_int("agents", 600));
+        static_cast<std::size_t>(args.get_int32("agents", 600, 1));
     cfg.model = args.get("model", "aco") == "lem" ? core::Model::kLem
                                                   : core::Model::kAco;
     cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 9));
     cfg.panic.enabled = true;
     cfg.panic.trigger_step =
-        static_cast<std::uint64_t>(args.get_int("trigger", 150));
+        static_cast<std::uint64_t>(args.get_int32("trigger", 150, 0));
     cfg.panic.row = cfg.grid.rows / 2;
     cfg.panic.col = cfg.grid.cols / 2;
     cfg.panic.radius = args.get_double("radius", 20.0);
-    const int steps = args.get_int32("steps", 500);
+    const int steps = args.get_int32("steps", 500, 1);
 
     const auto sim = backend::make_cpu(cfg);
 

@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
         // Walls + placement by default; --preview steps the crowd forward
         // on the (exec-policy-aware) CPU engine before rendering.
         const auto sim = backend::make_cpu(s.sim);
-        const int preview = args.get_int32("preview", 0);
+        const int preview = args.get_int32("preview", 0, 0);
         if (preview > 0) sim->run(preview);
         std::fputs(io::render(sim->environment()).c_str(), stdout);
         std::fputs("\n", stdout);

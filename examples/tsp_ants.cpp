@@ -27,8 +27,8 @@ int main(int argc, char** argv) {
         return 0;
     }
 
-    const auto n = static_cast<std::size_t>(args.get_int("cities", 24));
-    const int iters = args.get_int32("iters", 80);
+    const auto n = static_cast<std::size_t>(args.get_int32("cities", 24, 3));
+    const int iters = args.get_int32("iters", 80, 1);
     const bool circle = args.get("instance", "circle") == "circle";
 
     const auto tsp = circle

@@ -5,8 +5,8 @@
 
 namespace pedsim::backend {
 
-std::vector<EngineSelect> engines_from_args(
-    const io::ArgParser& args, std::vector<EngineSelect> fallback) {
+std::vector<DeviceType> engines_from_args(
+    const io::ArgParser& args, std::vector<DeviceType> fallback) {
     for (const char* removed : {"engines", "engine"}) {
         if (args.has(removed)) {
             throw std::invalid_argument(std::string("--") + removed +
@@ -15,7 +15,7 @@ std::vector<EngineSelect> engines_from_args(
     }
     if (args.has("bands")) {
         throw std::invalid_argument(
-            "--bands was removed; use --backend=sharded-cpu:<bands>");
+            "--bands was removed; the cpu engine slices by its thread count");
     }
     auto engines = parse_device_list(args.get("backend"));
     return engines.empty() ? fallback : engines;

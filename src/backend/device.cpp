@@ -18,49 +18,44 @@ const char* device_name(DeviceType type) {
     return "unknown";
 }
 
-bool try_parse_device(std::string_view name, EngineSelect& out) {
-    int bands = 0;
-    // Optional ":<bands>" suffix (meaningful for the sharded spelling).
-    if (const auto colon = name.find(':'); colon != std::string_view::npos) {
+bool try_parse_device(std::string_view name, DeviceType& out) {
+    const auto colon = name.find(':');
+    const std::string_view base = name.substr(0, colon);
+    const bool alias = base == "sharded" || base == "sharded-cpu";
+    // Only the aliases take a suffix: ":<digits>", validated and ignored.
+    if (colon != std::string_view::npos) {
         const std::string_view suffix = name.substr(colon + 1);
-        if (suffix.empty()) return false;
+        if (!alias || suffix.empty()) return false;
         int value = 0;
         for (const char ch : suffix) {
             if (ch < '0' || ch > '9') return false;
             value = value * 10 + (ch - '0');
             if (value > 1 << 20) return false;
         }
-        bands = value;
-        name = name.substr(0, colon);
     }
-    if (name == "cpu") {
-        out = {DeviceType::kCpu};
-        return bands == 0;  // bands suffix is a sharded-only notion
+    if (base == "cpu" || alias) {
+        out = DeviceType::kCpu;
+        return true;
     }
-    if (name == "gpu" || name == "simt" || name == "gpu-simt") {
-        out = {DeviceType::kSimt};
-        return bands == 0;
-    }
-    if (name == "sharded" || name == "sharded-cpu") {
-        out = {DeviceType::kCpu, bands};
+    if (base == "gpu" || base == "simt" || base == "gpu-simt") {
+        out = DeviceType::kSimt;
         return true;
     }
     return false;
 }
 
-EngineSelect parse_device(std::string_view name) {
-    EngineSelect sel;
-    if (!try_parse_device(name, sel)) {
-        throw std::invalid_argument(
-            "unknown engine/backend '" + std::string(name) +
-            "' (expected one of cpu, gpu-simt, sharded-cpu; sharded takes "
-            "an optional :<bands> suffix)");
+DeviceType parse_device(std::string_view name) {
+    DeviceType type = DeviceType::kCpu;
+    if (!try_parse_device(name, type)) {
+        throw std::invalid_argument("unknown engine/backend '" +
+                                    std::string(name) +
+                                    "' (expected one of cpu, gpu-simt)");
     }
-    return sel;
+    return type;
 }
 
-std::vector<EngineSelect> parse_device_list(std::string_view csv) {
-    std::vector<EngineSelect> out;
+std::vector<DeviceType> parse_device_list(std::string_view csv) {
+    std::vector<DeviceType> out;
     while (!csv.empty()) {
         const auto comma = csv.find(',');
         const std::string_view item = csv.substr(0, comma);
@@ -71,24 +66,12 @@ std::vector<EngineSelect> parse_device_list(std::string_view csv) {
     return out;
 }
 
-std::string engine_label(DeviceType type, int bands) {
-    if (type == DeviceType::kCpu && bands > 0) {
-        return "sharded-cpu:" + std::to_string(bands);
-    }
-    return device_name(type);
-}
-
 std::unique_ptr<core::Simulator> make_engine(
-    const EngineSelect& sel, const core::SimConfig& cfg,
+    DeviceType type, const core::SimConfig& cfg,
     std::shared_ptr<const core::DoorSchedule> warm) {
-    if (sel.bands < 0) {
-        throw std::invalid_argument("make_engine: negative band count " +
-                                    std::to_string(sel.bands));
-    }
-    switch (sel.type) {
+    switch (type) {
         case DeviceType::kCpu:
-            return std::make_unique<core::CpuSimulator>(cfg, sel.bands,
-                                                        std::move(warm));
+            return std::make_unique<core::CpuSimulator>(cfg, std::move(warm));
         case DeviceType::kSimt:
             return std::make_unique<core::GpuSimulator>(
                 cfg, core::GpuOptions{}, std::move(warm));

@@ -1,29 +1,15 @@
 #include "core/cpu_simulator.hpp"
 
-#include <stdexcept>
-#include <string>
+#include <utility>
 
 #include "core/rules.hpp"
 
 namespace pedsim::core {
 
-CpuSimulator::CpuSimulator(const SimConfig& config, int bands,
+CpuSimulator::CpuSimulator(const SimConfig& config,
                            std::shared_ptr<const DoorSchedule> warm)
-    : Simulator(config, std::move(warm)), bands_(bands) {
-    // Every band must own at least one row: an explicit count the grid
-    // cannot honour is a configuration error, not something to clamp.
-    if (bands > config_.grid.rows) {
-        throw std::invalid_argument(
-            "bands (" + std::to_string(bands) + ") exceeds grid rows (" +
-            std::to_string(config_.grid.rows) + ")");
-    }
+    : Simulator(config, std::move(warm)) {
     allocate_proposal_planes();
-}
-
-std::vector<exec::Slice> CpuSimulator::slices(std::int64_t begin,
-                                              std::int64_t end) const {
-    return bands_ > 0 ? exec::partition(begin, end, bands_)
-                      : exec::plan_slices(config_.exec, begin, end);
 }
 
 void CpuSimulator::stage_reset() { props_.reset_futures(); }
@@ -31,7 +17,8 @@ void CpuSimulator::stage_reset() { props_.reset_futures(); }
 void CpuSimulator::stage_tour_construction() {
     // The fused initial calc + tour construction: each agent writes only
     // its own property row, so agent slices are disjoint.
-    const auto agents = slices(1, static_cast<std::int64_t>(props_.rows()));
+    const auto agents = exec::plan_slices(
+        config_.exec, 1, static_cast<std::int64_t>(props_.rows()));
     const EnvEmpty empty(env_);
     const auto body = [&](const exec::Slice& sl) {
         for (auto i = static_cast<std::size_t>(sl.begin);
@@ -55,7 +42,7 @@ void CpuSimulator::stage_movement(std::vector<Move>& out_moves) {
     // resolves it. Slices append in slice order — inline, or through
     // per-slice scratch on the pool — and the concatenation of contiguous
     // row ranges is the serial row-major move order.
-    const auto rows = slices(0, env_.rows());
+    const auto rows = exec::plan_slices(config_.exec, 0, env_.rows());
     if (!parallel(rows.size())) {
         for (const auto& sl : rows) {
             resolve_proposals(static_cast<int>(sl.begin),

@@ -37,9 +37,6 @@ std::vector<grid::PlacedAgent> Simulator::init_agents(
     return grid::place_bidirectional(env, pc);
 }
 
-Simulator::Simulator(const SimConfig& config)
-    : Simulator(config, nullptr) {}
-
 Simulator::Simulator(const SimConfig& config,
                      std::shared_ptr<const DoorSchedule> warm)
     : config_(config),

@@ -77,14 +77,13 @@ using StepObserver = std::function<bool(const StepResult&)>;
 
 class Simulator {
   public:
-    explicit Simulator(const SimConfig& config);
-    /// Warm-setup constructor: reuse a precomputed door schedule (field
-    /// sets included) instead of rebuilding it. `warm` MUST have been
-    /// built from a config with the same grid, layout and dynamic-event
-    /// lists; seed/model/exec/step-budget differences are fine (the
-    /// schedule never depends on them), which is exactly what lets a
-    /// resident server amortize one schedule across many jobs. Passing
-    /// nullptr builds a fresh schedule (identical to the plain ctor).
+    /// `warm` reuses a precomputed door schedule (field sets included)
+    /// instead of rebuilding it. It MUST have been built from a config
+    /// with the same grid, layout and dynamic-event lists;
+    /// seed/model/exec/step-budget differences are fine (the schedule
+    /// never depends on them), which is exactly what lets a resident
+    /// server amortize one schedule across many jobs. Passing nullptr
+    /// builds a fresh schedule.
     Simulator(const SimConfig& config,
               std::shared_ptr<const DoorSchedule> warm);
     virtual ~Simulator() = default;

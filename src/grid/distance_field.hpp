@@ -239,11 +239,6 @@ class BlendedField {
         : now_(now), next_(next), weight_(weight) {}
 
     [[nodiscard]] bool blending() const { return next_ != nullptr; }
-    [[nodiscard]] double weight() const { return weight_; }
-    /// The current phase's field (what cost() forwards to when not
-    /// blending) — lets the engines dispatch the batched-gather candidate
-    /// builder exactly when cost() would be a plain geodesic table read.
-    [[nodiscard]] const DistanceField* now() const { return now_; }
 
     /// Candidate cost of cell (r, c) for an agent displaced dc laterally —
     /// same contract as DistanceField::cost.

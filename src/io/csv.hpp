@@ -11,6 +11,10 @@
 
 namespace pedsim::io {
 
+/// RFC 4180 field: text holding a comma, a quote, CR or LF is wrapped in
+/// quotes with each inner quote doubled; any other text is returned as is.
+std::string csv_field(const std::string& text);
+
 class CsvWriter {
   public:
     /// Opens (truncates) `path`; throws std::runtime_error on failure.
@@ -33,7 +37,9 @@ class CsvWriter {
     void append_field(std::ostringstream& line, const T& v, bool& first) {
         if (!first) line << ',';
         first = false;
-        line << v;
+        std::ostringstream field;
+        field << v;
+        line << csv_field(field.str());
     }
 
     std::string path_;

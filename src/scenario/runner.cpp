@@ -46,15 +46,17 @@ PreparedScenario prepare_scenario(const Scenario& s) {
 
 ScenarioRunner::ScenarioRunner(RunnerOptions opts) : opts_(std::move(opts)) {}
 
-RunRecord ScenarioRunner::run_one(const Scenario& s, EngineSelect engine,
+RunRecord ScenarioRunner::run_one(const Scenario& s,
+                                  backend::DeviceType engine,
                                   core::Model model, std::uint64_t seed,
                                   int steps) const {
     return run_prepared({s, nullptr}, engine, model, seed, steps);
 }
 
 RunRecord ScenarioRunner::run_prepared(const PreparedScenario& p,
-                                       EngineSelect engine, core::Model model,
-                                       std::uint64_t seed, int steps,
+                                       backend::DeviceType engine,
+                                       core::Model model, std::uint64_t seed,
+                                       int steps,
                                        const core::StepObserver& observer)
     const {
     const Scenario& s = p.scenario;
@@ -72,8 +74,7 @@ RunRecord ScenarioRunner::run_prepared(const PreparedScenario& p,
         const double setup_seconds = setup_watch.seconds();
         RunRecord rec;
         rec.scenario = s.name;
-        rec.engine = engine.type;
-        rec.bands = engine.bands;
+        rec.engine = engine;
         rec.model = model;
         rec.seed = seed;
         rec.steps = steps;
@@ -91,10 +92,9 @@ RunRecord ScenarioRunner::run_prepared(const PreparedScenario& p,
         return rec;
     } catch (const std::exception& e) {
         throw std::runtime_error(
-            "scenario '" + s.name + "' (" +
-            backend::engine_label(engine.type, engine.bands) + ", " +
-            (model == core::Model::kLem ? "lem" : "aco") + ", seed " +
-            std::to_string(seed) + "): " + e.what());
+            "scenario '" + s.name + "' (" + backend::device_name(engine) +
+            ", " + (model == core::Model::kLem ? "lem" : "aco") +
+            ", seed " + std::to_string(seed) + "): " + e.what());
     }
 }
 
@@ -162,7 +162,7 @@ std::string ScenarioRunner::summary_table(
                                ? r.result.steps_run / r.result.wall_seconds
                                : 0.0;
         table.add_row(
-            {r.scenario, backend::engine_label(r.engine, r.bands),
+            {r.scenario, backend::device_name(r.engine),
              r.model == core::Model::kLem ? "lem" : "aco",
              std::to_string(r.seed), std::to_string(r.steps),
              std::to_string(r.door_events), std::to_string(r.cycle_events),

@@ -17,13 +17,10 @@ namespace pedsim::scenario {
 
 /// Engine selection is the backend layer's: the runner adds batch
 /// orchestration on top of backend::make_engine(), nothing engine-shaped
-/// of its own. The aliases keep the historical scenario:: spellings alive
-/// for tests and harnesses.
-using EngineKind = backend::DeviceType;
-using EngineSelect = backend::EngineSelect;
-
+/// of its own.
 struct RunnerOptions {
-    std::vector<EngineSelect> engines{EngineKind::kCpu, EngineKind::kSimt};
+    std::vector<backend::DeviceType> engines{backend::DeviceType::kCpu,
+                                             backend::DeviceType::kSimt};
     /// Models to force per scenario; empty = each scenario's own model.
     std::vector<core::Model> models;
     /// Step budget override; 0 = each scenario's default_steps.
@@ -42,11 +39,7 @@ struct RunnerOptions {
 
 struct RunRecord {
     std::string scenario;
-    EngineKind engine = EngineKind::kCpu;
-    /// Requested row-band count of a cpu run (0 = slices planned from the
-    /// thread count) — carried in the engine label, not a separate CSV
-    /// column, so bench schemas are unchanged.
-    int bands = 0;
+    backend::DeviceType engine = backend::DeviceType::kCpu;
     core::Model model = core::Model::kLem;
     std::uint64_t seed = 0;
     int steps = 0;
@@ -103,7 +96,8 @@ class ScenarioRunner {
     explicit ScenarioRunner(RunnerOptions opts = {});
 
     /// One run of one combination (cold: setup and stepping together).
-    [[nodiscard]] RunRecord run_one(const Scenario& s, EngineSelect engine,
+    [[nodiscard]] RunRecord run_one(const Scenario& s,
+                                    backend::DeviceType engine,
                                     core::Model model, std::uint64_t seed,
                                     int steps) const;
 
@@ -115,8 +109,8 @@ class ScenarioRunner {
     /// streaming hook); observers never influence the simulation, so the
     /// record is identical with or without one.
     [[nodiscard]] RunRecord run_prepared(
-        const PreparedScenario& p, EngineSelect engine, core::Model model,
-        std::uint64_t seed, int steps,
+        const PreparedScenario& p, backend::DeviceType engine,
+        core::Model model, std::uint64_t seed, int steps,
         const core::StepObserver& observer = nullptr) const;
 
     /// One job of the flat batch expansion (scenario x model x engine, in
@@ -125,7 +119,7 @@ class ScenarioRunner {
     /// execute in-process.
     struct JobSpec {
         std::size_t scenario = 0;  ///< index into the scenarios vector
-        EngineSelect engine;
+        backend::DeviceType engine = backend::DeviceType::kCpu;
         core::Model model = core::Model::kLem;
         std::uint64_t seed = 0;
         int steps = 0;

@@ -61,7 +61,6 @@ bool Client::pump(protocol::Frame& frame) {
             r.result = done.result;
             r.fingerprint = done.fingerprint;
             r.setup_seconds = done.setup_seconds;
-            r.bands = done.bands;
             r.engine_threads = done.engine_threads;
             r.cache_hit = done.cache_hit;
             finished_.push_back(std::move(r));
@@ -182,10 +181,6 @@ protocol::StatsMsg Client::stats() {
         pump(frame);
     }
     throw std::runtime_error("server closed the connection mid-stats");
-}
-
-void Client::shutdown_server() {
-    protocol::write_frame(fd_, protocol::MsgType::kShutdown, {});
 }
 
 }  // namespace pedsim::server

@@ -30,7 +30,6 @@ struct RemoteResult {
     core::RunResult result;
     std::uint64_t fingerprint = 0;
     double setup_seconds = 0.0;
-    int bands = 0;
     int engine_threads = 0;
     bool cache_hit = false;
 };
@@ -67,9 +66,6 @@ class Client {
 
     /// Counter snapshot from the server.
     protocol::StatsMsg stats();
-
-    /// Ask the server to drain and exit (kShutdown).
-    void shutdown_server();
 
     [[nodiscard]] std::size_t in_flight() const { return inflight_.size(); }
 

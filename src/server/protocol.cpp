@@ -109,7 +109,6 @@ bool read_exact(int fd, std::uint8_t* dst, std::size_t n, bool eof_ok) {
 bool known_request_type(std::uint8_t t) {
     switch (static_cast<MsgType>(t)) {
         case MsgType::kSubmit:
-        case MsgType::kShutdown:
         case MsgType::kStats:
             return true;
         default:
@@ -199,8 +198,7 @@ void write_frame(int fd, MsgType type,
 std::vector<std::uint8_t> encode_submit(const JobRequest& req) {
     Writer w;
     w.u8(req.registry ? 1 : 0);
-    w.u8(static_cast<std::uint8_t>(req.engine.type));
-    w.i32(req.engine.bands);
+    w.u8(static_cast<std::uint8_t>(req.engine));
     w.u8(req.model == core::Model::kLem ? 0 : 1);
     w.u64(req.seed);
     w.i32(req.steps);
@@ -221,8 +219,7 @@ JobRequest decode_submit(const std::vector<std::uint8_t>& payload) {
     if (engine > static_cast<std::uint8_t>(backend::DeviceType::kSimt)) {
         throw ProtocolError("submit: bad engine " + std::to_string(engine));
     }
-    req.engine.type = static_cast<backend::DeviceType>(engine);
-    req.engine.bands = r.i32();
+    req.engine = static_cast<backend::DeviceType>(engine);
     const std::uint8_t model = r.u8();
     if (model > 1) {
         throw ProtocolError("submit: bad model " + std::to_string(model));
@@ -328,7 +325,6 @@ std::vector<std::uint8_t> encode_done(const DoneMsg& m) {
     w.f64(m.result.wall_seconds);
     w.f64(m.result.modeled_device_seconds);
     w.f64(m.setup_seconds);
-    w.i32(m.bands);
     w.i32(m.engine_threads);
     w.u8(m.cache_hit ? 1 : 0);
     return w.take();
@@ -347,7 +343,6 @@ DoneMsg decode_done(const std::vector<std::uint8_t>& payload) {
     m.result.wall_seconds = r.f64();
     m.result.modeled_device_seconds = r.f64();
     m.setup_seconds = r.f64();
-    m.bands = r.i32();
     m.engine_threads = r.i32();
     m.cache_hit = r.u8() != 0;
     r.expect_done("done");

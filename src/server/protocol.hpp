@@ -7,13 +7,13 @@
 //   u32 payload_len <= kMaxPayload
 //   ... payload_len payload bytes
 //
-// Client -> server: kSubmit (one job), kStats (counter snapshot),
-// kShutdown (graceful drain). Server -> client: every kSubmit is answered
-// by exactly one kAccepted or kRejected before the server reads the
-// client's next frame; accepted jobs later produce any number of kStep
-// batches followed by exactly one kDone or kJobError. Step/Done/JobError
-// frames carry the job id, so results of concurrently executing jobs may
-// interleave freely on the wire and clients demultiplex by id.
+// Client -> server: kSubmit (one job), kStats (counter snapshot).
+// Server -> client: every kSubmit is answered by exactly one kAccepted or
+// kRejected before the server reads the client's next frame; accepted
+// jobs later produce any number of kStep batches followed by exactly one
+// kDone or kJobError. Step/Done/JobError frames carry the job id, so
+// results of concurrently executing jobs may interleave freely on the
+// wire and clients demultiplex by id.
 //
 // Error containment, from the fuzz suite's point of view:
 //   - a malformed FRAME (oversized length, truncated header/payload,
@@ -21,7 +21,7 @@
 //     ProtocolError: the server closes that connection and keeps serving
 //     everyone else;
 //   - a malformed JOB (garbage scenario text, unknown registry name,
-//     bands exceeding the grid) is a per-job failure: kRejected at
+//     a config the engine rejects) is a per-job failure: kRejected at
 //     admission or kJobError at execution, and the session stays open.
 #pragma once
 
@@ -42,7 +42,6 @@ inline constexpr std::uint32_t kMaxPayload = 16u << 20;
 enum class MsgType : std::uint8_t {
     // client -> server
     kSubmit = 1,
-    kShutdown = 2,
     kStats = 3,
     // server -> client
     kAccepted = 16,
@@ -108,9 +107,9 @@ class Reader {
 // --- Framed socket I/O (blocking, EINTR-safe) ---------------------------
 
 /// Which half of the protocol a reader expects. The type space is split
-/// by direction (requests 1-3, replies 16-21): a server must never accept
-/// a reply frame and a client must never accept a request frame — a
-/// wrong-direction frame used to pass framing and fail later with a
+/// by direction (requests 1 and 3, replies 16-21): a server must never
+/// accept a reply frame and a client must never accept a request frame —
+/// a wrong-direction frame used to pass framing and fail later with a
 /// confusing decode error (or be silently mis-handled by a demux switch).
 enum class Direction : std::uint8_t {
     kRequest,  ///< client -> server (what a server reads)
@@ -142,7 +141,7 @@ void write_frame(int fd, MsgType type,
 struct JobRequest {
     bool registry = false;
     std::string scenario;
-    backend::EngineSelect engine;
+    backend::DeviceType engine = backend::DeviceType::kCpu;
     core::Model model = core::Model::kLem;
     std::uint64_t seed = 0;
     int steps = 0;
@@ -187,9 +186,7 @@ struct DoneMsg {
     std::uint64_t fingerprint = 0;
     core::RunResult result;
     double setup_seconds = 0.0;
-    /// The requested band count (the job's EngineSelect::bands) and the
-    /// engine-internal thread count the run actually used.
-    std::int32_t bands = 0;
+    /// The engine-internal thread count the run actually used.
     std::int32_t engine_threads = 0;
     bool cache_hit = false;
 };

@@ -252,9 +252,6 @@ void Server::session_loop(std::shared_ptr<Connection> conn) {
                     conn->send(protocol::MsgType::kStatsReply,
                                protocol::encode_stats(stats()));
                     break;
-                case protocol::MsgType::kShutdown:
-                    request_stop();
-                    break;
                 default:
                     // Unreachable given the direction check, but a byte
                     // stream deserves defence in depth.
@@ -296,15 +293,10 @@ void Server::handle_submit(const std::shared_ptr<Connection>& conn,
         reject("steps must be > 0, got " + std::to_string(req.steps));
         return;
     }
-    // Admission owns field sanity: a negative band count or thread
-    // override would otherwise travel all the way into engine creation /
+    // Admission owns field sanity: a negative or huge thread override
+    // would otherwise travel all the way into engine creation /
     // thread-pool construction and fail there with an unrelated message
     // (or worse, a wrapped allocation size).
-    if (req.engine.bands < 0) {
-        reject("engine bands must be >= 0, got " +
-               std::to_string(req.engine.bands));
-        return;
-    }
     if (req.engine_threads < 0 || req.engine_threads > kMaxEngineThreads) {
         reject("engine_threads must be in [0, " +
                std::to_string(kMaxEngineThreads) + "], got " +
@@ -396,7 +388,6 @@ void Server::execute(Job& job) {
         done.fingerprint = rec.fingerprint;
         done.result = rec.result;
         done.setup_seconds = rec.setup_seconds;
-        done.bands = rec.bands;
         done.engine_threads = rec.engine_threads;
         done.cache_hit = cache_hit;
         // Count before the kDone write: a client that has seen its result
@@ -405,9 +396,9 @@ void Server::execute(Job& job) {
         obs::MetricsRegistry::add("server.jobs.completed");
         job.conn->send(protocol::MsgType::kDone, protocol::encode_done(done));
     } catch (const std::exception& e) {
-        // Garbage scenario text, a failing engine constructor (bands >
-        // rows), anything the run throws: one job's failure, reported on
-        // that job's id. The executor and the server carry on.
+        // Garbage scenario text, a failing engine constructor, anything
+        // the run throws: one job's failure, reported on that job's id.
+        // The executor and the server carry on.
         failed_.fetch_add(1, std::memory_order_relaxed);
         obs::MetricsRegistry::add("server.jobs.failed");
         job.conn->send(protocol::MsgType::kJobError,

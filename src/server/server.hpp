@@ -15,10 +15,11 @@
 // scenario, and execution goes through the same run_prepared path the
 // in-process batch runner uses.
 //
-// Graceful shutdown (SIGTERM via request_stop(), or a kShutdown frame):
-// stop accepting connections, close admission (new submits are rejected
-// "server shutting down"), drain every in-flight and queued job so its
-// results reach the client, then close sessions and return from serve().
+// Graceful shutdown (SIGTERM via request_stop()): stop accepting
+// connections, close admission (new submits are rejected "server shutting
+// down"), drain every in-flight and queued job so its results reach the
+// client, then close sessions and return from serve(). No client frame
+// can stop the server.
 #pragma once
 
 #include <atomic>

@@ -69,7 +69,7 @@ struct Trace {
     std::uint64_t fingerprint = 0;
 };
 
-Trace trace_run(scenario::EngineKind engine, const core::SimConfig& base,
+Trace trace_run(backend::DeviceType engine, const core::SimConfig& base,
                 int threads, int steps) {
     core::SimConfig cfg = base;
     cfg.exec.threads = threads;
@@ -90,7 +90,7 @@ TEST(Determinism, StepResultsIdenticalAcrossThreadCountsEveryScenario) {
     for (const auto& s : scenario::all()) {
         const int steps = budget_for(s);
         for (const auto engine :
-             {scenario::EngineKind::kCpu, scenario::EngineKind::kSimt}) {
+             {backend::DeviceType::kCpu, backend::DeviceType::kSimt}) {
             const Trace base = trace_run(engine, s.sim, 1, steps);
             ASSERT_EQ(base.steps.size(), static_cast<std::size_t>(steps));
             for (const int threads : counts) {

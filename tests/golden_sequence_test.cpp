@@ -2,12 +2,11 @@
 // final position fingerprint, this suite pins the full per-step
 // StepResult stream — proposals, moves, conflicts, per-group crossings
 // and waypoint advances for EVERY step — for a small scenario subset on
-// every backend (cpu, gpu-simt, sharded-cpu at 2 and 8 bands) at {1, 4}
-// host threads. A regression that cancels out by
-// the end of a run (two compensating RNG changes, a transient stall, a
-// waypoint advanced one step late) is invisible to a final fingerprint
-// but fails here with the exact (scenario, engine, threads, step, field)
-// coordinates.
+// both engines (cpu and gpu-simt) at {1, 4} host threads. A regression
+// that cancels out by the end of a run (two compensating RNG changes, a
+// transient stall, a waypoint advanced one step late) is invisible to a
+// final fingerprint but fails here with the exact (scenario, engine,
+// threads, step, field) coordinates.
 //
 // The subset spans the workload axes: a static corridor, a timed-door
 // scenario, a periodic-gate scenario, and the 3-waypoint chain scenario
@@ -72,7 +71,7 @@ std::string sequence_path(const std::string& scenario_name) {
 }
 
 std::vector<core::StepResult> run_stream(const scenario::Scenario& s,
-                                         scenario::EngineSelect engine,
+                                         backend::DeviceType engine,
                                          int threads, int steps) {
     core::SimConfig cfg = s.sim;
     cfg.exec.threads = threads;
@@ -86,12 +85,12 @@ std::vector<core::StepResult> run_stream(const scenario::Scenario& s,
     return stream;
 }
 
-/// The engines (cpu, gpu-simt, sharded-cpu at any band count) are
+/// The engines (cpu and gpu-simt at any thread count) are
 /// bit-identical by contract, so ONE stream per scenario is the golden
 /// artifact; every (engine, threads) combination must reproduce it
 /// exactly. The serial CPU run is the canonical writer.
 std::vector<core::StepResult> compute_stream(const scenario::Scenario& s) {
-    return run_stream(s, scenario::EngineKind::kCpu, 1, sequence_steps(s));
+    return run_stream(s, backend::DeviceType::kCpu, 1, sequence_steps(s));
 }
 
 std::vector<core::StepResult> load_stream(const std::string& path) {
@@ -161,19 +160,15 @@ TEST(GoldenSequence, EveryEngineAndThreadCountReproducesTheCheckedInStream) {
                   static_cast<std::size_t>(sequence_steps(s)))
             << name << ": step-budget formula drifted — regenerate with "
             << "./golden_sequence_test --update-golden";
-        for (const auto& engine :
-             {scenario::EngineSelect{scenario::EngineKind::kCpu},
-              scenario::EngineSelect{scenario::EngineKind::kSimt},
-              scenario::EngineSelect{scenario::EngineKind::kCpu, 2},
-              scenario::EngineSelect{scenario::EngineKind::kCpu, 8}}) {
+        for (const auto engine :
+             {backend::DeviceType::kCpu, backend::DeviceType::kSimt}) {
             for (const int threads : kSequenceThreads) {
                 const auto live =
                     run_stream(s, engine, threads,
                                static_cast<int>(golden.size()));
                 const int at = first_divergence(golden, live);
                 EXPECT_EQ(at, -1)
-                    << name << " / "
-                    << backend::engine_label(engine.type, engine.bands)
+                    << name << " / " << backend::device_name(engine)
                     << " @ " << threads << " threads: stream diverges at "
                     << "step " << at << " — if intended, regenerate with "
                     << "./golden_sequence_test --update-golden";

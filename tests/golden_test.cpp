@@ -1,12 +1,11 @@
 // Golden-fingerprint regression corpus: every built-in scenario, run for a
 // deterministic per-scenario step budget, must reproduce the position
 // fingerprint checked in at tests/golden/fingerprints.csv — one row per
-// scenario, because the engines are bit-identical by contract. Every
-// engine (cpu, gpu-simt, and cpu at 2 and 8 row bands) runs at {1, 4}
-// host threads against that row, so any refactor that silently changes a
-// trajectory — a reordered RNG draw, a perturbed candidate sort, a
-// drifted event expansion — fails here with the exact (scenario, engine,
-// threads) coordinates.
+// scenario, because the engines are bit-identical by contract. Both
+// engines (cpu and gpu-simt) run at {1, 4} host threads against that
+// row, so any refactor that silently changes a trajectory — a reordered
+// RNG draw, a perturbed candidate sort, a drifted event expansion — fails
+// here with the exact (scenario, engine, threads) coordinates.
 //
 // Regenerate the corpus after an INTENDED behaviour change with:
 //
@@ -42,18 +41,12 @@ namespace {
 
 constexpr int kGoldenThreads[] = {1, 4};
 
-/// Engine axis of the matrix: the two paper engines plus the cpu engine
-/// at a fixed 2- and 8-band partition. The first entry at the first
-/// thread count is the corpus writer.
-const std::vector<scenario::EngineSelect>& golden_engines() {
-    static const std::vector<scenario::EngineSelect> kEngines = {
-        {scenario::EngineKind::kCpu},
-        {scenario::EngineKind::kSimt},
-        {scenario::EngineKind::kCpu, 2},
-        {scenario::EngineKind::kCpu, 8},
-    };
-    return kEngines;
-}
+/// Engine axis of the matrix: the two paper engines. The first entry at
+/// the first thread count is the corpus writer.
+constexpr backend::DeviceType kGoldenEngines[] = {
+    backend::DeviceType::kCpu,
+    backend::DeviceType::kSimt,
+};
 
 /// One corpus row: a scenario's step budget and final fingerprint.
 struct GoldenRow {
@@ -92,13 +85,12 @@ std::vector<LiveRun> run_matrix() {
     std::vector<LiveRun> runs;
     for (const auto& s : scenario::all()) {
         const int steps = golden_steps(s);
-        for (const auto& engine : golden_engines()) {
+        for (const auto engine : kGoldenEngines) {
             for (const int threads : kGoldenThreads) {
-                const std::string label =
-                    backend::engine_label(engine.type, engine.bands);
+                const std::string label = backend::device_name(engine);
                 // Like ScenarioRunner::run_one, attach the run's
                 // coordinates to anything thrown — an anonymous abort of
-                // a 152-run sweep is undiagnosable.
+                // a 76-run sweep is undiagnosable.
                 try {
                     core::SimConfig cfg = s.sim;
                     cfg.exec.threads = threads;

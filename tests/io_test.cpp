@@ -36,6 +36,24 @@ TEST(Csv, WritesHeaderAndRows) {
     std::remove(path.c_str());
 }
 
+TEST(Csv, QuotesFieldsHoldingSeparatorsQuotesAndLineBreaks) {
+    // RFC 4180: a device name like "GeForce GTX 560 Ti (Fermi, CC 2.0)" or
+    // a scenario named `corridor,small "v2"` must stay one field.
+    const std::string path = ::testing::TempDir() + "pedsim_csv_quote.csv";
+    {
+        CsvWriter csv(path);
+        csv.header({"name", "a,b"});
+        csv.row("GeForce GTX 560 Ti (Fermi, CC 2.0)", 1.5);
+        csv.row("corridor,small \"v2\"", "two\nlines", "cr\r", 7);
+    }
+    EXPECT_EQ(slurp(path),
+              "name,\"a,b\"\n"
+              "\"GeForce GTX 560 Ti (Fermi, CC 2.0)\",1.5\n"
+              "\"corridor,small \"\"v2\"\"\",\"two\nlines\","
+              "\"cr\r\",7\n");
+    std::remove(path.c_str());
+}
+
 TEST(Csv, ThrowsOnUnwritablePath) {
     EXPECT_THROW(CsvWriter("/nonexistent_dir_zz/x.csv"), std::runtime_error);
 }

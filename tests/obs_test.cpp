@@ -419,7 +419,7 @@ TEST(ObsDeterminism, TracingDoesNotPerturbEitherEngine) {
     const scenario::Scenario s = scenario::get("relay_race");
     constexpr int kSteps = 60;
 
-    const auto fingerprint_of = [&](scenario::EngineKind engine) {
+    const auto fingerprint_of = [&](backend::DeviceType engine) {
         core::SimConfig cfg = s.sim;
         cfg.exec.threads = 4;
         const auto sim = backend::make_engine(engine, cfg);
@@ -428,9 +428,9 @@ TEST(ObsDeterminism, TracingDoesNotPerturbEitherEngine) {
     };
 
     const std::uint64_t cpu_off =
-        fingerprint_of(scenario::EngineKind::kCpu);
+        fingerprint_of(backend::DeviceType::kCpu);
     const std::uint64_t gpu_off =
-        fingerprint_of(scenario::EngineKind::kSimt);
+        fingerprint_of(backend::DeviceType::kSimt);
     // Cross-engine parity must already hold without observability.
     ASSERT_EQ(cpu_off, gpu_off);
 
@@ -438,9 +438,9 @@ TEST(ObsDeterminism, TracingDoesNotPerturbEitherEngine) {
     obs::MetricsRegistry registry;
     obs::Tracer::install(&tracer);
     obs::MetricsRegistry::install(&registry);
-    const std::uint64_t cpu_on = fingerprint_of(scenario::EngineKind::kCpu);
+    const std::uint64_t cpu_on = fingerprint_of(backend::DeviceType::kCpu);
     const std::uint64_t gpu_on =
-        fingerprint_of(scenario::EngineKind::kSimt);
+        fingerprint_of(backend::DeviceType::kSimt);
     obs::Tracer::install(nullptr);
     obs::MetricsRegistry::install(nullptr);
 

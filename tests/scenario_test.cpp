@@ -206,7 +206,7 @@ TEST(ScenarioFile, RejectsMalformedInput) {
 
 TEST(Runner, BatchCoversScenarioModelEngineGrid) {
     RunnerOptions opts;
-    opts.engines = {EngineKind::kCpu, EngineKind::kSimt};
+    opts.engines = {backend::DeviceType::kCpu, backend::DeviceType::kSimt};
     opts.models = {core::Model::kLem, core::Model::kAco};
     opts.steps_override = 5;
     const ScenarioRunner runner(opts);
@@ -220,13 +220,13 @@ TEST(Runner, BatchCoversScenarioModelEngineGrid) {
         EXPECT_EQ(r.steps, 5);
         EXPECT_EQ(r.result.steps_run, 5);
         EXPECT_EQ(r.model, opts.models[i / 2]);
-        EXPECT_EQ(r.engine, opts.engines[i % 2].type);
+        EXPECT_EQ(r.engine, opts.engines[i % 2]);
     }
 }
 
 TEST(Runner, SummaryTableHasOneRowPerRun) {
     RunnerOptions opts;
-    opts.engines = {EngineKind::kCpu};
+    opts.engines = {backend::DeviceType::kCpu};
     opts.steps_override = 3;
     const ScenarioRunner runner(opts);
     const auto records = runner.run({get("corridor_small")});
@@ -269,7 +269,7 @@ TEST(Runner, BatchFailuresNameTheScenario) {
     // validation) throws inside the pool job.
     bad.sim.doors.push_back({5, 0, 0, 64, 3, core::DoorAction::kOpen});
     RunnerOptions opts;
-    opts.engines = {EngineKind::kCpu};
+    opts.engines = {backend::DeviceType::kCpu};
     opts.steps_override = 3;
     opts.threads = 4;
     const ScenarioRunner runner(opts);
@@ -293,8 +293,8 @@ TEST(SeedReproduction, PaperCorridorScenarioMatchesDirectConfig) {
     const auto s = get("paper_corridor");
     const int steps = 25;
     const ScenarioRunner runner;
-    const auto rec = runner.run_one(s, EngineKind::kCpu, s.sim.model,
-                                    s.sim.seed, steps);
+    const auto rec = runner.run_one(s, backend::DeviceType::kCpu,
+                                    s.sim.model, s.sim.seed, steps);
 
     core::SimConfig direct;  // untouched seed defaults
     const auto sim = backend::make_cpu(direct);
@@ -315,7 +315,8 @@ TEST(SeedReproduction, CorridorSmallMatchesDirectConfigOnBothEngines) {
     direct.agents_per_side = 400;
 
     const ScenarioRunner runner;
-    for (const auto engine : {EngineKind::kCpu, EngineKind::kSimt}) {
+    for (const auto engine :
+         {backend::DeviceType::kCpu, backend::DeviceType::kSimt}) {
         const auto rec =
             runner.run_one(s, engine, s.sim.model, s.sim.seed, 120);
         const auto sim = backend::make_engine(engine, direct);

@@ -53,7 +53,7 @@ struct ServerFixture {
 };
 
 protocol::JobRequest registry_job(const std::string& name,
-                                  backend::EngineSelect engine,
+                                  backend::DeviceType engine,
                                   int steps = 40) {
     protocol::JobRequest req;
     req.registry = true;
@@ -89,7 +89,7 @@ TEST(Protocol, SubmitRoundTrip) {
     protocol::JobRequest req;
     req.registry = false;
     req.scenario = "name = x\nsteps = 7\n";
-    req.engine = {backend::DeviceType::kCpu, 4};
+    req.engine = backend::DeviceType::kSimt;
     req.model = core::Model::kAco;
     req.seed = 0xDEADBEEFCAFEF00Dull;
     req.steps = 123;
@@ -133,7 +133,6 @@ TEST(Protocol, StepsAndDoneRoundTrip) {
     done.result.wall_seconds = 0.25;
     done.result.modeled_device_seconds = 0.125;
     done.setup_seconds = 0.5;
-    done.bands = 4;
     done.engine_threads = 2;
     done.cache_hit = true;
     const auto d = protocol::decode_done(protocol::encode_done(done));
@@ -141,7 +140,7 @@ TEST(Protocol, StepsAndDoneRoundTrip) {
     EXPECT_EQ(d.result.total_moves, done.result.total_moves);
     EXPECT_DOUBLE_EQ(d.result.wall_seconds, 0.25);
     EXPECT_DOUBLE_EQ(d.setup_seconds, 0.5);
-    EXPECT_EQ(d.bands, 4);
+    EXPECT_EQ(d.engine_threads, 2);
     EXPECT_TRUE(d.cache_hit);
 }
 
@@ -158,11 +157,10 @@ TEST(Protocol, MalformedPayloadsThrow) {
     protocol::Writer w;
     w.u8(7);  // bad source
     EXPECT_THROW(protocol::decode_submit(w.take()), protocol::ProtocolError);
-    // Engine byte 2 names no device: sharded-cpu:N travels as engine 0
-    // (cpu) with its band count.
-    auto sharded = protocol::encode_submit(protocol::JobRequest{});
-    sharded[1] = 2;
-    EXPECT_THROW(protocol::decode_submit(sharded), protocol::ProtocolError);
+    // Engine byte 2 names no device.
+    auto engine = protocol::encode_submit(protocol::JobRequest{});
+    engine[1] = 2;
+    EXPECT_THROW(protocol::decode_submit(engine), protocol::ProtocolError);
     // A step count the payload cannot hold: a 12-byte kStep payload that
     // claims 0xFFFFFFFF records must fail by name, not reserve for them.
     protocol::Writer steps;
@@ -173,7 +171,8 @@ TEST(Protocol, MalformedPayloadsThrow) {
 }
 
 TEST(Protocol, DirectionSplitCoversTheTypeSpace) {
-    // Requests 1-3, replies 16-21, nothing in both halves.
+    // Requests 1 and 3, replies 16-21, nothing in both halves. Type 2 is
+    // unknown: no client frame may stop the server.
     for (int t = 0; t < 256; ++t) {
         const auto b = static_cast<std::uint8_t>(t);
         EXPECT_FALSE(protocol::known_request_type(b) &&
@@ -182,8 +181,8 @@ TEST(Protocol, DirectionSplitCoversTheTypeSpace) {
     }
     EXPECT_TRUE(protocol::known_request_type(
         static_cast<std::uint8_t>(protocol::MsgType::kSubmit)));
-    EXPECT_TRUE(protocol::known_request_type(
-        static_cast<std::uint8_t>(protocol::MsgType::kShutdown)));
+    EXPECT_FALSE(protocol::known_request_type(2));
+    EXPECT_FALSE(protocol::known_reply_type(2));
     EXPECT_TRUE(protocol::known_request_type(
         static_cast<std::uint8_t>(protocol::MsgType::kStats)));
     EXPECT_TRUE(protocol::known_reply_type(
@@ -409,7 +408,7 @@ TEST(ServerRoundTrip, FingerprintsMatchLocalAndCacheHitsAreBitIdentical) {
     Client client(sock);
 
     const auto req = registry_job("corridor_small",
-                                  {backend::DeviceType::kCpu}, 60);
+                                  backend::DeviceType::kCpu, 60);
     std::vector<core::StepResult> local_steps;
     const auto local = local_run(req, &local_steps);
 
@@ -438,7 +437,7 @@ TEST(ServerRoundTrip, ScenarioTextSubmissionMatchesRegistrySubmission) {
     Client client(sock);
 
     auto by_name = registry_job("bottleneck_doorway",
-                                {backend::DeviceType::kSimt}, 40);
+                                backend::DeviceType::kSimt, 40);
     protocol::JobRequest by_text = by_name;
     by_text.registry = false;
     by_text.scenario =
@@ -462,22 +461,12 @@ TEST(ServerRoundTrip, GarbageScenarioTextFailsPerJobNotPerServer) {
     protocol::JobRequest bad;
     bad.registry = false;
     bad.scenario = "this is not a scenario file\x01\x02";
-    bad.engine = {backend::DeviceType::kCpu};
+    bad.engine = backend::DeviceType::kCpu;
     bad.steps = 10;
     ASSERT_TRUE(client.submit(bad).accepted);
     const auto r = client.wait_any();
     EXPECT_TRUE(r.failed);
     EXPECT_FALSE(r.error.empty());
-
-    // Engine-level configuration errors are also per-job: bands beyond
-    // the grid's rows.
-    auto over = registry_job("corridor_small",
-                             {backend::DeviceType::kCpu, 1 << 14}, 10);
-    ASSERT_TRUE(client.submit(over).accepted);
-    const auto r2 = client.wait_any();
-    EXPECT_TRUE(r2.failed);
-    EXPECT_NE(r2.error.find("exceeds grid rows"), std::string::npos)
-        << r2.error;
 
     // An unbounded look-ahead is rejected at parse time instead of
     // pinning the executor on its first step.
@@ -486,17 +475,17 @@ TEST(ServerRoundTrip, GarbageScenarioTextFailsPerJobNotPerServer) {
     protocol::JobRequest pinned;
     pinned.registry = false;
     pinned.scenario = io::scenario_to_text(far);
-    pinned.engine = {backend::DeviceType::kCpu};
+    pinned.engine = backend::DeviceType::kCpu;
     pinned.steps = 10;
     ASSERT_TRUE(client.submit(pinned).accepted);
-    const auto r3 = client.wait_any();
-    EXPECT_TRUE(r3.failed);
-    EXPECT_NE(r3.error.find("scan_range"), std::string::npos) << r3.error;
+    const auto r2 = client.wait_any();
+    EXPECT_TRUE(r2.failed);
+    EXPECT_NE(r2.error.find("scan_range"), std::string::npos) << r2.error;
 
-    // The server survived all three: a good job still runs on the same
+    // The server survived both: a good job still runs on the same
     // connection.
     const auto good = registry_job("corridor_small",
-                                   {backend::DeviceType::kCpu}, 20);
+                                   backend::DeviceType::kCpu, 20);
     ASSERT_TRUE(client.submit(good).accepted);
     const auto r4 = client.wait_any();
     ASSERT_FALSE(r4.failed) << r4.error;
@@ -507,13 +496,13 @@ TEST(ServerRoundTrip, UnknownRegistryNameAndBadStepsAreRejected) {
     const auto sock = test_socket("reject");
     ServerFixture fixture({sock, 1, 16});
     Client client(sock);
-    auto req = registry_job("corridor_small", {backend::DeviceType::kCpu});
+    auto req = registry_job("corridor_small", backend::DeviceType::kCpu);
     req.scenario = "no_such_scenario";
     const auto s1 = client.submit(req);
     EXPECT_FALSE(s1.accepted);
     EXPECT_NE(s1.reason.find("no_such_scenario"), std::string::npos)
         << s1.reason;
-    auto zero = registry_job("corridor_small", {backend::DeviceType::kCpu});
+    auto zero = registry_job("corridor_small", backend::DeviceType::kCpu);
     zero.steps = 0;
     const auto s2 = client.submit(zero);
     EXPECT_FALSE(s2.accepted);
@@ -527,7 +516,7 @@ TEST(ServerRoundTrip, QueueFullRejectionNamesTheBound) {
     ServerFixture fixture({sock, 0, 2});
     Client client(sock);
     const auto req = registry_job("corridor_small",
-                                  {backend::DeviceType::kCpu}, 10);
+                                  backend::DeviceType::kCpu, 10);
     EXPECT_TRUE(client.submit(req).accepted);
     EXPECT_TRUE(client.submit(req).accepted);
     const auto third = client.submit(req);
@@ -539,6 +528,8 @@ TEST(ServerRoundTrip, QueueFullRejectionNamesTheBound) {
 TEST(ServerFuzz, MalformedFramesKillTheSessionNotTheServer) {
     const auto sock = test_socket("fuzz");
     ServerFixture fixture({sock, 1, 16});
+    // Connected before the abuse and kept open throughout.
+    Client bystander(sock);
 
     const auto raw_connect = [&] {
         sockaddr_un addr{};
@@ -595,15 +586,27 @@ TEST(ServerFuzz, MalformedFramesKillTheSessionNotTheServer) {
         ASSERT_EQ(::write(fd, frame, sizeof(frame)), 8);
         expect_closed(fd);
     }
+    {
+        // Type 2, empty payload: an unknown type (no client frame may stop
+        // the server), so only the sender's session ends.
+        const int fd = raw_connect();
+        const std::uint8_t frame[5] = {2, 0, 0, 0, 0};
+        ASSERT_EQ(::write(fd, frame, sizeof(frame)), 5);
+        expect_closed(fd);
+    }
 
-    // After all four abusive sessions the server still serves real work.
-    Client client(sock);
-    const auto req = registry_job("corridor_small",
-                                  {backend::DeviceType::kCpu}, 20);
-    ASSERT_TRUE(client.submit(req).accepted);
-    const auto r = client.wait_any();
-    ASSERT_FALSE(r.failed) << r.error;
-    EXPECT_EQ(r.fingerprint, local_run(req).fingerprint);
+    // After all five abusive sessions the server still serves real work,
+    // on the connection that stayed open and on a new one.
+    const auto req =
+        registry_job("corridor_small", backend::DeviceType::kCpu, 20);
+    const std::uint64_t truth = local_run(req).fingerprint;
+    Client fresh(sock);
+    for (Client* client : {&bystander, &fresh}) {
+        ASSERT_TRUE(client->submit(req).accepted);
+        const auto r = client->wait_any();
+        ASSERT_FALSE(r.failed) << r.error;
+        EXPECT_EQ(r.fingerprint, truth);
+    }
 }
 
 TEST(ServerFuzz, WrongDirectionFrameKillsTheSessionNotTheServer) {
@@ -631,8 +634,8 @@ TEST(ServerFuzz, WrongDirectionFrameKillsTheSessionNotTheServer) {
     ::close(fd);
 
     Client client(sock);
-    const auto req = registry_job("corridor_small",
-                                  {backend::DeviceType::kCpu}, 20);
+    const auto req =
+        registry_job("corridor_small", backend::DeviceType::kCpu, 20);
     ASSERT_TRUE(client.submit(req).accepted);
     const auto ok = client.wait_any();
     ASSERT_FALSE(ok.failed) << ok.error;
@@ -644,35 +647,27 @@ TEST(ServerRoundTrip, NegativeEngineKnobsAreRejectedAtAdmission) {
     ServerFixture fixture({sock, 1, 16});
     Client client(sock);
 
-    auto bands = registry_job("corridor_small",
-                              {backend::DeviceType::kCpu, -3}, 10);
-    const auto s1 = client.submit(bands);
+    auto negative = registry_job("corridor_small",
+                                 backend::DeviceType::kCpu, 10);
+    negative.engine_threads = -1;
+    const auto s1 = client.submit(negative);
     EXPECT_FALSE(s1.accepted);
-    EXPECT_NE(s1.reason.find("engine bands must be >= 0, got -3"),
+    EXPECT_NE(s1.reason.find("engine_threads must be in [0, 4096], got -1"),
               std::string::npos)
         << s1.reason;
 
-    auto negative = registry_job("corridor_small",
-                                 {backend::DeviceType::kCpu}, 10);
-    negative.engine_threads = -1;
-    const auto s2 = client.submit(negative);
+    auto absurd = registry_job("corridor_small",
+                               backend::DeviceType::kCpu, 10);
+    absurd.engine_threads = 1 << 20;
+    const auto s2 = client.submit(absurd);
     EXPECT_FALSE(s2.accepted);
-    EXPECT_NE(s2.reason.find("engine_threads must be in [0, 4096], got -1"),
+    EXPECT_NE(s2.reason.find("engine_threads must be in [0, 4096]"),
               std::string::npos)
         << s2.reason;
 
-    auto absurd = registry_job("corridor_small",
-                               {backend::DeviceType::kCpu}, 10);
-    absurd.engine_threads = 1 << 20;
-    const auto s3 = client.submit(absurd);
-    EXPECT_FALSE(s3.accepted);
-    EXPECT_NE(s3.reason.find("engine_threads must be in [0, 4096]"),
-              std::string::npos)
-        << s3.reason;
-
-    // The session survived three rejections; a sane job still runs.
+    // The session survived both rejections; a sane job still runs.
     const auto good = registry_job("corridor_small",
-                                   {backend::DeviceType::kCpu}, 20);
+                                   backend::DeviceType::kCpu, 20);
     ASSERT_TRUE(client.submit(good).accepted);
     const auto r = client.wait_any();
     ASSERT_FALSE(r.failed) << r.error;
@@ -697,8 +692,8 @@ TEST(ServerLifecycle, SecondServerOnALiveSocketFailsWithoutBreakingIt) {
     // ...and the failed attempt (including `second`'s destructor) must
     // leave the first server fully functional.
     Client client(sock);
-    const auto req = registry_job("corridor_small",
-                                  {backend::DeviceType::kCpu}, 20);
+    const auto req =
+        registry_job("corridor_small", backend::DeviceType::kCpu, 20);
     ASSERT_TRUE(client.submit(req).accepted);
     const auto r = client.wait_any();
     ASSERT_FALSE(r.failed) << r.error;
@@ -722,7 +717,7 @@ TEST(ServerLifecycle, StaleSocketFileIsReclaimed) {
     ServerFixture fixture({sock, 1, 16});
     Client client(sock);
     const auto req = registry_job("corridor_small",
-                                  {backend::DeviceType::kCpu}, 10);
+                                  backend::DeviceType::kCpu, 10);
     ASSERT_TRUE(client.submit(req).accepted);
     EXPECT_FALSE(client.wait_any().failed);
 }
@@ -737,11 +732,11 @@ TEST(ServerRoundTrip, PerturbedScenariosMatchLocalRunsBitForBit) {
 
     const std::vector<std::string> scenarios = {
         "no_show_commute", "platform_dwell", "surge_stadium"};
-    const std::vector<backend::EngineSelect> engines = {
-        {backend::DeviceType::kCpu}, {backend::DeviceType::kCpu, 2}};
+    const std::vector<backend::DeviceType> engines = {
+        backend::DeviceType::kCpu, backend::DeviceType::kSimt};
     for (const auto& name : scenarios) {
         const auto truth =
-            local_run(registry_job(name, {backend::DeviceType::kCpu}, 60));
+            local_run(registry_job(name, backend::DeviceType::kCpu, 60));
         for (const auto& engine : engines) {
             const auto req = registry_job(name, engine, 60);
             ASSERT_TRUE(client.submit(req).accepted);
@@ -759,14 +754,12 @@ TEST(ServerConcurrency, ConcurrentClientsGetDeterministicResults) {
 
     // Each client submits the full engine matrix for its scenario; all
     // fingerprints must equal the in-process truth, and the cross-engine
-    // ones must agree with each other (cpu == simt == sharded:2).
+    // ones must agree with each other (cpu == simt).
     const std::vector<std::string> scenarios = {"corridor_small",
                                                 "bottleneck_doorway",
                                                 "pillar_field"};
-    const std::vector<backend::EngineSelect> engines = {
-        {backend::DeviceType::kCpu},
-        {backend::DeviceType::kSimt},
-        {backend::DeviceType::kCpu, 2}};
+    const std::vector<backend::DeviceType> engines = {
+        backend::DeviceType::kCpu, backend::DeviceType::kSimt};
 
     std::vector<std::thread> threads;
     std::vector<std::string> failures(scenarios.size());
@@ -809,7 +802,7 @@ TEST(ServerShutdown, DrainDeliversAdmittedJobsBeforeExit) {
         ServerOptions{sock, 1, 16});
     Client client(sock);
     const auto req = registry_job("corridor_small",
-                                  {backend::DeviceType::kCpu}, 80);
+                                  backend::DeviceType::kCpu, 80);
     std::vector<std::uint64_t> ids;
     for (int i = 0; i < 4; ++i) {
         const auto s = client.submit(req);

@@ -9,15 +9,18 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "backend/cli.hpp"
 #include "backend/device.hpp"
 #include "core/cpu_simulator.hpp"
 #include "core/gpu_simulator.hpp"
 #include "core/metrics.hpp"
 #include "scenario/runner.hpp"
+#include "scenario/scenario.hpp"
 
 namespace pedsim::core {
 namespace {
@@ -269,16 +272,14 @@ TEST(ParityNaiveHalo, TileLoadStrategyDoesNotChangeResults) {
 
 struct HostEngine {
     const char* label;
-    backend::EngineSelect sel;
     int threads;
 };
 
 const HostEngine kHostEngines[] = {
-    {"cpu@1", {backend::DeviceType::kCpu}, 1},
-    {"cpu@4", {backend::DeviceType::kCpu}, 4},
-    {"sharded-cpu:1", {backend::DeviceType::kCpu, 1}, 4},
-    {"sharded-cpu:3", {backend::DeviceType::kCpu, 3}, 4},
-    {"sharded-cpu:8", {backend::DeviceType::kCpu, 8}, 4},
+    {"cpu@1", 1},
+    {"cpu@2", 2},
+    {"cpu@4", 4},
+    {"cpu@8", 8},
 };
 
 /// One engine per kHostEngines entry, in the same order.
@@ -288,7 +289,7 @@ std::vector<std::unique_ptr<Simulator>> make_host_engines(
     for (const auto& e : kHostEngines) {
         SimConfig cfg = base;
         cfg.exec.threads = e.threads;
-        sims.push_back(backend::make_engine(e.sel, cfg));
+        sims.push_back(backend::make_engine(backend::DeviceType::kCpu, cfg));
     }
     return sims;
 }
@@ -542,6 +543,165 @@ TEST(MovementOracle, WordSeamAndCornerContestsMatchSimt) {
         }
     }
     EXPECT_GE(pocket_winners.size(), 4u);
+}
+
+// --- Slice seams: cpu at 1 thread vs 2, 4 and 12 ----------------------------------------
+//
+// The cpu engine cuts tour construction and movement into
+// exec::plan_slices ranges, four per thread. On these 48-row grids 12
+// threads give 48 one-row slices, so every row boundary is a seam. The
+// adversarial cases: agents crossing seams in both directions within one
+// step, conflict resolution astride a seam, door and mover rects spanning
+// seams, and look-ahead rays reading rows past their slice.
+
+struct Trace {
+    std::vector<StepResult> steps;
+    std::uint64_t fingerprint = 0;
+};
+
+Trace trace_cpu(const SimConfig& base, int threads, int steps) {
+    SimConfig cfg = base;
+    cfg.exec.threads = threads;
+    const auto sim = backend::make_cpu(cfg);
+    Trace t;
+    sim->run(steps, [&t](const StepResult& sr) {
+        t.steps.push_back(sr);
+        return true;
+    });
+    t.fingerprint = scenario::position_fingerprint(*sim);
+    return t;
+}
+
+/// Bit-parity of cpu at 2, 4 and 12 threads with cpu at 1 thread: the
+/// same StepResult sequence and the same final fingerprint.
+void expect_seam_parity(const std::string& label, const SimConfig& base,
+                        int steps) {
+    const Trace serial = trace_cpu(base, 1, steps);
+    ASSERT_EQ(serial.steps.size(), static_cast<std::size_t>(steps)) << label;
+    for (const int threads : {2, 4, 12}) {
+        const Trace t = trace_cpu(base, threads, steps);
+        EXPECT_EQ(t.steps, serial.steps)
+            << label << " @ " << threads << " threads";
+        EXPECT_EQ(t.fingerprint, serial.fingerprint)
+            << label << " @ " << threads << " threads";
+    }
+}
+
+/// Dense bidirectional corridor on a 48-row grid: both groups press
+/// through every interior row each step, so every seam sees agents
+/// crossing in both directions simultaneously.
+SimConfig crossing_config(std::size_t agents, std::uint64_t seed) {
+    SimConfig cfg;
+    cfg.grid.rows = cfg.grid.cols = 48;
+    cfg.agents_per_side = agents;
+    cfg.model = Model::kLem;
+    cfg.seed = seed;
+    return cfg;
+}
+
+TEST(SliceSeams, BothDirectionsCrossSeamsEveryStep) {
+    expect_seam_parity("bidirectional crossing", crossing_config(500, 71), 60);
+}
+
+TEST(SliceSeams, ConflictResolutionAstrideSeam) {
+    // The dense crowd contends for the same empty cells from both sides of
+    // each seam. The winner draw must come from the same global (cell,
+    // step) RNG stream whichever slice resolves the cell.
+    const auto cfg = crossing_config(550, 73);
+    std::uint64_t conflicts = 0;
+    for (const auto& sr : trace_cpu(cfg, 1, 40).steps) {
+        conflicts += static_cast<std::uint64_t>(sr.conflicts);
+    }
+    ASSERT_GT(conflicts, 0u) << "case must actually exercise contention";
+    expect_seam_parity("conflicts astride seams", cfg, 40);
+}
+
+TEST(SliceSeams, DoorRectSpanningSeamTogglesBothSides) {
+    // A wall across rows 20..28 opens a door mid-run, closes it and opens
+    // it again: the door rect spans several seams, so every slice must
+    // see the open/close before its next stage reads.
+    scenario::Scenario s;
+    s.sim = crossing_config(300, 77);
+    scenario::add_wall_rect(s.sim.layout, s.sim.grid, 20, 0, 28,
+                            s.sim.grid.cols - 1);
+    s.sim.doors.push_back({10, 20, 10, 28, 30, DoorAction::kOpen});
+    s.sim.doors.push_back({35, 20, 10, 28, 30, DoorAction::kClose});
+    s.sim.doors.push_back({50, 20, 10, 28, 30, DoorAction::kOpen});
+    expect_seam_parity("door spanning seams", s.sim, 80);
+}
+
+TEST(SliceSeams, MoverRectCrawlsAcrossSeams) {
+    // A moving wall translating one row per firing walks straight through
+    // the seams: each firing is an open at the old rows plus a close at
+    // the new ones, which the slices on both sides of a seam must see
+    // before the next step's stages run.
+    auto cfg = crossing_config(250, 79);
+    MoverEvent mover;
+    mover.start = 5;
+    mover.interval = 2;
+    mover.drow = 1;
+    mover.dcol = 0;
+    mover.row0 = 8;
+    mover.col0 = 12;
+    mover.row1 = 9;
+    mover.col1 = 34;
+    mover.count = 28;  // rows 8..9 -> 36..37
+    cfg.movers.push_back(mover);
+    expect_seam_parity("mover crossing seams", cfg, 80);
+}
+
+TEST(SliceSeams, ScanRangeReadsAcrossSeams) {
+    // Look-ahead rays reach scan.range rows past a candidate, so at range
+    // 3 a one-row slice reads three rows beyond its own.
+    auto cfg = crossing_config(400, 83);
+    cfg.scan.range = 3;
+    cfg.scan.congestion_weight = 0.8;
+    expect_seam_parity("scan range 3", cfg, 50);
+}
+
+// --- Engine names ---------------------------------------------------------------------------
+
+TEST(BackendNames, ParseNamesRoundTrip) {
+    for (const auto type :
+         {backend::DeviceType::kCpu, backend::DeviceType::kSimt}) {
+        EXPECT_EQ(backend::parse_device(backend::device_name(type)), type);
+    }
+    // "sharded-cpu" and "sharded" are aliases of cpu; their ":<digits>"
+    // suffix is validated and then ignored.
+    EXPECT_EQ(backend::parse_device("sharded-cpu:6"),
+              backend::DeviceType::kCpu);
+    backend::DeviceType out = backend::DeviceType::kSimt;
+    EXPECT_TRUE(backend::try_parse_device("sharded", out));
+    EXPECT_EQ(out, backend::DeviceType::kCpu);
+    for (const char* bad : {"cpu:4", "gpu:2", "sharded:x", "sharded:",
+                            "warp9"}) {
+        EXPECT_FALSE(backend::try_parse_device(bad, out)) << bad;
+    }
+}
+
+TEST(BackendNames, RemovedEngineFlagsAreNamedErrors) {
+    // io::ArgParser ignores unknown flags, so a removed spelling must fail
+    // by name instead of silently running the default engines.
+    const std::vector<backend::DeviceType> fallback = {
+        backend::DeviceType::kCpu};
+    for (const char* flag : {"--engines=gpu", "--engine=gpu", "--bands=4"}) {
+        const char* argv[] = {"prog", flag};
+        const io::ArgParser args(2, argv);
+        try {
+            backend::engines_from_args(args, fallback);
+            FAIL() << flag << " accepted";
+        } catch (const std::invalid_argument& e) {
+            const std::string name(flag, std::string(flag).find('='));
+            EXPECT_EQ(std::string(e.what()).rfind(name + " was removed", 0),
+                      0u)
+                << e.what();
+        }
+    }
+    const char* argv[] = {"prog", "--backend=sharded:3,gpu"};
+    const io::ArgParser args(2, argv);
+    const std::vector<backend::DeviceType> expected = {
+        backend::DeviceType::kCpu, backend::DeviceType::kSimt};
+    EXPECT_EQ(backend::engines_from_args(args, fallback), expected);
 }
 
 // --- Crossing / progress semantics ------------------------------------------------------

@@ -122,7 +122,7 @@ TEST(Waypoint, CpuVsSimtBitIdenticalAcross148Threads) {
         std::uint64_t base_fp = 0;
         bool first = true;
         for (const auto engine :
-             {scenario::EngineKind::kCpu, scenario::EngineKind::kSimt}) {
+             {backend::DeviceType::kCpu, backend::DeviceType::kSimt}) {
             for (const int threads : {1, 4, 8}) {
                 core::SimConfig cfg = s.sim;
                 cfg.exec.threads = threads;
