@@ -30,8 +30,8 @@ double run_throughput(core::SimConfig cfg, int steps, int repeats) {
 
 int main(int argc, char** argv) {
     const io::ArgParser args(argc, argv);
-    const int grid = args.get_int32("grid", 128);
-    const int steps = args.get_int32("steps", 1500);
+    const int grid = args.get_grid(128);
+    const int steps = args.get_steps(1500);
     const int density = args.get_int32("density", 15, 1, bench::kMaxDensity);
     const int repeats = args.get_int32("repeats", 2, 1);
 

@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
     const bool paper = args.get_bool("paper", false);
     const int warmup = args.get_int32("warmup", 5, 0);
     const int measure = args.get_int32("measure", paper ? 50 : 12, 1);
-    const int full_steps = args.get_int32("steps", 25000, 1);
+    const int full_steps = args.get_steps(25000);
     const auto densities = parse_densities(
         args.get("densities", paper ? "1,2,4,6,8,10,12,16,20,24,28,32,36,40"
                                     : "1,5,10,20,30,40"));

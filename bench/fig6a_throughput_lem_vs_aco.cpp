@@ -13,12 +13,21 @@
 // held fixed so crossings happen within a short step budget; --paper runs
 // the original 480x480 / 25,000-step / 10-repeat protocol.
 //
+// Three flow readings per model ride on the same runs: steps until half
+// the crowd has crossed (the largest over repeats; -1 when any repeat
+// never gets there), conflicts per step (mean over repeats) and the
+// number of repeats that gridlocked (100 steps without a move).
+// --max_density=36 reaches 40% of the grid's cells.
+//
 //   ./fig6a_throughput_lem_vs_aco [--paper] [--grid=128] [--steps=1500]
 //       [--repeats=2] [--max_density=20] [--backend=cpu|gpu]
 //       [--out=fig6a.csv]
+#include <algorithm>
+
 #include "backend/cli.hpp"
 #include "backend/device.hpp"
 #include "bench_common.hpp"
+#include "core/metrics.hpp"
 
 using namespace pedsim;
 
@@ -26,9 +35,8 @@ int main(int argc, char** argv) {
     const io::ArgParser args(argc, argv);
     obs::ObsSession session(args);
     const bool paper = args.get_bool("paper", false);
-    const int grid = args.get_int32("grid", paper ? 480 : 128);
-    const int steps =
-        args.get_int32("steps", paper ? 25000 : 1500);
+    const int grid = args.get_grid(paper ? 480 : 128);
+    const int steps = args.get_steps(paper ? 25000 : 1500);
     const int repeats = args.get_int32("repeats", paper ? 10 : 2, 1);
     const int max_density =
         args.get_int32("max_density", 20, 1, bench::kMaxDensity);
@@ -46,9 +54,24 @@ int main(int argc, char** argv) {
 
     io::CsvWriter csv(bench::csv_path(args, "fig6a.csv"));
     csv.header({"scenario", "total_agents", "threads", "lem_throughput",
-                "aco_throughput"});
-    io::TablePrinter table(
-        {"scenario", "total_agents", "LEM", "ACO", "ACO/LEM"});
+                "aco_throughput", "lem_steps_to_half", "aco_steps_to_half",
+                "lem_conflicts_per_step", "aco_conflicts_per_step",
+                "lem_gridlocked_repeats", "aco_gridlocked_repeats"});
+    io::TablePrinter table({"scenario", "total_agents", "LEM", "ACO",
+                            "ACO/LEM", "t_half LEM", "t_half ACO",
+                            "conflicts/step LEM", "conflicts/step ACO",
+                            "gridlock LEM", "gridlock ACO"});
+
+    // Per model, over one density's repeats.
+    struct Readings {
+        double throughput = 0.0;
+        std::int64_t steps_to_half = 0;
+        double conflicts_per_step = 0.0;
+        int gridlocked = 0;
+    };
+    const auto t_half_cell = [](std::int64_t t) {
+        return t >= 0 ? std::to_string(t) : std::string("-");
+    };
 
     double lem_sum = 0.0, aco_sum = 0.0;
     for (int d = 1; d <= max_density; ++d) {
@@ -58,29 +81,54 @@ int main(int argc, char** argv) {
             paper ? bench::paper_agents_per_side(d)
                   : bench::scaled_agents_per_side(d, grid);
         const int threads = bench::apply_threads(args, cfg);
+        const std::size_t population = 2 * cfg.agents_per_side;
 
-        double mean_tp[2] = {0, 0};
+        Readings by_model[2];
         for (const auto model : {core::Model::kLem, core::Model::kAco}) {
             cfg.model = model;
+            Readings& r = by_model[model == core::Model::kAco];
             double acc = 0.0;
             for (int rep = 0; rep < repeats; ++rep) {
                 cfg.seed = 1000 + static_cast<std::uint64_t>(100 * d + rep);
                 auto sim = backend::make_engine(engine, cfg);
-                const auto rr = sim->run(steps);
+                core::ThroughputRecorder crossings;
+                core::GridlockDetector gridlock(100);
+                const auto record = crossings.observer();
+                const auto rr =
+                    sim->run(steps, [&](const core::StepResult& sr) {
+                        gridlock.update(sr);
+                        return record(sr);
+                    });
                 acc += static_cast<double>(rr.crossed_total());
+                const auto t = crossings.steps_to_fraction(population, 0.5);
+                r.steps_to_half = t < 0 || r.steps_to_half < 0
+                                      ? -1
+                                      : std::max(r.steps_to_half, t);
+                r.conflicts_per_step +=
+                    static_cast<double>(rr.total_conflicts) / rr.steps_run;
+                r.gridlocked += gridlock.gridlocked() ? 1 : 0;
             }
-            mean_tp[model == core::Model::kAco] = acc / repeats;
+            r.throughput = acc / repeats;
+            r.conflicts_per_step /= repeats;
         }
-        lem_sum += mean_tp[0];
-        aco_sum += mean_tp[1];
-        csv.row(d, 2 * cfg.agents_per_side, threads, mean_tp[0], mean_tp[1]);
+        const Readings& lem = by_model[0];
+        const Readings& aco = by_model[1];
+        lem_sum += lem.throughput;
+        aco_sum += aco.throughput;
+        csv.row(d, population, threads, lem.throughput, aco.throughput,
+                lem.steps_to_half, aco.steps_to_half, lem.conflicts_per_step,
+                aco.conflicts_per_step, lem.gridlocked, aco.gridlocked);
         table.add_row(
-            {std::to_string(d), std::to_string(2 * cfg.agents_per_side),
-             io::TablePrinter::num(mean_tp[0], 0),
-             io::TablePrinter::num(mean_tp[1], 0),
-             mean_tp[0] > 0
-                 ? io::TablePrinter::num(mean_tp[1] / mean_tp[0], 2)
-                 : std::string("-")});
+            {std::to_string(d), std::to_string(population),
+             io::TablePrinter::num(lem.throughput, 0),
+             io::TablePrinter::num(aco.throughput, 0),
+             lem.throughput > 0
+                 ? io::TablePrinter::num(aco.throughput / lem.throughput, 2)
+                 : std::string("-"),
+             t_half_cell(lem.steps_to_half), t_half_cell(aco.steps_to_half),
+             io::TablePrinter::num(lem.conflicts_per_step, 1),
+             io::TablePrinter::num(aco.conflicts_per_step, 1),
+             std::to_string(lem.gridlocked), std::to_string(aco.gridlocked)});
     }
     table.print();
     const double overall =

@@ -27,9 +27,8 @@ int main(int argc, char** argv) {
     const io::ArgParser args(argc, argv);
     obs::ObsSession session(args);
     const bool paper = args.get_bool("paper", false);
-    const int grid = args.get_int32("grid", paper ? 480 : 96);
-    const int steps =
-        args.get_int32("steps", paper ? 25000 : 700);
+    const int grid = args.get_grid(paper ? 480 : 96);
+    const int steps = args.get_steps(paper ? 25000 : 700);
     const int repeats = args.get_int32("repeats", paper ? 10 : 1, 1);
     const int max_density =
         args.get_int32("max_density", paper ? 40 : 20, 1, bench::kMaxDensity);

@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
     obs::ObsSession session(args);
     const int max_wps = args.get_int32("max-waypoints", 6, 0);
     const int agents = args.get_int32("agents", 150, 1);
-    const int steps = args.get_int32("steps", 200, 1);
+    const int steps = args.get_steps(200);
     const int threads = args.get_int32("threads", 1, 0);
 
     const std::vector<backend::DeviceType> engines =

@@ -34,12 +34,12 @@ int main(int argc, char** argv) {
     obs::ObsSession session(args);
 
     core::SimConfig cfg;
-    cfg.grid.rows = cfg.grid.cols = args.get_int32("grid", 96);
+    cfg.grid.rows = cfg.grid.cols = args.get_grid(96);
     cfg.agents_per_side =
         static_cast<std::size_t>(args.get_int32("agents", 640, 1));
     cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
     cfg.exec.threads = args.get_threads();
-    const int steps = args.get_int32("steps", 400, 1);
+    const int steps = args.get_steps(400);
 
     std::printf(
         "pedsim quickstart: %dx%d grid, %zu agents/side, %d steps, "

@@ -6,6 +6,8 @@
 //   ./tsp_ants [--cities=24] [--instance=circle|random] [--iters=80]
 //       [--alpha=1] [--beta=5] [--rho=0.5] [--q=100] [--seed=1]
 #include <cstdio>
+#include <stdexcept>
+#include <string>
 
 #include "aco/ant_system.hpp"
 #include "aco/tsp.hpp"
@@ -29,7 +31,12 @@ int main(int argc, char** argv) {
 
     const auto n = static_cast<std::size_t>(args.get_int32("cities", 24, 3));
     const int iters = args.get_int32("iters", 80, 1);
-    const bool circle = args.get("instance", "circle") == "circle";
+    const std::string instance = args.get("instance", "circle");
+    if (instance != "circle" && instance != "random") {
+        throw std::invalid_argument(
+            "--instance: expected circle or random, got '" + instance + "'");
+    }
+    const bool circle = instance == "circle";
 
     const auto tsp = circle
                          ? aco::TspInstance::circle(n, 100.0)

@@ -1,5 +1,5 @@
-// Run-level instrumentation for the examples: per-step throughput series
-// and gridlock detection.
+// Run-level instrumentation: per-step throughput series and gridlock
+// detection (fig6a_throughput_lem_vs_aco's flow columns).
 #pragma once
 
 #include <cstdint>
@@ -33,7 +33,8 @@ class ThroughputRecorder {
 };
 
 /// Detects total gridlock: `window` consecutive steps without a single
-/// movement (paper section VI observes this above 51,200 agents).
+/// movement (paper section VI observes this above 51,200 agents). A
+/// drained grid makes no moves either, so it counts too.
 class GridlockDetector {
   public:
     explicit GridlockDetector(int window = 50) : window_(window) {}

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "exec/exec_policy.hpp"
+#include "grid/environment.hpp"
 #include "io/strict_parse.hpp"
 
 namespace pedsim::io {
@@ -84,6 +85,21 @@ int ArgParser::get_threads() const {
     const exec::ExecPolicy policy{
         get_int32("threads", 0, 0, std::numeric_limits<int>::max())};
     return policy.effective_threads();
+}
+
+int ArgParser::get_steps(int def) const {
+    return get_int32("steps", def, 1);
+}
+
+int ArgParser::get_grid(int def) const {
+    constexpr int kTile = grid::GridConfig::kTileEdge;
+    const int edge = get_int32("grid", def, kTile);
+    if (edge % kTile != 0) {
+        throw std::invalid_argument("--grid: " + std::to_string(edge) +
+                                    " is not a multiple of the " +
+                                    std::to_string(kTile) + "-cell tile edge");
+    }
+    return edge;
 }
 
 bool ArgParser::get_bool(const std::string& key, bool def) const {

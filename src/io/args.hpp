@@ -40,6 +40,12 @@ class ArgParser {
     /// hardware concurrency, matching exec::ExecPolicy). Negative or
     /// int-overflowing values throw naming the flag.
     [[nodiscard]] int get_threads() const;
+    /// The shared `--steps=N` convention: a step count of at least 1.
+    [[nodiscard]] int get_steps(int def) const;
+    /// The shared `--grid=N` convention: a square grid edge that is a
+    /// positive multiple of grid::GridConfig::kTileEdge. Anything else
+    /// throws naming the flag, before an engine rejects the geometry.
+    [[nodiscard]] int get_grid(int def) const;
 
     [[nodiscard]] const std::vector<std::string>& positional() const {
         return positional_;

@@ -5,19 +5,23 @@
 
 namespace pedsim::io {
 
-std::string render(const grid::Environment& env, RenderOptions opts) {
-    const int block_r =
-        std::max(1, (env.rows() + opts.max_rows - 1) / opts.max_rows);
-    const int block_c =
-        std::max(1, (env.cols() + opts.max_cols - 1) / opts.max_cols);
+std::string render(const grid::Environment& env, std::optional<Mark> mark) {
+    const int block_r = std::max(1, (env.rows() + kFrameRows - 1) / kFrameRows);
+    const int block_c = std::max(1, (env.cols() + kFrameCols - 1) / kFrameCols);
     const int out_rows = (env.rows() + block_r - 1) / block_r;
     const int out_cols = (env.cols() + block_c - 1) / block_c;
+    if (mark && !env.in_bounds(mark->row, mark->col)) mark.reset();
 
     std::ostringstream os;
-    if (opts.border) os << '+' << std::string(out_cols, '-') << "+\n";
+    os << '+' << std::string(out_cols, '-') << "+\n";
     for (int br = 0; br < out_rows; ++br) {
-        if (opts.border) os << '|';
+        os << '|';
         for (int bc = 0; bc < out_cols; ++bc) {
+            if (mark && mark->row / block_r == br &&
+                mark->col / block_c == bc) {
+                os << 'X';
+                continue;
+            }
             int top = 0, bottom = 0, walls = 0, cells = 0;
             for (int r = br * block_r;
                  r < std::min((br + 1) * block_r, env.rows()); ++r) {
@@ -45,10 +49,9 @@ std::string render(const grid::Environment& env, RenderOptions opts) {
             }
             os << ch;
         }
-        if (opts.border) os << '|';
-        os << '\n';
+        os << "|\n";
     }
-    if (opts.border) os << '+' << std::string(out_cols, '-') << "+\n";
+    os << '+' << std::string(out_cols, '-') << "+\n";
     return os.str();
 }
 

@@ -41,10 +41,10 @@ constexpr int kMaxEngineThreads = 4096;
 
 /// Per-connection state. Frames to one client can come from its session
 /// thread (accept/reject/stats) and several executors at once, so every
-/// write goes through send() under the mutex; after the first write
-/// failure the connection is dead and further output is dropped (the job
-/// itself still runs to completion — results are discarded, never the
-/// server).
+/// write goes through send() under the mutex. The connection is dead
+/// after the first write failure or once its session reader exits; then
+/// further output is dropped and its jobs stop at their next step
+/// (`server.jobs.abandoned`), freeing the executor.
 struct Server::Connection {
     int fd = -1;
     std::uint64_t client_id = 0;
@@ -367,6 +367,9 @@ void Server::execute(Job& job) {
         protocol::StepBatch batch;
         batch.job_id = job.id;
         batch.steps.reserve(kStepBatch);
+        const auto client_gone = [&] {
+            return job.conn->dead.load(std::memory_order_relaxed);
+        };
         const auto observer = [&](const core::StepResult& sr) {
             batch.steps.push_back(sr);
             if (batch.steps.size() >= kStepBatch) {
@@ -374,11 +377,16 @@ void Server::execute(Job& job) {
                                protocol::encode_steps(batch));
                 batch.steps.clear();
             }
-            return true;
+            return !client_gone();
         };
         const auto rec = runner.run_prepared(*prepared, req.engine,
                                              req.model, req.seed, req.steps,
                                              observer);
+        if (client_gone()) {
+            // Nobody is left to read the result, which may be partial.
+            obs::MetricsRegistry::add("server.jobs.abandoned");
+            return;
+        }
         if (!batch.steps.empty()) {
             job.conn->send(protocol::MsgType::kStep,
                            protocol::encode_steps(batch));

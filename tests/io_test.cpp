@@ -2,9 +2,11 @@
 // rendering and the CLI argument parser.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "grid/environment.hpp"
 #include "io/args.hpp"
@@ -88,10 +90,7 @@ TEST(Render, SmallGridOneCharPerCell) {
     grid::Environment env(grid::GridConfig{16, 16});
     env.place(0, 0, grid::Group::kTop, 1);
     env.place(15, 15, grid::Group::kBottom, 2);
-    RenderOptions opts;
-    opts.max_rows = 16;
-    opts.max_cols = 16;
-    const auto s = render(env, opts);
+    const auto s = render(env);
     // 16 content rows + 2 border rows.
     EXPECT_EQ(std::count(s.begin(), s.end(), '\n'), 18);
     EXPECT_NE(s.find('V'), std::string::npos);
@@ -100,32 +99,36 @@ TEST(Render, SmallGridOneCharPerCell) {
 
 TEST(Render, DownsamplesLargeGrids) {
     grid::Environment env(grid::GridConfig{480, 480});
-    RenderOptions opts;
-    opts.max_rows = 48;
-    opts.max_cols = 96;
-    const auto s = render(env, opts);
-    EXPECT_LE(std::count(s.begin(), s.end(), '\n'), 50);
+    const auto s = render(env);
+    EXPECT_EQ(std::count(s.begin(), s.end(), '\n'), kFrameRows + 2);
 }
 
 TEST(Render, MixedBlockShowsColon) {
-    grid::Environment env(grid::GridConfig{32, 32});
+    // 2x2 blocks: twice the frame bounds in each direction.
+    grid::Environment env(grid::GridConfig{2 * kFrameRows, 2 * kFrameCols});
     env.place(0, 0, grid::Group::kTop, 1);
     env.place(0, 1, grid::Group::kBottom, 2);
-    RenderOptions opts;
-    opts.max_rows = 16;  // 2x2 blocks
-    opts.max_cols = 16;
-    const auto s = render(env, opts);
+    const auto s = render(env);
     EXPECT_NE(s.find(':'), std::string::npos);
 }
 
-TEST(Render, NoBorderOption) {
-    grid::Environment env(grid::GridConfig{16, 16});
-    RenderOptions opts;
-    opts.border = false;
-    opts.max_rows = 16;
-    opts.max_cols = 16;
-    const auto s = render(env, opts);
-    EXPECT_EQ(s.find('+'), std::string::npos);
+TEST(Render, MarkLandsOnItsDownsampledCharacter) {
+    // 480x480 in a 48x96 frame: blocks of 10 rows x 5 columns.
+    grid::Environment env(grid::GridConfig{480, 480});
+    env.place(237, 333, grid::Group::kTop, 1);  // under the mark
+    env.place(0, 0, grid::Group::kBottom, 2);
+    const auto s = render(env, Mark{237, 333});
+    std::vector<std::string> lines;
+    std::istringstream in(s);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+    ASSERT_EQ(lines.size(), static_cast<std::size_t>(kFrameRows + 2));
+    EXPECT_EQ(std::count(s.begin(), s.end(), 'X'), 1);
+    // Line 0 is the border; each content line opens with '|'.
+    EXPECT_EQ(lines[1 + 237 / 10][1 + 333 / 5], 'X') << s;
+    EXPECT_EQ(lines[1][1], '^');
+    // A mark off the grid draws nothing.
+    const auto off = render(env, Mark{480, 0});
+    EXPECT_EQ(off.find('X'), std::string::npos);
 }
 
 // --- ArgParser ------------------------------------------------------------------------

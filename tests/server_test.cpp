@@ -3,17 +3,26 @@
 // end-to-end socket round-trips pinning the server determinism contract —
 // server-returned fingerprints bit-identical to in-process runs, cache
 // hits bit-identical to misses, malformed frames killing one session but
-// never the server, and graceful drain delivering every admitted job's
-// results.
+// never the server, graceful drain delivering every admitted job's
+// results, and a job whose client has gone releasing its executor.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <csignal>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <future>
+#include <limits>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <spawn.h>
 #include <sys/socket.h>
 #include <sys/un.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "io/scenario_file.hpp"
@@ -50,6 +59,43 @@ struct ServerFixture {
     }
     Server srv;
     std::thread thread;
+};
+
+/// pedsim_server in a child process: unlike ServerFixture, it can be
+/// ended while a job is still running.
+struct ServerProcess {
+    ServerProcess(const std::string& socket, const std::string& metrics) {
+        std::vector<std::string> args = {PEDSIM_SERVER_BIN,
+                                         "--socket=" + socket, "--threads=1",
+                                         "--metrics-json=" + metrics};
+        std::vector<char*> argv;
+        for (auto& a : args) argv.push_back(a.data());
+        argv.push_back(nullptr);
+        if (::posix_spawn(&pid, argv[0], nullptr, nullptr, argv.data(),
+                          environ) != 0) {
+            pid = -1;
+            return;
+        }
+        for (int i = 0; i < 1000; ++i) {  // until it listens (<= 10 s)
+            try {
+                Client probe(socket);
+                return;
+            } catch (const std::exception&) {
+                std::this_thread::sleep_for(std::chrono::milliseconds(10));
+            }
+        }
+    }
+    ~ServerProcess() { stop(SIGKILL); }
+    ServerProcess(const ServerProcess&) = delete;
+    ServerProcess& operator=(const ServerProcess&) = delete;
+    /// Signal the server and reap it; SIGTERM drains and writes metrics.
+    void stop(int sig) {
+        if (pid <= 0) return;
+        ::kill(pid, sig);
+        ::waitpid(pid, nullptr, 0);
+        pid = -1;
+    }
+    pid_t pid = -1;
 };
 
 protocol::JobRequest registry_job(const std::string& name,
@@ -820,4 +866,47 @@ TEST(ServerShutdown, DrainDeliversAdmittedJobsBeforeExit) {
         ASSERT_FALSE(r.failed) << r.error;
         EXPECT_EQ(r.fingerprint, truth.fingerprint);
     }
+}
+
+TEST(ServerAbandon, JobOfADisconnectedClientFreesTheExecutor) {
+    // One executor. A client submits a job of 2^31 - 1 steps and hangs
+    // up; the executor must drop that job and serve the next client.
+    const auto sock = test_socket("abandon");
+    const auto metrics = sock + ".metrics.json";
+    ServerProcess server(sock, metrics);
+    ASSERT_GT(server.pid, 0) << "cannot start " << PEDSIM_SERVER_BIN;
+    {
+        Client gone(sock);
+        const auto s = gone.submit(
+            registry_job("corridor_small", backend::DeviceType::kCpu,
+                         std::numeric_limits<int>::max()));
+        ASSERT_TRUE(s.accepted) << s.reason;
+    }
+    const auto req =
+        registry_job("corridor_small", backend::DeviceType::kCpu, 10);
+    auto fresh = std::async(std::launch::async, [&] {
+        Client client(sock);
+        const auto s = client.submit(req);
+        if (!s.accepted) throw std::runtime_error(s.reason);
+        const auto r = client.wait_any();
+        return std::make_pair(r, client.stats());
+    });
+    if (fresh.wait_for(std::chrono::seconds(10)) !=
+        std::future_status::ready) {
+        server.stop(SIGKILL);  // ends the blocked client's read
+        FAIL() << "a fresh 10-step job did not finish within 10 s: the "
+                  "abandoned job still holds the only executor";
+    }
+    const auto [r, stats] = fresh.get();
+    ASSERT_FALSE(r.failed) << r.error;
+    EXPECT_EQ(r.fingerprint, local_run(req).fingerprint);
+    EXPECT_EQ(stats.completed, 1u);  // the abandoned job is not counted
+    server.stop(SIGTERM);
+    std::ifstream in(metrics);
+    std::stringstream json;
+    json << in.rdbuf();
+    EXPECT_NE(json.str().find("\"server.jobs.abandoned\":1"),
+              std::string::npos)
+        << json.str();
+    std::remove(metrics.c_str());
 }
