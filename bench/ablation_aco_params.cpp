@@ -28,7 +28,7 @@ double run_throughput(core::SimConfig cfg, int steps, int repeats) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     const io::ArgParser args(argc, argv);
     const int grid = args.get_grid(128);
     const int steps = args.get_steps(1500);
@@ -95,4 +95,7 @@ int main(int argc, char** argv) {
         "rho erases trails each step. The baseline row justifies the "
         "defaults (docs/REPRODUCTION.md, ablation_aco_params row).\n");
     return 0;
+} catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
 }

@@ -9,14 +9,19 @@
 // printed so a reader can tell exactly what was run.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
+#include <initializer_list>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/cpu_simulator.hpp"
 #include "core/gpu_simulator.hpp"
 #include "io/args.hpp"
 #include "io/csv.hpp"
+#include "io/strict_parse.hpp"
 #include "io/table.hpp"
 #include "obs/cli.hpp"
 #include "obs/clock.hpp"
@@ -30,6 +35,26 @@ inline constexpr int kMaxDensity = 40;
 inline std::size_t paper_agents_per_side(int density_index) {
     return static_cast<std::size_t>(1280) *
            static_cast<std::size_t>(density_index);
+}
+
+/// `--densities`: comma-separated density indices of the paper's sweep.
+inline std::vector<int> parse_densities(const std::string& csv) {
+    std::vector<int> out;
+    std::size_t pos = 0;
+    for (;;) {
+        const auto comma = csv.find(',', pos);
+        const auto item = csv.substr(
+            pos, comma == std::string::npos ? csv.npos : comma - pos);
+        long long d = 0;
+        if (!io::strict_stoll(item, d) || d < 1 || d > kMaxDensity) {
+            throw std::invalid_argument(
+                "--densities: expected density indices in [1, " +
+                std::to_string(kMaxDensity) + "], got '" + item + "'");
+        }
+        out.push_back(static_cast<int>(d));
+        if (comma == std::string::npos) return out;
+        pos = comma + 1;
+    }
 }
 
 /// Scale a paper population to a smaller grid at equal area density.
@@ -50,27 +75,54 @@ inline double timed_run(core::Simulator& sim, int warmup, int measure) {
     return sim.run(measure).wall_seconds / measure;
 }
 
-/// Measured window on the GPU engine: per-step modeled device seconds,
-/// and per-step modeled sequential (i7-930) seconds from the same
-/// operation counts.
+/// A measured window of the gpu-simt engine: the launches of `steps`
+/// steps run after unmeasured warmup steps. Every modeled number of
+/// fig5_exec_time and ablation_simt is read from a window through here.
 struct GpuWindow {
-    double gpu_seconds_per_step = 0.0;
-    double cpu_model_seconds_per_step = 0.0;
+    int steps = 0;
+    std::vector<simt::LaunchRecord> launches;
+
+    /// Summed operation counts of the launches of the named kernels
+    /// (of every launch when `kernels` is empty).
+    [[nodiscard]] simt::KernelStats stats(
+        std::initializer_list<std::string_view> kernels = {}) const {
+        simt::KernelStats out;
+        for (const auto& rec : launches) {
+            if (selects(kernels, rec)) out.merge(rec.stats);
+        }
+        return out;
+    }
+
+    /// Modeled seconds per step of the same launches, each launch costed
+    /// by `timing`. TimingModel(DeviceSpec::gtx560ti()) gives back the
+    /// engine's own LaunchRecord::modeled_seconds; another device's model
+    /// re-costs the same kernel stream.
+    [[nodiscard]] double seconds_per_step(
+        const simt::TimingModel& timing,
+        std::initializer_list<std::string_view> kernels = {}) const {
+        double seconds = 0.0;
+        for (const auto& rec : launches) {
+            if (selects(kernels, rec)) seconds += timing.seconds(rec.stats);
+        }
+        return seconds / steps;
+    }
+
+  private:
+    static bool selects(std::initializer_list<std::string_view> kernels,
+                        const simt::LaunchRecord& rec) {
+        return kernels.size() == 0 ||
+               std::find(kernels.begin(), kernels.end(), rec.kernel_name) !=
+                   kernels.end();
+    }
 };
 
 inline GpuWindow gpu_window(core::GpuSimulator& sim, int warmup,
                             int measure) {
     sim.run(warmup);
-    const auto before = sim.launch_log().records().size();
-    const double m0 = sim.modeled_seconds();
+    const auto& log = sim.launch_log().records();
+    const auto before = static_cast<std::ptrdiff_t>(log.size());
     sim.run(measure);
-    simt::KernelStats stats;
-    const auto& recs = sim.launch_log().records();
-    for (std::size_t i = before; i < recs.size(); ++i) {
-        stats.merge(recs[i].stats);
-    }
-    return {(sim.modeled_seconds() - m0) / measure,
-            simt::SequentialCostModel{}.seconds(stats) / measure};
+    return {measure, {log.begin() + before, log.end()}};
 }
 
 /// CSV output directory (bench binaries drop series next to the binary).

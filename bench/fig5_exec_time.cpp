@@ -27,46 +27,19 @@
 //
 //   ./fig5_exec_time [--paper] [--measure=12] [--warmup=5]
 //       [--densities=1,5,10,20,30,40] [--steps=25000] [--out=fig5.csv]
-#include <stdexcept>
-
 #include "backend/device.hpp"
 #include "bench_common.hpp"
-#include "io/strict_parse.hpp"
 
 using namespace pedsim;
 
-namespace {
-
-/// `--densities`: comma-separated density indices of the paper's sweep.
-std::vector<int> parse_densities(const std::string& csv) {
-    std::vector<int> out;
-    std::size_t pos = 0;
-    for (;;) {
-        const auto comma = csv.find(',', pos);
-        const auto item = csv.substr(
-            pos, comma == std::string::npos ? csv.npos : comma - pos);
-        long long d = 0;
-        if (!io::strict_stoll(item, d) || d < 1 || d > bench::kMaxDensity) {
-            throw std::invalid_argument(
-                "--densities: expected density indices in [1, " +
-                std::to_string(bench::kMaxDensity) + "], got '" + item + "'");
-        }
-        out.push_back(static_cast<int>(d));
-        if (comma == std::string::npos) return out;
-        pos = comma + 1;
-    }
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     const io::ArgParser args(argc, argv);
     obs::ObsSession session(args);
     const bool paper = args.get_bool("paper", false);
     const int warmup = args.get_int32("warmup", 5, 0);
     const int measure = args.get_int32("measure", paper ? 50 : 12, 1);
     const int full_steps = args.get_steps(25000);
-    const auto densities = parse_densities(
+    const auto densities = bench::parse_densities(
         args.get("densities", paper ? "1,2,4,6,8,10,12,16,20,24,28,32,36,40"
                                     : "1,5,10,20,30,40"));
 
@@ -91,6 +64,7 @@ int main(int argc, char** argv) {
                             "GPU_s(GTX560Ti)", "host_wall_s"});
     io::TablePrinter fig5c({"total_agents", "speedup_x"});
 
+    const simt::TimingModel fermi(simt::DeviceSpec::gtx560ti());
     const auto steps = static_cast<double>(full_steps);
     double first = 0.0, last = 0.0;
     for (const int d : densities) {
@@ -102,13 +76,15 @@ int main(int argc, char** argv) {
         cfg.model = core::Model::kLem;
         const double lem_s =
             bench::gpu_window(*backend::make_simt(cfg), warmup, measure)
-                .gpu_seconds_per_step *
+                .seconds_per_step(fermi) *
             steps;
         cfg.model = core::Model::kAco;
         const auto aco =
             bench::gpu_window(*backend::make_simt(cfg), warmup, measure);
-        const double gpu_s = aco.gpu_seconds_per_step * steps;
-        const double cpu_s = aco.cpu_model_seconds_per_step * steps;
+        const double gpu_s = aco.seconds_per_step(fermi) * steps;
+        const double cpu_s =
+            simt::SequentialCostModel{}.seconds(aco.stats()) / measure *
+            steps;
         const double host_s =
             bench::timed_run(*backend::make_cpu(cfg), warmup, measure) *
             steps;
@@ -148,4 +124,7 @@ int main(int argc, char** argv) {
         "11x); this run: %.1fx -> %.1fx\n",
         first, last);
     return 0;
+} catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
 }

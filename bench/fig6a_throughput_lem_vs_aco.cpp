@@ -16,7 +16,8 @@
 // Three flow readings per model ride on the same runs: steps until half
 // the crowd has crossed (the largest over repeats; -1 when any repeat
 // never gets there), conflicts per step (mean over repeats) and the
-// number of repeats that gridlocked (100 steps without a move).
+// number of repeats that gridlocked (100 steps in which agents remain on
+// the grid and none moves).
 // --max_density=36 reaches 40% of the grid's cells.
 //
 //   ./fig6a_throughput_lem_vs_aco [--paper] [--grid=128] [--steps=1500]
@@ -31,7 +32,7 @@
 
 using namespace pedsim;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     const io::ArgParser args(argc, argv);
     obs::ObsSession session(args);
     const bool paper = args.get_bool("paper", false);
@@ -96,7 +97,8 @@ int main(int argc, char** argv) {
                 const auto record = crossings.observer();
                 const auto rr =
                     sim->run(steps, [&](const core::StepResult& sr) {
-                        gridlock.update(sr);
+                        gridlock.update(sr,
+                                        sim->properties().active_count());
                         return record(sr);
                     });
                 acc += static_cast<double>(rr.crossed_total());
@@ -138,4 +140,7 @@ int main(int argc, char** argv) {
         "low density, ACO ahead at medium, both gridlock when congested)\n",
         overall);
     return 0;
+} catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
 }

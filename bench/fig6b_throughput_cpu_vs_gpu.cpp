@@ -23,7 +23,7 @@
 
 using namespace pedsim;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     const io::ArgParser args(argc, argv);
     obs::ObsSession session(args);
     const bool paper = args.get_bool("paper", false);
@@ -131,4 +131,7 @@ int main(int argc, char** argv) {
             "with more densities/steps (e.g. --paper).\n");
     }
     return 0;
+} catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
 }

@@ -52,7 +52,7 @@ scenario::Scenario make_case(int k, int agents, int threads) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     const io::ArgParser args(argc, argv);
     if (args.has("help")) {
         std::puts(
@@ -141,4 +141,7 @@ int main(int argc, char** argv) {
         std::printf("\nwrote %s\n", args.get("csv").c_str());
     }
     return 0;
+} catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
 }

@@ -17,7 +17,7 @@
 
 using namespace pedsim;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     const io::ArgParser args(argc, argv);
     if (args.has("help")) {
         std::puts(
@@ -93,4 +93,7 @@ int main(int argc, char** argv) {
     }
     prof.print();
     return 0;
+} catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
 }

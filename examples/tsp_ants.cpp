@@ -16,7 +16,7 @@
 
 using namespace pedsim;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     const io::ArgParser args(argc, argv);
     if (args.has("help")) {
         std::puts(
@@ -86,4 +86,7 @@ int main(int argc, char** argv) {
                     100.0 * (result.best_length / opt - 1.0));
     }
     return 0;
+} catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
 }

@@ -54,7 +54,7 @@ GpuSimulator::GpuSimulator(const SimConfig& config, GpuOptions options,
                            std::shared_ptr<const DoorSchedule> warm)
     : Simulator(config, std::move(warm)),
       options_(std::move(options)),
-      timing_(options_.device),
+      timing_(simt::DeviceSpec::gtx560ti()),
       scan_(props_.agent_count()),
       winner_(env_.config().cell_count(), 0) {}
 
@@ -91,7 +91,7 @@ void GpuSimulator::stage_reset() {
     const simt::Dim2 block{256, 1};
     const simt::Dim2 grid{(rows + block.x - 1) / block.x, 1};
     auto stats = simt::launch<simt::NoShared>(
-        options_.device, grid, block, /*phases=*/1,
+        timing_.spec(), grid, block, /*phases=*/1,
         [&](simt::ThreadCtx& ctx, simt::NoShared&, int) {
             const int i = ctx.global_x();
             if (!ctx.branch(kSiteOccupied, i < rows)) return;
@@ -129,7 +129,7 @@ void GpuSimulator::stage_initial_calc() {
     }
 
     auto stats = simt::launch<TileShared>(
-        options_.device, grid, block, /*phases=*/2,
+        timing_.spec(), grid, block, /*phases=*/2,
         [&](simt::ThreadCtx& ctx, TileShared& sh, int phase) {
             if (phase == 0) {
                 // Stage the tiles (paper Fig. 3). The index/pheromone tiles
@@ -283,7 +283,7 @@ void GpuSimulator::stage_tour_construction() {
     const simt::Dim2 grid{(n_agents + block.y - 1) / block.y, 1};
 
     auto stats = simt::launch<TourShared>(
-        options_.device, grid, block, /*phases=*/2,
+        timing_.spec(), grid, block, /*phases=*/2,
         [&](simt::ThreadCtx& ctx, TourShared& sh, int phase) {
             const int agent_row = ctx.thread_idx.y;
             const int lane_in_row = ctx.thread_idx.x;
@@ -348,7 +348,7 @@ void GpuSimulator::stage_movement(std::vector<Move>& out_moves) {
     std::fill(winner_.begin(), winner_.end(), 0);
 
     auto stats = simt::launch<TileShared>(
-        options_.device, grid, block, /*phases=*/2,
+        timing_.spec(), grid, block, /*phases=*/2,
         [&](simt::ThreadCtx& ctx, TileShared& sh, int phase) {
             if (phase == 0) {
                 if (options_.remapped_halo_load) {

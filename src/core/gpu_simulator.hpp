@@ -9,6 +9,12 @@
 // Functional results are bit-identical to CpuSimulator (same pure rules,
 // same stream keys); the launch log additionally captures divergence,
 // coalescing and modeled kernel time for the Fig. 5 benches.
+//
+// Kernels launch on, and are timed for, the paper's GTX 560 Ti
+// (simt::DeviceSpec::gtx560ti()). Another device's time is a re-cost of
+// the launch log's stats with that device's simt::TimingModel: a launch
+// reads only the spec's warp size and transaction bytes, which the
+// modeled GPUs share.
 #pragma once
 
 #include "core/scan_matrix.hpp"
@@ -21,7 +27,6 @@
 namespace pedsim::core {
 
 struct GpuOptions {
-    simt::DeviceSpec device = simt::DeviceSpec::gtx560ti();
     /// Paper's warp-remapped halo load; false = naive boundary-thread
     /// loads (tiling ablation).
     bool remapped_halo_load = true;
@@ -41,7 +46,6 @@ class GpuSimulator final : public Simulator {
                  std::shared_ptr<const DoorSchedule> warm);
 
     [[nodiscard]] const simt::LaunchLog& launch_log() const { return log_; }
-    [[nodiscard]] const GpuOptions& options() const { return options_; }
     [[nodiscard]] double modeled_seconds() const override {
         return log_.total_modeled_seconds();
     }

@@ -6,7 +6,6 @@ StepObserver ThroughputRecorder::observer() {
     return [this](const StepResult& sr) {
         const int crossings = sr.crossed_top + sr.crossed_bottom;
         per_step_.push_back(crossings);
-        total_ += static_cast<std::uint64_t>(crossings);
         return true;
     };
 }
@@ -23,13 +22,11 @@ std::int64_t ThroughputRecorder::steps_to_fraction(std::size_t population,
     return -1;
 }
 
-bool GridlockDetector::update(const StepResult& sr) {
+bool GridlockDetector::update(const StepResult& sr,
+                              std::size_t agents_on_grid) {
     if (gridlocked_) return true;
-    if (sr.moves == 0) {
-        if (++quiet_ >= window_) {
-            gridlocked_ = true;
-            since_ = static_cast<std::int64_t>(sr.step) - window_ + 1;
-        }
+    if (sr.moves == 0 && agents_on_grid > 0) {
+        gridlocked_ = ++quiet_ >= window_;
     } else {
         quiet_ = 0;
     }

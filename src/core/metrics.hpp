@@ -18,10 +18,6 @@ class ThroughputRecorder {
     /// outlive the run.
     [[nodiscard]] StepObserver observer();
 
-    [[nodiscard]] const std::vector<int>& per_step_crossings() const {
-        return per_step_;
-    }
-    [[nodiscard]] std::uint64_t total() const { return total_; }
     /// First step at which at least `fraction` of `population` had crossed,
     /// or -1 if never reached.
     [[nodiscard]] std::int64_t steps_to_fraction(std::size_t population,
@@ -29,25 +25,25 @@ class ThroughputRecorder {
 
   private:
     std::vector<int> per_step_;
-    std::uint64_t total_ = 0;
 };
 
-/// Detects total gridlock: `window` consecutive steps without a single
-/// movement (paper section VI observes this above 51,200 agents). A
-/// drained grid makes no moves either, so it counts too.
+/// Detects total gridlock: `window` consecutive steps in which agents
+/// remain on the grid and none moves (paper section VI observes this above
+/// 51,200 agents). A drained grid makes no moves either; it is not
+/// gridlock.
 class GridlockDetector {
   public:
     explicit GridlockDetector(int window = 50) : window_(window) {}
-    /// Feed a step result; returns true once gridlock is established.
-    bool update(const StepResult& sr);
+    /// Feed a step result and the agents still on the grid after it
+    /// (Simulator::properties().active_count()); returns true once
+    /// gridlock is established.
+    bool update(const StepResult& sr, std::size_t agents_on_grid);
     [[nodiscard]] bool gridlocked() const { return gridlocked_; }
-    [[nodiscard]] std::int64_t since_step() const { return since_; }
 
   private:
     int window_;
     int quiet_ = 0;
     bool gridlocked_ = false;
-    std::int64_t since_ = -1;
 };
 
 }  // namespace pedsim::core

@@ -108,11 +108,6 @@ class Simulator {
     }
     /// The door-event schedule and its phase-cached fields.
     [[nodiscard]] const DoorSchedule& door_schedule() const { return *doors_; }
-    /// The schedule as a shareable handle — what a warm cache stores so
-    /// later engines skip the field precompute.
-    [[nodiscard]] std::shared_ptr<const DoorSchedule> shared_schedule() const {
-        return doors_;
-    }
     /// The candidate-scoring view in effect this step for agents with no
     /// pending waypoint: the current phase field, blended toward the next
     /// phase within the anticipation horizon (AnticipateConfig);

@@ -1,6 +1,7 @@
 #include "io/scenario_file.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -76,11 +77,17 @@ std::uint64_t to_uint64(const std::string& key, const std::string& v) {
     return static_cast<std::uint64_t>(x);
 }
 
+/// Every floating-point value must be finite: std::stod accepts "nan" and
+/// "inf", and a NaN passes every range check written as `x < lo`.
 double to_double(const std::string& key, const std::string& v) {
     double x = 0.0;
     if (!strict_stod(v, x)) {
         throw std::invalid_argument("scenario: bad number for " + key +
                                     ": '" + v + "'");
+    }
+    if (!std::isfinite(x)) {
+        throw std::invalid_argument("scenario: " + key +
+                                    " must be finite: '" + v + "'");
     }
     return x;
 }
@@ -120,6 +127,24 @@ std::string fmt_double(double v) {
     std::snprintf(buf, sizeof(buf), "%.17g", v);
     return buf;
 }
+
+/// to_double within [lo, hi], or (lo, hi] when `open_lo`; `hi` may be
+/// infinite. The engines run a model parameter outside its range without
+/// error, and the run means nothing.
+double to_double_in(const std::string& key, const std::string& v, double lo,
+                    double hi, bool open_lo = false) {
+    const double x = to_double(key, v);
+    if (x < lo || x > hi || (open_lo && x == lo)) {
+        throw std::invalid_argument(
+            "scenario: " + key + " must be in " + (open_lo ? "(" : "[") +
+            fmt_double(lo) + ", " +
+            (std::isinf(hi) ? std::string("inf)") : fmt_double(hi) + "]") +
+            ": '" + v + "'");
+    }
+    return x;
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 struct ParseState {
     bool saw_rows = false;
@@ -163,7 +188,8 @@ void apply_key(scenario::Scenario& s, ParseState& st, const std::string& key,
     } else if (key == "band_rows") {
         sim.band_rows = to_int32(key, value);
     } else if (key == "max_band_fill") {
-        sim.max_band_fill = to_double(key, value);
+        sim.max_band_fill =
+            to_double_in(key, value, 0.0, 1.0, /*open_lo=*/true);
     } else if (key == "cross_margin") {
         sim.cross_margin = to_int32(key, value);
     } else if (key == "exit_on_cross") {
@@ -171,27 +197,32 @@ void apply_key(scenario::Scenario& s, ParseState& st, const std::string& key,
     } else if (key == "forward_priority") {
         sim.forward_priority = to_bool(key, value);
     } else if (key == "sigma") {
-        sim.lem.sigma = to_double(key, value);
+        sim.lem.sigma = to_double_in(key, value, 0.0, kInf);
     } else if (key == "alpha") {
-        sim.aco.alpha = to_double(key, value);
+        sim.aco.alpha = to_double_in(key, value, 0.0, kInf);
     } else if (key == "beta") {
-        sim.aco.beta = to_double(key, value);
+        sim.aco.beta = to_double_in(key, value, 0.0, kInf);
     } else if (key == "rho") {
-        sim.aco.rho = to_double(key, value);
+        sim.aco.rho = to_double_in(key, value, 0.0, 1.0);
     } else if (key == "q") {
-        sim.aco.q = to_double(key, value);
+        sim.aco.q = to_double_in(key, value, 0.0, kInf);
     } else if (key == "tau0") {
-        sim.aco.tau0 = to_double(key, value);
+        sim.aco.tau0 = to_double_in(key, value, 0.0, kInf);
     } else if (key == "tau_min") {
-        sim.aco.tau_min = to_double(key, value);
+        sim.aco.tau_min =
+            to_double_in(key, value, 0.0, kInf, /*open_lo=*/true);
     } else if (key == "scan_range") {
         sim.scan.range = to_int32(key, value);
     } else if (key == "congestion_weight") {
-        sim.scan.congestion_weight = to_double(key, value);
+        sim.scan.congestion_weight = to_double_in(key, value, 0.0, 1.0);
     } else if (key == "slow_fraction") {
-        sim.speed.slow_fraction = to_double(key, value);
+        sim.speed.slow_fraction = to_double_in(key, value, 0.0, 1.0);
     } else if (key == "slow_period") {
         sim.speed.slow_period = to_int32(key, value);
+        if (sim.speed.slow_period < 1) {
+            throw std::invalid_argument(
+                "scenario: slow_period must be at least 1: '" + value + "'");
+        }
     } else if (key == "noshow") {
         const auto f = split_ws(value);
         if (f.size() != 3) {
@@ -254,7 +285,8 @@ void apply_key(scenario::Scenario& s, ParseState& st, const std::string& key,
         sim.panic.trigger_step = to_step(key, f[0]);
         sim.panic.row = to_int32(key, f[1]);
         sim.panic.col = to_int32(key, f[2]);
-        sim.panic.radius = to_double(key, f[3]);
+        sim.panic.radius =
+            to_double_in("panic radius", f[3], 0.0, kInf);
     } else if (key == "door") {
         const auto f = split_ws(value);
         if (f.size() != 6) {

@@ -67,8 +67,6 @@ class Client {
     /// Counter snapshot from the server.
     protocol::StatsMsg stats();
 
-    [[nodiscard]] std::size_t in_flight() const { return inflight_.size(); }
-
   private:
     /// Read one frame and fold it into the demux state. Returns true when
     /// the frame completed a job (pushed onto finished_).

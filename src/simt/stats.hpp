@@ -91,7 +91,6 @@ class LaunchLog {
     /// Aggregate (summed stats/seconds) per distinct kernel name,
     /// insertion-ordered.
     [[nodiscard]] std::vector<LaunchRecord> by_kernel() const;
-    void clear() { records_.clear(); }
 
   private:
     std::vector<LaunchRecord> records_;

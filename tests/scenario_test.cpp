@@ -7,6 +7,8 @@
 
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "backend/device.hpp"
 #include "core/cpu_simulator.hpp"
@@ -200,6 +202,33 @@ TEST(ScenarioFile, RejectsMalformedInput) {
     }
     EXPECT_EQ(io::parse_scenario(grid64 + "scan_range = 64\n").sim.scan.range,
               64);
+    // Model parameters must be finite and in range, by name: alpha = nan
+    // ran silently, and max_band_fill = nan reached a NaN-to-int cast.
+    const std::pair<std::string, std::string> bad_values[] = {
+        {"alpha", "nan"},         {"beta", "inf"},
+        {"sigma", "-1"},          {"alpha", "-0.5"},
+        {"beta", "-1"},           {"q", "-1"},
+        {"tau0", "-0.1"},         {"tau_min", "0"},
+        {"tau_min", "-1e-3"},     {"rho", "1.5"},
+        {"rho", "-0.1"},          {"congestion_weight", "2"},
+        {"slow_fraction", "-0.5"}, {"slow_fraction", "1.01"},
+        {"max_band_fill", "0"},   {"max_band_fill", "1.5"},
+        {"max_band_fill", "nan"}, {"slow_period", "0"},
+        {"panic", "10 32 32 -1"}, {"panic", "10 32 32 inf"},
+    };
+    for (const auto& [key, value] : bad_values) {
+        try {
+            io::parse_scenario(grid64 + key + " = " + value + "\n");
+            ADD_FAILURE() << "accepted " << key << " = " << value;
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+                << key << " = " << value << ": " << e.what();
+        }
+    }
+    EXPECT_NO_THROW(io::parse_scenario(
+        grid64 +
+        "alpha = 0\nrho = 0\nrho = 1\nmax_band_fill = 1\n"
+        "tau_min = 1e-300\nslow_period = 1\npanic = 10 32 32 0\n"));
 }
 
 // --- Runner ------------------------------------------------------------------

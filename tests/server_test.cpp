@@ -528,7 +528,17 @@ TEST(ServerRoundTrip, GarbageScenarioTextFailsPerJobNotPerServer) {
     EXPECT_TRUE(r2.failed);
     EXPECT_NE(r2.error.find("scan_range"), std::string::npos) << r2.error;
 
-    // The server survived both: a good job still runs on the same
+    // A nonsense model parameter fails by name instead of returning a
+    // fingerprint (alpha = nan got 5 of 400 agents across, silently).
+    protocol::JobRequest nan_alpha = pinned;
+    nan_alpha.scenario =
+        "alpha = nan\n" + io::scenario_to_text(scenario::get("corridor_small"));
+    ASSERT_TRUE(client.submit(nan_alpha).accepted);
+    const auto r3 = client.wait_any();
+    EXPECT_TRUE(r3.failed);
+    EXPECT_NE(r3.error.find("alpha"), std::string::npos) << r3.error;
+
+    // The server survived all three: a good job still runs on the same
     // connection.
     const auto good = registry_job("corridor_small",
                                    backend::DeviceType::kCpu, 20);

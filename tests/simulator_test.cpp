@@ -795,24 +795,26 @@ TEST(RunApi, StepResultAccounting) {
 TEST(Metrics, ThroughputRecorderAccumulates) {
     const auto sim = backend::make_cpu(small_config(Model::kLem, 80));
     ThroughputRecorder rec;
-    const auto rr = sim->run(400, rec.observer());
-    EXPECT_EQ(rec.total(), rr.crossed_total());
-    EXPECT_EQ(rec.per_step_crossings().size(),
-              static_cast<std::size_t>(rr.steps_run));
+    const auto record = rec.observer();
+    std::int64_t step = 0, last_crossing = -1;
+    const auto rr = sim->run(400, [&](const StepResult& sr) {
+        if (sr.crossed_top + sr.crossed_bottom > 0) last_crossing = step;
+        ++step;
+        return record(sr);
+    });
+    ASSERT_GT(rr.crossed_total(), 0u);
+    // Every crossing of the run is recorded, each at its own step.
+    EXPECT_EQ(rec.steps_to_fraction(rr.crossed_total(), 1.0), last_crossing);
+    EXPECT_EQ(rec.steps_to_fraction(rr.crossed_total() + 1, 1.0), -1);
 }
 
 TEST(Metrics, GridlockDetectorFiresOnQuietWindow) {
     GridlockDetector det(5);
     StepResult sr;
     sr.moves = 0;
-    for (int i = 0; i < 4; ++i) {
-        sr.step = static_cast<std::uint64_t>(i);
-        EXPECT_FALSE(det.update(sr));
-    }
-    sr.step = 4;
-    EXPECT_TRUE(det.update(sr));
+    for (int i = 0; i < 4; ++i) EXPECT_FALSE(det.update(sr, 10));
+    EXPECT_TRUE(det.update(sr, 10));
     EXPECT_TRUE(det.gridlocked());
-    EXPECT_EQ(det.since_step(), 0);
 }
 
 TEST(Metrics, GridlockDetectorResetsOnMovement) {
@@ -820,11 +822,23 @@ TEST(Metrics, GridlockDetectorResetsOnMovement) {
     StepResult quiet, busy;
     quiet.moves = 0;
     busy.moves = 5;
-    det.update(quiet);
-    det.update(quiet);
-    det.update(busy);
-    det.update(quiet);
-    det.update(quiet);
+    det.update(quiet, 10);
+    det.update(quiet, 10);
+    det.update(busy, 10);
+    det.update(quiet, 10);
+    det.update(quiet, 10);
+    EXPECT_FALSE(det.gridlocked());
+}
+
+TEST(Metrics, DrainedGridIsNotGridlock) {
+    // Every agent crossed: the grid makes no moves because it is empty.
+    const auto sim = backend::make_cpu(small_config(Model::kLem, 1, 7));
+    GridlockDetector det(5);
+    sim->run(300, [&](const StepResult& sr) {
+        det.update(sr, sim->properties().active_count());
+        return true;
+    });
+    EXPECT_EQ(sim->properties().active_count(), 0u);
     EXPECT_FALSE(det.gridlocked());
 }
 
@@ -839,6 +853,21 @@ TEST(GpuAccounting, FourKernelsPerStep) {
     EXPECT_EQ(recs[1].kernel_name, "initial_calc");
     EXPECT_EQ(recs[2].kernel_name, "tour_construction");
     EXPECT_EQ(recs[3].kernel_name, "movement");
+}
+
+TEST(GpuAccounting, ModeledSecondsAreTheGtx560TiCostOfTheStats) {
+    // ablation_simt's Kepler column re-costs launch records with another
+    // TimingModel; it compares like with like only if each record's own
+    // modeled time is the GTX 560 Ti model applied to its stats.
+    const auto sim = backend::make_simt(small_config(Model::kAco, 200));
+    sim->run(3);
+    const simt::TimingModel fermi(simt::DeviceSpec::gtx560ti());
+    const auto& recs = sim->launch_log().records();
+    ASSERT_EQ(recs.size(), 12u);
+    for (const auto& rec : recs) {
+        EXPECT_EQ(fermi.seconds(rec.stats), rec.modeled_seconds)
+            << rec.kernel_name;
+    }
 }
 
 TEST(GpuAccounting, ModeledTimeGrowsWithSteps) {
