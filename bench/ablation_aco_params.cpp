@@ -20,7 +20,7 @@ double run_throughput(core::SimConfig cfg, int steps, int repeats) {
     double acc = 0.0;
     for (int rep = 0; rep < repeats; ++rep) {
         cfg.seed = 31 + static_cast<std::uint64_t>(rep);
-        auto sim = backend::make_cpu(cfg);
+        auto sim = backend::make_engine(backend::DeviceType::kCpu, cfg);
         acc += static_cast<double>(sim->run(steps).crossed_total());
     }
     return acc / repeats;

@@ -86,7 +86,9 @@ int main(int argc, char** argv) try {
             simt::SequentialCostModel{}.seconds(aco.stats()) / measure *
             steps;
         const double host_s =
-            bench::timed_run(*backend::make_cpu(cfg), warmup, measure) *
+            bench::timed_run(
+                *backend::make_engine(backend::DeviceType::kCpu, cfg),
+                warmup, measure) *
             steps;
 
         const double overhead = 100.0 * (gpu_s / lem_s - 1.0);

@@ -63,7 +63,7 @@ int main(int argc, char** argv) try {
             const auto seed = 2000 + static_cast<std::uint64_t>(100 * d + rep);
 
             cfg.seed = seed;
-            auto cpu = backend::make_cpu(cfg);
+            auto cpu = backend::make_engine(backend::DeviceType::kCpu, cfg);
             const auto rc = cpu->run(steps);
             cpu_tp += static_cast<double>(rc.crossed_total());
 

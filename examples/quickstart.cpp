@@ -53,7 +53,7 @@ int main(int argc, char** argv) try {
         cfg.model = model;
         const char* model_name = model == core::Model::kLem ? "LEM" : "ACO";
 
-        auto cpu = backend::make_cpu(cfg);
+        auto cpu = backend::make_engine(backend::DeviceType::kCpu, cfg);
         const auto cpu_result = cpu->run(steps);
         table.add_row({model_name, "cpu",
                        std::to_string(cpu_result.crossed_total()),

@@ -151,7 +151,7 @@ int main(int argc, char** argv) {
 
         // Walls + placement by default; --preview steps the crowd forward
         // on the (exec-policy-aware) CPU engine before rendering.
-        const auto sim = backend::make_cpu(s.sim);
+        const auto sim = backend::make_engine(backend::DeviceType::kCpu, s.sim);
         run_frames(*sim, s.sim, preview, frame_every);
 
         if (args.has("export")) {

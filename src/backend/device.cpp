@@ -79,10 +79,6 @@ std::unique_ptr<core::Simulator> make_engine(
     throw std::invalid_argument("make_engine: unknown device type");
 }
 
-std::unique_ptr<core::Simulator> make_cpu(const core::SimConfig& cfg) {
-    return make_engine(DeviceType::kCpu, cfg);
-}
-
 std::unique_ptr<core::GpuSimulator> make_simt(const core::SimConfig& cfg,
                                               core::GpuOptions options) {
     return std::make_unique<core::GpuSimulator>(cfg, std::move(options));

@@ -51,9 +51,6 @@ std::unique_ptr<core::Simulator> make_engine(
     DeviceType type, const core::SimConfig& cfg,
     std::shared_ptr<const core::DoorSchedule> warm = nullptr);
 
-/// The paper's sequential CPU comparator.
-std::unique_ptr<core::Simulator> make_cpu(const core::SimConfig& cfg);
-
 /// Typed SIMT factory for harnesses that need engine-specific APIs
 /// (launch_log(), ablation GpuOptions).
 std::unique_ptr<core::GpuSimulator> make_simt(const core::SimConfig& cfg,

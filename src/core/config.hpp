@@ -381,4 +381,13 @@ struct SimConfig {
     bool operator==(const SimConfig&) const = default;
 };
 
+/// Check that every model parameter is finite and in range: sigma, alpha,
+/// beta, q and tau0 in [0, inf), tau_min in (0, inf), rho,
+/// congestion_weight and slow_fraction in [0, 1], max_band_fill in
+/// (0, 1]. Shared by the scenario parser and the engines, so a config
+/// that parses is a config that runs, and an engine never runs a config
+/// whose result means nothing. Throws std::invalid_argument naming the
+/// scenario-file key of the offending parameter.
+void validate_model(const SimConfig& config);
+
 }  // namespace pedsim::core

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <unordered_set>
 
+#include "grid/field_store.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -167,7 +169,8 @@ std::vector<DoorEvent> expand_dynamic_events(
     return out;
 }
 
-DoorSchedule::DoorSchedule(const SimConfig& config) {
+DoorSchedule::DoorSchedule(const SimConfig& config,
+                           grid::FieldStore* store) {
     obs::Span span("setup/door_schedule");
     // Touch both cache counters up front so the summary's derived hit-rate
     // line prints even for schedules that never hit (or never miss).
@@ -212,46 +215,61 @@ DoorSchedule::DoorSchedule(const SimConfig& config) {
         }
         return walls;
     };
+    grid::FieldStore private_store;
+    grid::FieldStore& fields = store != nullptr ? *store : private_store;
     // Working memory of every repair below; local to this build, because
     // schedules are built concurrently (server executors).
     grid::GeodesicScratch scratch;
-    const auto intern = [&](std::vector<std::uint32_t> walls) {
-        // Phases often revisit a configuration (open ... close back);
-        // reuse the already-built field instead of building it again.
-        // Waypoint fields are keyed by the same configuration, so the
-        // whole chained-field set is shared along with the main field.
-        for (std::size_t j = 0; j < walls_after_.size(); ++j) {
-            if (walls_after_[j] == walls) {
-                obs::MetricsRegistry::add("doors.field_cache.hit");
-                walls_after_.push_back(std::move(walls));
-                after_.push_back(after_[j]);
-                wp_after_.push_back(wp_after_[j]);
-                return;
-            }
+    // Fields already in pool_ or wp_pool_: a store hit on one of these is
+    // a configuration this schedule revisits, any other hit a field
+    // adopted from another schedule.
+    std::unordered_set<const grid::DistanceField*> held;
+    // The field of `key`: the store's resident copy, else make()'s, which
+    // becomes resident. Returns it with whether this schedule held it.
+    const auto share = [&](grid::FieldKey key,
+                           std::vector<grid::FieldStore::Field>& pool,
+                           const auto& make) {
+        auto field = fields.find(key);
+        bool built = false;
+        if (field == nullptr) {
+            auto mine = std::make_shared<const grid::DistanceField>(make());
+            field = fields.insert(std::move(key), mine);
+            built = field == mine;
         }
-        obs::MetricsRegistry::add("doors.field_cache.miss");
+        const bool revisit = !held.insert(field.get()).second;
+        if (!revisit) {
+            if (!built) obs::MetricsRegistry::add("doors.field_store.shared");
+            pool.push_back(field);
+        }
+        return std::make_pair(field.get(), revisit);
+    };
+    const auto intern = [&](std::vector<std::uint32_t> walls) {
         // A new configuration is one event away from the one interned
-        // just before it (hit or miss): repair those fields instead of
-        // building from scratch. Only the initial layout is built fresh,
+        // just before it: its fields are repaired from that one's instead
+        // of built from scratch. Only the initial layout is built fresh,
         // and only it can be analytic (a second configuration means
         // events, and events force geodesic mode).
         const bool fresh = walls_after_.empty();
-        {
-            obs::Span build("setup/field_build", "walls",
-                            static_cast<std::int64_t>(walls.size()));
-            if (!fresh) {
-                pool_.push_back(std::make_unique<grid::DistanceField>(
-                    after_.back()->repaired(walls_after_.back(), walls,
-                                            config.layout.goal_cells,
-                                            scratch)));
-            } else if (geodesic) {
-                pool_.push_back(std::make_unique<grid::DistanceField>(
-                    config.grid, walls, config.layout.goal_cells));
-            } else {
-                pool_.push_back(
-                    std::make_unique<grid::DistanceField>(config.grid));
-            }
-        }
+        const auto [field, revisit] = share(
+            {geodesic ? grid::FieldKey::Kind::kGeodesic
+                      : grid::FieldKey::Kind::kAnalytic,
+             config.grid, config.layout.goal_cells, walls},
+            pool_, [&] {
+                obs::Span build("setup/field_build", "walls",
+                                static_cast<std::int64_t>(walls.size()));
+                if (!fresh) {
+                    return after_.back()->repaired(walls_after_.back(), walls,
+                                                   config.layout.goal_cells,
+                                                   scratch);
+                }
+                return geodesic ? grid::DistanceField(config.grid, walls,
+                                                      config.layout.goal_cells)
+                                : grid::DistanceField(config.grid);
+            });
+        // Phases often revisit a configuration (open ... close back); its
+        // fields, waypoint fields included, are the ones it had.
+        obs::MetricsRegistry::add(revisit ? "doors.field_cache.hit"
+                                          : "doors.field_cache.miss");
         std::vector<const grid::DistanceField*> wps;
         wps.reserve(wp_cells_.size());
         if (!wp_cells_.empty()) {
@@ -261,20 +279,31 @@ DoorSchedule::DoorSchedule(const SimConfig& config) {
                 // Always geodesic: a waypoint is a single in-grid target,
                 // and its field must honour whatever walls this phase has.
                 const auto cell = wp_cells_[slot];
-                wp_pool_.push_back(std::make_unique<grid::DistanceField>(
-                    fresh ? grid::DistanceField::shared_target(config.grid,
-                                                               walls, cell)
-                          : wp_after_.back()[slot]->repaired_shared_target(
-                                walls_after_.back(), walls, cell, scratch)));
-                wps.push_back(wp_pool_.back().get());
+                grid::FieldKey key{grid::FieldKey::Kind::kSharedTarget,
+                                   config.grid, {}, walls};
+                key.goals[0] = {cell};
+                const auto make = [&] {
+                    if (fresh) {
+                        return grid::DistanceField::shared_target(
+                            config.grid, walls, cell);
+                    }
+                    return wp_after_.back()[slot]->repaired_shared_target(
+                        walls_after_.back(), walls, cell, scratch);
+                };
+                wps.push_back(share(std::move(key), wp_pool_, make).first);
             }
         }
         wp_after_.push_back(std::move(wps));
         walls_after_.push_back(std::move(walls));
-        after_.push_back(pool_.back().get());
+        after_.push_back(field);
     };
 
-    intern(snapshot());
+    // The initial configuration is the layout's wall list; reading it back
+    // from the mask would scan every cell of the grid.
+    std::vector<std::uint32_t> walls = config.layout.wall_cells;
+    std::sort(walls.begin(), walls.end());
+    walls.erase(std::unique(walls.begin(), walls.end()), walls.end());
+    intern(std::move(walls));
     for (const auto& e : events_) {
         const std::uint8_t v = e.action == DoorAction::kClose ? 1 : 0;
         for (int r = e.row0; r <= e.row1; ++r) {

@@ -9,10 +9,13 @@
 // mid-step. Only the initial layout's fields are built in full; each new
 // configuration is repaired from the fields of the configuration one event
 // earlier, in time proportional to the cells whose distance the event
-// changes, and equals a full build bit for bit. With no door events the
-// schedule degenerates to the single static field (analytic for the paper
-// corridor, geodesic when the layout has walls or custom goals), keeping
-// the seed path untouched.
+// changes, and equals a full build bit for bit. Every field is interned
+// through a grid::FieldStore keyed by its content: a revisited
+// configuration finds the fields it had, and schedules that share a store
+// (a server's cache entries) share every field they have in common. With
+// no door events the schedule degenerates to the single static field
+// (analytic for the paper corridor, geodesic when the layout has walls or
+// custom goals), keeping the seed path untouched.
 #pragma once
 
 #include <memory>
@@ -20,6 +23,10 @@
 
 #include "core/config.hpp"
 #include "grid/distance_field.hpp"
+
+namespace pedsim::grid {
+class FieldStore;
+}  // namespace pedsim::grid
 
 namespace pedsim::core {
 
@@ -53,7 +60,11 @@ std::vector<DoorEvent> expand_dynamic_events(
 
 class DoorSchedule {
   public:
-    explicit DoorSchedule(const SimConfig& config);
+    /// Interns every field through `store` when one is given (a server
+    /// passes the one its cache entries share), else through a store
+    /// private to this build.
+    explicit DoorSchedule(const SimConfig& config,
+                          grid::FieldStore* store = nullptr);
 
     /// Expanded events (doors + cycle and mover expansions) in firing
     /// order: stable-sorted by step, so same-step events apply in their
@@ -76,8 +87,9 @@ class DoorSchedule {
         return walls_after_[fired];
     }
 
-    /// Distinct precomputed fields (<= events().size() + 1; fewer when
-    /// events revisit an earlier wall configuration).
+    /// Distinct fields this schedule references (<= events().size() + 1;
+    /// fewer when events revisit an earlier wall configuration), whether
+    /// it built them or adopted them from another schedule's store entry.
     [[nodiscard]] std::size_t field_count() const { return pool_.size(); }
 
     /// Distinct waypoint cells across both groups' chains (sorted,
@@ -97,21 +109,23 @@ class DoorSchedule {
         return *wp_after_[fired][slot];
     }
 
-    /// Distinct precomputed waypoint fields (<= (events+1) * slots).
+    /// Distinct waypoint fields this schedule references
+    /// (<= (events+1) * slots).
     [[nodiscard]] std::size_t waypoint_field_count() const {
         return wp_pool_.size();
     }
 
   private:
     std::vector<DoorEvent> events_;
-    /// Owning pool of distinct fields; `after_[k]` points into it.
-    std::vector<std::unique_ptr<grid::DistanceField>> pool_;
+    /// The distinct fields this schedule holds; `after_[k]` points into
+    /// it. Shared with every schedule of the same store that holds them.
+    std::vector<std::shared_ptr<const grid::DistanceField>> pool_;
     std::vector<const grid::DistanceField*> after_;       // events+1 entries
     std::vector<std::vector<std::uint32_t>> walls_after_; // events+1 entries
     /// Waypoint-field registry: wp_after_[k][slot] is the field steering
     /// agents toward waypoint_cells()[slot] after the first k events.
     std::vector<std::uint32_t> wp_cells_;
-    std::vector<std::unique_ptr<grid::DistanceField>> wp_pool_;
+    std::vector<std::shared_ptr<const grid::DistanceField>> wp_pool_;
     std::vector<std::vector<const grid::DistanceField*>> wp_after_;
 };
 

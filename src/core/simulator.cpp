@@ -14,6 +14,17 @@
 
 namespace pedsim::core {
 
+namespace {
+
+/// `config` once validate_model() accepts it: placement and the pheromone
+/// planes read model parameters before the constructor body runs.
+const SimConfig& validated(const SimConfig& config) {
+    validate_model(config);
+    return config;
+}
+
+}  // namespace
+
 std::vector<grid::PlacedAgent> Simulator::init_agents(
     grid::Environment& env, const SimConfig& config) {
     obs::Span span("setup/placement");
@@ -39,7 +50,7 @@ std::vector<grid::PlacedAgent> Simulator::init_agents(
 
 Simulator::Simulator(const SimConfig& config,
                      std::shared_ptr<const DoorSchedule> warm)
-    : config_(config),
+    : config_(validated(config)),
       env_(config.grid),
       doors_(warm != nullptr ? std::move(warm)
                              : std::make_shared<const DoorSchedule>(config_)),

@@ -75,7 +75,7 @@ void GeodesicScratch::seed_goals(const GridConfig& config,
 void GeodesicScratch::build(const GridConfig& config,
                             const std::vector<std::uint32_t>& walls,
                             const std::vector<std::uint32_t>& goals,
-                            std::vector<double>& out) {
+                            double* out) {
     const auto pitch = static_cast<std::size_t>(config.cols) + 2;
     dist_.assign((static_cast<std::size_t>(config.rows) + 2) * pitch, kWall);
     for (int r = 0; r < config.rows; ++r) {
@@ -91,12 +91,11 @@ void GeodesicScratch::build(const GridConfig& config,
     store(config, out);
 }
 
-void GeodesicScratch::repair(const GridConfig& config,
-                             const std::vector<double>& before,
+void GeodesicScratch::repair(const GridConfig& config, const double* before,
                              const std::vector<std::uint32_t>& walls_before,
                              const std::vector<std::uint32_t>& walls,
                              const std::vector<std::uint32_t>& goals,
-                             std::vector<double>& out) {
+                             double* out) {
     const auto pitch = static_cast<std::size_t>(config.cols) + 2;
     const auto cols = static_cast<std::size_t>(config.cols);
     dist_.assign((static_cast<std::size_t>(config.rows) + 2) * pitch, kWall);
@@ -216,11 +215,9 @@ void GeodesicScratch::propagate(const GridConfig& config) {
     }
 }
 
-void GeodesicScratch::store(const GridConfig& config,
-                            std::vector<double>& out) const {
+void GeodesicScratch::store(const GridConfig& config, double* out) const {
     const auto pitch = static_cast<std::size_t>(config.cols) + 2;
     const auto cols = static_cast<std::size_t>(config.cols);
-    out.resize(config.cell_count());
     for (std::size_t r = 0; r < static_cast<std::size_t>(config.rows); ++r) {
         const double* src = &dist_[(r + 1) * pitch + 1];
         double* dst = &out[r * cols];
@@ -250,11 +247,10 @@ DistanceField::DistanceField(
     // The analytic table stays populated (it is O(rows) per group), so the
     // row-based distance()/crossed() accessors remain safe to call even
     // though geodesic cost()/crossed_at() supersede them.
-    geodesic_ = true;
+    allocate(2);
     GeodesicScratch scratch;
     for (const auto g : {Group::kTop, Group::kBottom}) {
-        scratch.build(config_, wall_cells, goals_of(g, goal_cells),
-                      geo_[g == Group::kTop ? 0 : 1]);
+        scratch.build(config_, wall_cells, goals_of(g, goal_cells), table(g));
     }
 }
 
@@ -262,10 +258,9 @@ DistanceField DistanceField::shared_target(
     GridConfig config, const std::vector<std::uint32_t>& wall_cells,
     std::uint32_t target_cell) {
     DistanceField f(config);
-    f.geodesic_ = true;
+    f.allocate(1);  // both groups share the target: one table
     GeodesicScratch scratch;
-    scratch.build(f.config_, wall_cells, {target_cell}, f.geo_[0]);
-    f.geo_[1] = f.geo_[0];  // both groups share the target: one build
+    scratch.build(f.config_, wall_cells, {target_cell}, f.geo_.data());
     return f;
 }
 
@@ -275,11 +270,10 @@ DistanceField DistanceField::repaired(
     const std::array<std::vector<std::uint32_t>, 2>& goal_cells,
     GeodesicScratch& scratch) const {
     DistanceField f(config_);
-    f.geodesic_ = true;
+    f.allocate(2);
     for (const auto g : {Group::kTop, Group::kBottom}) {
-        const std::size_t gi = g == Group::kTop ? 0 : 1;
-        scratch.repair(config_, geo_[gi], walls_before, wall_cells,
-                       goals_of(g, goal_cells), f.geo_[gi]);
+        scratch.repair(config_, geo_data(g), walls_before, wall_cells,
+                       goals_of(g, goal_cells), f.table(g));
     }
     return f;
 }
@@ -289,11 +283,25 @@ DistanceField DistanceField::repaired_shared_target(
     const std::vector<std::uint32_t>& wall_cells, std::uint32_t target_cell,
     GeodesicScratch& scratch) const {
     DistanceField f(config_);
-    f.geodesic_ = true;
-    scratch.repair(config_, geo_[0], walls_before, wall_cells, {target_cell},
-                   f.geo_[0]);
-    f.geo_[1] = f.geo_[0];
+    f.allocate(1);
+    scratch.repair(config_, geo_.data(), walls_before, wall_cells,
+                   {target_cell}, f.geo_.data());
     return f;
+}
+
+std::size_t DistanceField::bytes() const {
+    std::size_t n = geo_.size() * sizeof(double);
+    for (const auto& group_table : table_) {
+        n += group_table.size() * sizeof(group_table[0]);
+    }
+    return n;
+}
+
+void DistanceField::allocate(std::size_t tables) {
+    geodesic_ = true;
+    const std::size_t cells = config_.cell_count();
+    geo_.assign(tables * cells, 0.0);
+    geo_offset_ = {0, (tables - 1) * cells};
 }
 
 std::vector<std::uint32_t> DistanceField::goals_of(

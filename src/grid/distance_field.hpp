@@ -52,22 +52,22 @@ class GeodesicScratch {
         std::ptrdiff_t cell;
     };
 
+    /// Both write one cell_count() table at `out`; `before` is the
+    /// table being repaired.
     void build(const GridConfig& config,
                const std::vector<std::uint32_t>& walls,
-               const std::vector<std::uint32_t>& goals,
-               std::vector<double>& out);
-    void repair(const GridConfig& config, const std::vector<double>& before,
+               const std::vector<std::uint32_t>& goals, double* out);
+    void repair(const GridConfig& config, const double* before,
                 const std::vector<std::uint32_t>& walls_before,
                 const std::vector<std::uint32_t>& walls,
-                const std::vector<std::uint32_t>& goals,
-                std::vector<double>& out);
+                const std::vector<std::uint32_t>& goals, double* out);
 
     void mark_walls(const GridConfig& config,
                     const std::vector<std::uint32_t>& walls);
     void seed_goals(const GridConfig& config,
                     const std::vector<std::uint32_t>& goals);
     void propagate(const GridConfig& config);
-    void store(const GridConfig& config, std::vector<double>& out) const;
+    void store(const GridConfig& config, double* out) const;
 
     /// Group distances over a (rows + 2) x (cols + 2) grid whose frame and
     /// walls hold -1, so no relaxation can lower them: the pop loop needs
@@ -103,11 +103,12 @@ class DistanceField {
     /// Geodesic shared-target mode: both groups steer toward the single
     /// flat cell `target_cell` (the waypoint fields: one field per
     /// distinct chain cell, read by whichever group's agents currently
-    /// target it). The table is built once and mirrored, so a waypoint
-    /// field costs half of the two-group constructor. A target that is
-    /// currently a wall yields an all-unreachable field (a waypoint inside
-    /// a closed door: agents hold by rank order until it opens). Throws
-    /// std::invalid_argument for an off-grid target or wall cell.
+    /// target it). Both groups read one table, so a waypoint field costs
+    /// half of the two-group constructor in time and memory. A target
+    /// that is currently a wall yields an all-unreachable field (a
+    /// waypoint inside a closed door: agents hold by rank order until it
+    /// opens). Throws std::invalid_argument for an off-grid target or wall
+    /// cell.
     static DistanceField shared_target(
         GridConfig config, const std::vector<std::uint32_t>& wall_cells,
         std::uint32_t target_cell);
@@ -133,6 +134,10 @@ class DistanceField {
 
     [[nodiscard]] bool geodesic() const { return geodesic_; }
 
+    /// Bytes of the distance tables this field holds (a shared-target
+    /// field's one table counts once).
+    [[nodiscard]] std::size_t bytes() const;
+
     [[nodiscard]] int target_row(Group g) const {
         return g == Group::kTop ? config_.rows - 1 : 0;
     }
@@ -149,15 +154,15 @@ class DistanceField {
 
     /// Geodesic distance-to-goal of cell (r, c). Geodesic mode only.
     [[nodiscard]] double geo(Group g, int r, int c) const {
-        return geo_[g == Group::kTop ? 0 : 1]
-                   [static_cast<std::size_t>(r) * config_.cols +
+        return geo_[geo_offset_[g == Group::kTop ? 0 : 1] +
+                    static_cast<std::size_t>(r) * config_.cols +
                     static_cast<std::size_t>(c)];
     }
 
     /// Raw flat geodesic table of group g (logical `cols` pitch).
     /// Geodesic mode only.
     [[nodiscard]] const double* geo_data(Group g) const {
-        return geo_[g == Group::kTop ? 0 : 1].data();
+        return geo_.data() + geo_offset_[g == Group::kTop ? 0 : 1];
     }
 
     /// Remaining-effort of the CANDIDATE cell (r, c) for an agent standing
@@ -204,6 +209,14 @@ class DistanceField {
     }
 
   private:
+    /// Switch to geodesic mode with `tables` zeroed tables (2: one per
+    /// group; 1: one both groups read).
+    void allocate(std::size_t tables);
+    /// Group g's table, for the builds that fill it.
+    [[nodiscard]] double* table(Group g) {
+        return geo_.data() + geo_offset_[g == Group::kTop ? 0 : 1];
+    }
+
     /// Group g's goal list: its custom cells, or its far edge row.
     [[nodiscard]] std::vector<std::uint32_t> goals_of(
         Group g,
@@ -216,8 +229,11 @@ class DistanceField {
     // table per group suffices (and stays cache-resident like constant
     // memory).
     std::array<std::vector<std::array<double, 2>>, 2> table_;
-    // Geodesic: [group][flat cell] -> distance to the nearest goal cell.
-    std::array<std::vector<double>, 2> geo_;
+    // Geodesic: flat cell -> distance to the nearest goal cell, one table
+    // per group, or one table both groups read (shared target). Group g's
+    // table starts at geo_offset_[g].
+    std::vector<double> geo_;
+    std::array<std::size_t, 2> geo_offset_{0, 0};
 };
 
 /// Hot-path cost view for anticipatory routing: the current phase's field,

@@ -128,16 +128,14 @@ std::string fmt_double(double v) {
     return buf;
 }
 
-/// to_double within [lo, hi], or (lo, hi] when `open_lo`; `hi` may be
-/// infinite. The engines run a model parameter outside its range without
-/// error, and the run means nothing.
+/// to_double within [lo, hi]; `hi` may be infinite. (Model parameters
+/// are range-checked on the final config, by core::validate_model.)
 double to_double_in(const std::string& key, const std::string& v, double lo,
-                    double hi, bool open_lo = false) {
+                    double hi) {
     const double x = to_double(key, v);
-    if (x < lo || x > hi || (open_lo && x == lo)) {
+    if (x < lo || x > hi) {
         throw std::invalid_argument(
-            "scenario: " + key + " must be in " + (open_lo ? "(" : "[") +
-            fmt_double(lo) + ", " +
+            "scenario: " + key + " must be in [" + fmt_double(lo) + ", " +
             (std::isinf(hi) ? std::string("inf)") : fmt_double(hi) + "]") +
             ": '" + v + "'");
     }
@@ -188,8 +186,7 @@ void apply_key(scenario::Scenario& s, ParseState& st, const std::string& key,
     } else if (key == "band_rows") {
         sim.band_rows = to_int32(key, value);
     } else if (key == "max_band_fill") {
-        sim.max_band_fill =
-            to_double_in(key, value, 0.0, 1.0, /*open_lo=*/true);
+        sim.max_band_fill = to_double(key, value);
     } else if (key == "cross_margin") {
         sim.cross_margin = to_int32(key, value);
     } else if (key == "exit_on_cross") {
@@ -197,26 +194,25 @@ void apply_key(scenario::Scenario& s, ParseState& st, const std::string& key,
     } else if (key == "forward_priority") {
         sim.forward_priority = to_bool(key, value);
     } else if (key == "sigma") {
-        sim.lem.sigma = to_double_in(key, value, 0.0, kInf);
+        sim.lem.sigma = to_double(key, value);
     } else if (key == "alpha") {
-        sim.aco.alpha = to_double_in(key, value, 0.0, kInf);
+        sim.aco.alpha = to_double(key, value);
     } else if (key == "beta") {
-        sim.aco.beta = to_double_in(key, value, 0.0, kInf);
+        sim.aco.beta = to_double(key, value);
     } else if (key == "rho") {
-        sim.aco.rho = to_double_in(key, value, 0.0, 1.0);
+        sim.aco.rho = to_double(key, value);
     } else if (key == "q") {
-        sim.aco.q = to_double_in(key, value, 0.0, kInf);
+        sim.aco.q = to_double(key, value);
     } else if (key == "tau0") {
-        sim.aco.tau0 = to_double_in(key, value, 0.0, kInf);
+        sim.aco.tau0 = to_double(key, value);
     } else if (key == "tau_min") {
-        sim.aco.tau_min =
-            to_double_in(key, value, 0.0, kInf, /*open_lo=*/true);
+        sim.aco.tau_min = to_double(key, value);
     } else if (key == "scan_range") {
         sim.scan.range = to_int32(key, value);
     } else if (key == "congestion_weight") {
-        sim.scan.congestion_weight = to_double_in(key, value, 0.0, 1.0);
+        sim.scan.congestion_weight = to_double(key, value);
     } else if (key == "slow_fraction") {
-        sim.speed.slow_fraction = to_double_in(key, value, 0.0, 1.0);
+        sim.speed.slow_fraction = to_double(key, value);
     } else if (key == "slow_period") {
         sim.speed.slow_period = to_int32(key, value);
         if (sim.speed.slow_period < 1) {
@@ -528,6 +524,8 @@ scenario::Scenario parse_scenario(const std::string& text) {
                                 s.sim.grid);
     // Same late-validation rationale: surge rects need the final grid.
     core::validate_perturbations(s.sim.perturb, s.sim.grid);
+    // The engines' own range checks, on the final value of each key.
+    core::validate_model(s.sim);
     // The look-ahead walks scan_range - 1 cells per candidate, and a ray
     // longer than the grid sees no more cells: bound it by the grid so a
     // huge value cannot stall a step or overflow the ray arithmetic.

@@ -37,11 +37,12 @@ std::uint64_t position_fingerprint(const core::Simulator& sim) {
     return h;
 }
 
-PreparedScenario prepare_scenario(const Scenario& s) {
+PreparedScenario prepare_scenario(const Scenario& s,
+                                  grid::FieldStore* store) {
     // The schedule is a pure function of grid/layout/events — model,
     // seed, step budget and thread count never reach it — so one build
     // serves every job permutation of the scenario.
-    return {s, std::make_shared<const core::DoorSchedule>(s.sim)};
+    return {s, std::make_shared<const core::DoorSchedule>(s.sim, store)};
 }
 
 ScenarioRunner::ScenarioRunner(RunnerOptions opts) : opts_(std::move(opts)) {}

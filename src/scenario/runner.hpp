@@ -88,8 +88,11 @@ struct PreparedScenario {
 };
 
 /// Build the shared schedule for `s` (validates layout + events; throws
-/// std::invalid_argument on a config the engines would reject).
-PreparedScenario prepare_scenario(const Scenario& s);
+/// std::invalid_argument on a config the engines would reject). Its
+/// fields are interned through `store` when one is given (a server passes
+/// the one its cache entries share), else through a private store.
+PreparedScenario prepare_scenario(const Scenario& s,
+                                  grid::FieldStore* store = nullptr);
 
 class ScenarioRunner {
   public:

@@ -11,7 +11,10 @@
 // different submissions can never share an entry. The cached schedule is
 // read-only after construction and independent of seed/model/steps/
 // threads (the core::Simulator warm-constructor contract), so one entry
-// serves every job permutation concurrently.
+// serves every job permutation concurrently. The cache owns one
+// grid::FieldStore for all of its entries: builders pass it to
+// scenario::prepare_scenario, so every distinct distance field is resident
+// once per cache however many entries pass through its configuration.
 #pragma once
 
 #include <atomic>
@@ -23,6 +26,7 @@
 #include <string_view>
 #include <unordered_map>
 
+#include "grid/field_store.hpp"
 #include "scenario/runner.hpp"
 
 namespace pedsim::server {
@@ -50,6 +54,11 @@ class ScenarioCache {
     std::shared_ptr<const scenario::PreparedScenario> get_or_prepare(
         const std::string& key, const Builder& build, bool* hit = nullptr);
 
+    /// The store every entry's schedule interns its fields through.
+    [[nodiscard]] grid::FieldStore& field_store() { return fields_; }
+    /// Distinct resident distance-table bytes across all entries.
+    [[nodiscard]] std::size_t field_bytes() const { return fields_.bytes(); }
+
     [[nodiscard]] std::size_t size() const;
     [[nodiscard]] std::uint64_t hits() const {
         return hits_.load(std::memory_order_relaxed);
@@ -65,6 +74,7 @@ class ScenarioCache {
         std::exception_ptr error;
     };
 
+    grid::FieldStore fields_;
     mutable std::mutex mutex_;
     std::unordered_map<std::string, std::shared_ptr<Entry>> entries_;
     std::atomic<std::uint64_t> hits_{0};

@@ -359,6 +359,8 @@ std::vector<std::uint8_t> encode_stats(const StatsMsg& m) {
     w.u64(m.completed);
     w.u64(m.failed);
     w.u64(m.queue_depth);
+    w.u64(m.field_bytes);
+    w.u64(m.live_sessions);
     return w.take();
 }
 
@@ -373,6 +375,8 @@ StatsMsg decode_stats(const std::vector<std::uint8_t>& payload) {
     m.completed = r.u64();
     m.failed = r.u64();
     m.queue_depth = r.u64();
+    m.field_bytes = r.u64();
+    m.live_sessions = r.u64();
     r.expect_done("stats");
     return m;
 }

@@ -203,6 +203,10 @@ struct StatsMsg {
     std::uint64_t completed = 0;
     std::uint64_t failed = 0;
     std::uint64_t queue_depth = 0;
+    /// Distinct distance-table bytes resident in the cache's field store.
+    std::uint64_t field_bytes = 0;
+    /// Connections whose session reader is still running.
+    std::uint64_t live_sessions = 0;
 };
 std::vector<std::uint8_t> encode_stats(const StatsMsg& m);
 StatsMsg decode_stats(const std::vector<std::uint8_t>& payload);

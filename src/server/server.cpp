@@ -6,6 +6,7 @@
 #include <csignal>
 #include <cstring>
 #include <stdexcept>
+#include <system_error>
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -195,14 +196,8 @@ void Server::serve() {
             if (errno == EINTR) continue;
             break;
         }
-        auto conn = std::make_shared<Connection>();
-        conn->fd = fd;
-        conn->client_id =
-            next_client_id_.fetch_add(1, std::memory_order_relaxed);
-        const std::lock_guard<std::mutex> lock(sessions_mutex_);
-        live_conns_.push_back(conn);
-        sessions_.emplace_back(
-            [this, conn]() mutable { session_loop(std::move(conn)); });
+        reap_sessions();
+        start_session(fd);
     }
 
     // Shutdown sequence. 1) Stop accepting (close + unlink so late
@@ -216,24 +211,47 @@ void Server::serve() {
     if (scheduler.joinable()) scheduler.join();
     // 3) Now that every result is on the wire, unblock session readers
     // still parked in read_frame() and join them.
-    {
-        const std::lock_guard<std::mutex> lock(sessions_mutex_);
-        for (const auto& weak : live_conns_) {
-            if (const auto conn = weak.lock()) {
-                ::shutdown(conn->fd, SHUT_RDWR);
-            }
+    for (const auto& session : sessions_) {
+        if (const auto conn = session->conn.lock()) {
+            ::shutdown(conn->fd, SHUT_RDWR);
         }
     }
-    for (;;) {
-        std::thread t;
-        {
-            const std::lock_guard<std::mutex> lock(sessions_mutex_);
-            if (sessions_.empty()) break;
-            t = std::move(sessions_.back());
-            sessions_.pop_back();
-        }
-        if (t.joinable()) t.join();
+    for (const auto& session : sessions_) session->thread.join();
+    sessions_.clear();
+}
+
+void Server::start_session(int fd) {
+    auto conn = std::make_shared<Connection>();
+    conn->fd = fd;
+    conn->client_id = next_client_id_.fetch_add(1, std::memory_order_relaxed);
+    auto session = std::make_unique<Session>();
+    session->conn = conn;
+    Session* const s = session.get();
+    live_sessions_.fetch_add(1, std::memory_order_relaxed);
+    try {
+        // `s` stays valid until the reaper joins this thread, which it
+        // does only once `exited` is set.
+        session->thread = std::thread([this, s, conn]() mutable {
+            session_loop(std::move(conn));
+            live_sessions_.fetch_sub(1, std::memory_order_relaxed);
+            s->exited.store(true, std::memory_order_release);
+        });
+    } catch (const std::system_error&) {
+        // Out of threads (or of memory for a stack): refuse this one
+        // connection, closing its socket with `conn`, and keep serving.
+        live_sessions_.fetch_sub(1, std::memory_order_relaxed);
+        obs::MetricsRegistry::add("server.sessions.refused");
+        return;
     }
+    sessions_.push_back(std::move(session));
+}
+
+void Server::reap_sessions() {
+    std::erase_if(sessions_, [](const std::unique_ptr<Session>& session) {
+        if (!session->exited.load(std::memory_order_acquire)) return false;
+        session->thread.join();
+        return true;
+    });
 }
 
 void Server::session_loop(std::shared_ptr<Connection> conn) {
@@ -266,14 +284,6 @@ void Server::session_loop(std::shared_ptr<Connection> conn) {
         obs::MetricsRegistry::add("server.session.protocol_errors");
     }
     conn->dead.store(true, std::memory_order_relaxed);
-    const std::lock_guard<std::mutex> lock(sessions_mutex_);
-    live_conns_.erase(
-        std::remove_if(live_conns_.begin(), live_conns_.end(),
-                       [&](const std::weak_ptr<Connection>& w) {
-                           const auto c = w.lock();
-                           return c == nullptr || c.get() == conn.get();
-                       }),
-        live_conns_.end());
 }
 
 void Server::handle_submit(const std::shared_ptr<Connection>& conn,
@@ -356,7 +366,8 @@ void Server::execute(Job& job) {
             [&] {
                 return scenario::prepare_scenario(
                     req.registry ? scenario::get(req.scenario)
-                                 : io::parse_scenario(req.scenario));
+                                 : io::parse_scenario(req.scenario),
+                    &cache_.field_store());
             },
             &cache_hit);
 
@@ -426,6 +437,8 @@ protocol::StatsMsg Server::stats() const {
     m.completed = completed_.load(std::memory_order_relaxed);
     m.failed = failed_.load(std::memory_order_relaxed);
     m.queue_depth = queue_.depth();
+    m.field_bytes = cache_.field_bytes();
+    m.live_sessions = live_sessions_.load(std::memory_order_relaxed);
     return m;
 }
 

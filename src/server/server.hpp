@@ -2,7 +2,8 @@
 //
 // One process owns the scenario-keyed warm cache (cache.hpp) and accepts
 // jobs over a Unix-domain stream socket (protocol.hpp). Sessions — one
-// reader thread per connection — validate and admit jobs into the bounded
+// reader thread per connection, joined at the next accept once its
+// connection has closed — validate and admit jobs into the bounded
 // round-robin AdmissionQueue (admission.hpp); execution happens on the
 // EXISTING exec::ThreadPool: a scheduler thread publishes `executors`
 // long-lived drain loops as pool tasks, each popping jobs and streaming
@@ -72,6 +73,12 @@ class Server {
 
   private:
     struct Connection;
+    /// One connection's reader thread.
+    struct Session {
+        std::weak_ptr<Connection> conn;  ///< to unblock its read at stop
+        std::thread thread;
+        std::atomic<bool> exited{false};  ///< session_loop has returned
+    };
     struct Job {
         std::uint64_t id = 0;
         protocol::JobRequest request;
@@ -82,6 +89,11 @@ class Server {
         std::uint64_t admitted_ns = 0;
     };
 
+    /// Start a session thread for an accepted socket; a thread that
+    /// cannot start closes the socket and counts as a refused connection.
+    void start_session(int fd);
+    /// Join every session whose loop has exited.
+    void reap_sessions();
     void session_loop(std::shared_ptr<Connection> conn);
     void handle_submit(const std::shared_ptr<Connection>& conn,
                        const std::vector<std::uint8_t>& payload);
@@ -100,10 +112,10 @@ class Server {
     std::atomic<std::uint64_t> rejected_{0};
     std::atomic<std::uint64_t> completed_{0};
     std::atomic<std::uint64_t> failed_{0};
+    std::atomic<std::uint64_t> live_sessions_{0};
 
-    std::mutex sessions_mutex_;
-    std::vector<std::thread> sessions_;
-    std::vector<std::weak_ptr<Connection>> live_conns_;
+    /// Started, not yet joined; only the serve() thread touches it.
+    std::vector<std::unique_ptr<Session>> sessions_;
 };
 
 }  // namespace pedsim::server

@@ -1,12 +1,17 @@
 // Tests for timed door events: the DoorSchedule phase cache (fields equal
 // to freshly built ones, revisited configurations share one field), the
+// field store schedules share (one object per distinct field), the
 // step-boundary application semantics (occupancy toggling, agents retired
 // by a closing door), and the behaviour of the door-driven registry
 // scenarios.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <memory>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -14,7 +19,9 @@
 #include "core/cpu_simulator.hpp"
 #include "core/door_schedule.hpp"
 #include "geodesic_oracle.hpp"
+#include "grid/field_store.hpp"
 #include "io/scenario_file.hpp"
+#include "obs/metrics.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
 
@@ -157,6 +164,183 @@ TEST(DoorSchedule, NoDoorsDegeneratesToTheStaticChoice) {
     EXPECT_TRUE(forced.field_after(0).geodesic());
 }
 
+// --- Field store --------------------------------------------------------------
+
+/// True when two fields hold the same tables bit for bit.
+bool same_tables(const grid::DistanceField& a, const grid::DistanceField& b,
+                 const grid::GridConfig& grid) {
+    if (a.geodesic() != b.geodesic() || a.bytes() != b.bytes()) return false;
+    for (const auto g : {grid::Group::kTop, grid::Group::kBottom}) {
+        if (!a.geodesic()) {
+            for (int r = 0; r < grid.rows; ++r) {
+                for (const int dc : {0, 1}) {
+                    if (a.distance(g, r, dc) != b.distance(g, r, dc)) {
+                        return false;
+                    }
+                }
+            }
+        } else if (std::memcmp(a.geo_data(g), b.geo_data(g),
+                               grid.cell_count() * sizeof(double)) != 0) {
+            return false;
+        }
+    }
+    return true;
+}
+
+/// `s` with every door, cycle and mover firing `by` steps later: the
+/// same wall configurations at other times.
+scenario::Scenario shifted(scenario::Scenario s, std::uint64_t by) {
+    for (auto& d : s.sim.doors) d.step += by;
+    for (auto& c : s.sim.cycles) c.start += by;
+    for (auto& m : s.sim.movers) m.start += by;
+    return s;
+}
+
+TEST(FieldStore, SchedulesShareOneObjectPerEqualConfiguration) {
+    // checkpoint_loop cycles a gate under two waypoint cells;
+    // conveyor_platform slides a block through 50 configurations.
+    for (const char* name : {"checkpoint_loop", "conveyor_platform"}) {
+        SCOPED_TRACE(name);
+        const auto s = scenario::get(name);
+        const auto later = shifted(s, 15);
+        grid::FieldStore solo;  // the bytes of one schedule's fields
+        const DoorSchedule alone(s.sim, &solo);
+        obs::MetricsRegistry metrics;
+        obs::MetricsRegistry::install(&metrics);
+        grid::FieldStore store;
+        const DoorSchedule a(s.sim, &store);
+        const auto* shared = metrics.find_counter("doors.field_store.shared");
+        EXPECT_TRUE(shared == nullptr || shared->value() == 0);
+        const DoorSchedule b(later.sim, &store);
+        const DoorSchedule lone(later.sim);  // a private store
+        obs::MetricsRegistry::install(nullptr);
+
+        // b references exactly the fields a private build would, and
+        // adopted every one of them from a.
+        EXPECT_EQ(b.field_count(), lone.field_count());
+        EXPECT_EQ(b.waypoint_field_count(), lone.waypoint_field_count());
+        shared = metrics.find_counter("doors.field_store.shared");
+        ASSERT_NE(shared, nullptr);
+        EXPECT_EQ(shared->value(),
+                  b.field_count() + b.waypoint_field_count());
+        EXPECT_EQ(store.bytes(), solo.bytes());
+
+        ASSERT_EQ(b.events().size(), lone.events().size());
+        for (std::size_t k = 0; k <= b.events().size(); ++k) {
+            SCOPED_TRACE("after " + std::to_string(k) + " events");
+            std::size_t j = 0;
+            while (j <= a.events().size() &&
+                   a.walls_after(j) != b.walls_after(k)) {
+                ++j;
+            }
+            ASSERT_LE(j, a.events().size()) << "configuration not in a";
+            EXPECT_EQ(&a.field_after(j), &b.field_after(k));
+            EXPECT_TRUE(same_tables(b.field_after(k), lone.field_after(k),
+                                    s.sim.grid));
+            for (std::size_t slot = 0; slot < b.waypoint_cells().size();
+                 ++slot) {
+                EXPECT_EQ(&a.waypoint_field_after(j, slot),
+                          &b.waypoint_field_after(k, slot));
+                EXPECT_TRUE(same_tables(b.waypoint_field_after(k, slot),
+                                        lone.waypoint_field_after(k, slot),
+                                        s.sim.grid));
+            }
+        }
+    }
+}
+
+TEST(FieldStore, FieldsOfDifferentKeysNeverShare) {
+    grid::FieldStore store;
+    const auto build = [&store](const SimConfig& cfg) {
+        return std::make_unique<DoorSchedule>(cfg, &store);
+    };
+    // Goal cells.
+    SimConfig goal_a = walled_config();
+    goal_a.layout.goal_cells[0] = {0};
+    SimConfig goal_b = walled_config();
+    goal_b.layout.goal_cells[0] = {1};
+    const auto ga = build(goal_a);
+    const auto gb = build(goal_b);
+    EXPECT_NE(&ga->field_after(0), &gb->field_after(0));
+    // Grid size: the same wall cells on a taller grid.
+    SimConfig tall = walled_config();
+    tall.grid.rows = 32;
+    const auto base = build(walled_config());
+    const auto tb = build(tall);
+    EXPECT_NE(&base->field_after(0), &tb->field_after(0));
+    // Kind: a two-group field whose top goal is one cell, and the
+    // waypoint field of that cell, under the same walls.
+    SimConfig waypoint_a = walled_config();
+    waypoint_a.layout.waypoints[0] = {2};
+    const auto wa = build(waypoint_a);
+    SimConfig goal_2 = walled_config();
+    goal_2.layout.goal_cells[0] = {2};
+    const auto g2 = build(goal_2);
+    EXPECT_NE(&g2->field_after(0), &wa->waypoint_field_after(0, 0));
+    // Kind: the analytic corridor, and a geodesic phase with no walls
+    // and the default goals.
+    SimConfig corridor;
+    corridor.grid.rows = corridor.grid.cols = 16;
+    SimConfig doored = corridor;
+    doored.doors.push_back({5, 7, 0, 8, 15, DoorAction::kClose});
+    const auto analytic = build(corridor);
+    const auto geodesic = build(doored);
+    ASSERT_TRUE(geodesic->walls_after(0).empty());
+    EXPECT_NE(&analytic->field_after(0), &geodesic->field_after(0));
+    // Waypoint target: the main fields agree, the waypoint fields do not.
+    SimConfig waypoint_b = walled_config();
+    waypoint_b.layout.waypoints[0] = {3};
+    const auto wb = build(waypoint_b);
+    EXPECT_EQ(&wa->field_after(0), &wb->field_after(0));
+    EXPECT_NE(&wa->waypoint_field_after(0, 0),
+              &wb->waypoint_field_after(0, 0));
+}
+
+TEST(FieldStore, EntryExpiresWithItsLastSchedule) {
+    grid::FieldStore store;
+    const SimConfig cfg = walled_config();
+    auto a = std::make_unique<DoorSchedule>(cfg, &store);
+    auto b = std::make_unique<DoorSchedule>(cfg, &store);
+    const grid::FieldKey key{grid::FieldKey::Kind::kGeodesic, cfg.grid,
+                             cfg.layout.goal_cells, a->walls_after(0)};
+    EXPECT_EQ(store.find(key).get(), &a->field_after(0));
+    EXPECT_EQ(store.bytes(), a->field_after(0).bytes());
+    a.reset();
+    EXPECT_EQ(store.find(key).get(), &b->field_after(0));
+    b.reset();
+    EXPECT_EQ(store.find(key), nullptr);
+    EXPECT_EQ(store.bytes(), 0u);
+}
+
+TEST(FieldStore, ConcurrentBuildsAdoptOneAnother) {
+    // Schedules built at once on four threads race for every field: each
+    // loser adopts the winner's, so all end up holding one set.
+    const auto s = scenario::get("conveyor_platform");
+    grid::FieldStore store;
+    std::vector<std::unique_ptr<DoorSchedule>> scheds(4);
+    std::vector<std::thread> threads;
+    for (auto& sched : scheds) {
+        threads.emplace_back([&sched, &s, &store] {
+            sched = std::make_unique<DoorSchedule>(s.sim, &store);
+        });
+    }
+    for (auto& t : threads) t.join();
+    grid::FieldStore solo;
+    const DoorSchedule lone(s.sim, &solo);
+    for (const auto& sched : scheds) {
+        EXPECT_EQ(sched->field_count(), lone.field_count());
+        for (std::size_t k = 0; k <= lone.events().size(); ++k) {
+            EXPECT_EQ(&sched->field_after(k), &scheds[0]->field_after(k));
+        }
+    }
+    EXPECT_EQ(store.bytes(), solo.bytes());
+    for (std::size_t k = 0; k <= lone.events().size(); ++k) {
+        EXPECT_TRUE(same_tables(scheds[0]->field_after(k),
+                                lone.field_after(k), s.sim.grid))
+            << k;
+    }
+}
+
 // --- Cycle / mover expansion -------------------------------------------------
 
 TEST(DynamicEvents, CycleExpandsToOpenClosePairs) {
@@ -270,7 +454,7 @@ TEST(DynamicEvents, MoverTranslatesTheWallBlock) {
         }
     }
     cfg.movers.push_back({2, 3, 0, 1, 7, 2, 8, 3, 4});
-    const auto sim = backend::make_cpu(cfg);
+    const auto sim = backend::make_engine(backend::DeviceType::kCpu, cfg);
     EXPECT_EQ(sim->environment().wall_count(), 4u);
     EXPECT_TRUE(sim->environment().is_wall(7, 2));
 
@@ -341,7 +525,7 @@ TEST(Anticipation, HorizonZeroAndOutOfHorizonMatchTheUnblendedPath) {
     base.doors.push_back({500, 7, 4, 8, 7, DoorAction::kOpen});
 
     auto trace = [](const SimConfig& cfg) {
-        const auto sim = backend::make_cpu(cfg);
+        const auto sim = backend::make_engine(backend::DeviceType::kCpu, cfg);
         std::vector<StepResult> steps;
         sim->run(40, [&steps](const StepResult& sr) {
             steps.push_back(sr);
@@ -366,8 +550,9 @@ TEST(Anticipation, InsideTheHorizonBlendingChangesRouting) {
     ASSERT_EQ(s.sim.anticipate.horizon, 40);
     SimConfig stripped = s.sim;
     stripped.anticipate.horizon = 0;
-    const auto with = backend::make_cpu(s.sim);
-    const auto without = backend::make_cpu(stripped);
+    const auto with = backend::make_engine(backend::DeviceType::kCpu, s.sim);
+    const auto without = backend::make_engine(
+        backend::DeviceType::kCpu, stripped);
     with->run(59);  // up to (not past) the door-open at step 60
     without->run(59);
     EXPECT_NE(scenario::position_fingerprint(*with),
@@ -380,7 +565,7 @@ TEST(DoorEvents, ToggleEnvironmentOccupancyAtStepBoundaries) {
     SimConfig cfg = walled_config();
     cfg.doors.push_back({2, 7, 4, 8, 11, DoorAction::kOpen});
     cfg.doors.push_back({5, 7, 4, 8, 11, DoorAction::kClose});
-    const auto sim = backend::make_cpu(cfg);
+    const auto sim = backend::make_engine(backend::DeviceType::kCpu, cfg);
     EXPECT_EQ(sim->environment().wall_count(), 32u);
 
     sim->run(2);  // steps 0 and 1: event at step 2 has not fired yet
@@ -405,7 +590,7 @@ TEST(DoorEvents, ClosingDoorRetiresOccupants) {
     // Fill the 2x2 region completely, then close a door on it at step 0.
     cfg.layout.spawns.push_back({grid::Group::kTop, 2, 2, 3, 3, 4});
     cfg.doors.push_back({0, 2, 2, 3, 3, DoorAction::kClose});
-    const auto sim = backend::make_cpu(cfg);
+    const auto sim = backend::make_engine(backend::DeviceType::kCpu, cfg);
     EXPECT_EQ(sim->environment().population(), 4u);
 
     sim->run(1);
@@ -432,7 +617,7 @@ TEST(DoorScenarios, RegistryShipsTheDoorTrio) {
 
 TEST(DoorScenarios, TimedExitOnlyDrainsAfterTheDoorOpens) {
     const auto s = scenario::get("timed_exit");
-    const auto sim = backend::make_cpu(s.sim);
+    const auto sim = backend::make_engine(backend::DeviceType::kCpu, s.sim);
     sim->run(30);  // door opens at the start of step 30
     EXPECT_EQ(sim->crossed_total(grid::Group::kTop) +
                   sim->crossed_total(grid::Group::kBottom),
@@ -445,7 +630,7 @@ TEST(DoorScenarios, TimedExitOnlyDrainsAfterTheDoorOpens) {
 
 TEST(DoorScenarios, ClosingCorridorConservesAgents) {
     const auto s = scenario::get("closing_corridor");
-    const auto sim = backend::make_cpu(s.sim);
+    const auto sim = backend::make_engine(backend::DeviceType::kCpu, s.sim);
     const auto rr = sim->run(s.default_steps);
     // Both close events fired: the 16-wide gap (2 rows deep) is sealed.
     EXPECT_EQ(sim->environment().wall_count(),
@@ -458,7 +643,7 @@ TEST(DoorScenarios, ClosingCorridorConservesAgents) {
 
 TEST(DoorScenarios, PhasedEvacuationDrainsThroughStagedDoors) {
     const auto s = scenario::get("phased_evacuation");
-    const auto sim = backend::make_cpu(s.sim);
+    const auto sim = backend::make_engine(backend::DeviceType::kCpu, s.sim);
     const auto rr = sim->run(s.default_steps);
     EXPECT_GT(rr.crossed_total(), s.sim.total_agents() / 2);
     EXPECT_EQ(sim->environment().population() + rr.crossed_total() +

@@ -65,7 +65,7 @@ TEST(Panic, AgentsFleeTheEpicentre) {
     cfg.panic.radius = 16.0;
     cfg.exit_on_cross = false;
 
-    const auto sim = backend::make_cpu(cfg);
+    const auto sim = backend::make_engine(backend::DeviceType::kCpu, cfg);
     sim->run(20);  // pre-panic
 
     auto mean_dist_to_epicentre = [&]() {
@@ -99,7 +99,7 @@ TEST(Panic, FlagsOnlyAgentsInRadius) {
     cfg.panic.row = 0;
     cfg.panic.col = 0;
     cfg.panic.radius = 10.0;
-    const auto sim = backend::make_cpu(cfg);
+    const auto sim = backend::make_engine(backend::DeviceType::kCpu, cfg);
     sim->step();
     const auto& p = sim->properties();
     for (std::size_t i = 1; i < p.rows(); ++i) {
@@ -146,7 +146,7 @@ TEST(Panic, PanickedAcoAgentsDoNotDeposit) {
     cfg.panic.radius = 100.0;  // everyone panics
     cfg.aco.rho = 0.0;         // no evaporation: total tau must stay flat
     cfg.aco.tau0 = 0.5;
-    const auto sim = backend::make_cpu(cfg);
+    const auto sim = backend::make_engine(backend::DeviceType::kCpu, cfg);
     const double t0 = sim->pheromone()->total(grid::Group::kTop);
     sim->run(10);
     EXPECT_DOUBLE_EQ(sim->pheromone()->total(grid::Group::kTop), t0);
@@ -160,7 +160,7 @@ TEST(Panic, EnginesStayBitIdenticalUnderPanic) {
         cfg.panic.row = 20;
         cfg.panic.col = 40;
         cfg.panic.radius = 18.0;
-        const auto cpu = backend::make_cpu(cfg);
+        const auto cpu = backend::make_engine(backend::DeviceType::kCpu, cfg);
         const auto gpu = backend::make_simt(cfg);
         for (int s = 0; s < 40; ++s) {
             cpu->step();
@@ -176,7 +176,7 @@ TEST(Panic, EnginesStayBitIdenticalUnderPanic) {
 TEST(Speed, FractionOfAgentsIsSlow) {
     auto cfg = base_config(Model::kLem, 1000);
     cfg.speed.slow_fraction = 0.3;
-    const auto sim = backend::make_cpu(cfg);
+    const auto sim = backend::make_engine(backend::DeviceType::kCpu, cfg);
     const auto& p = sim->properties();
     std::size_t slow = 0;
     for (std::size_t i = 1; i < p.rows(); ++i) slow += p.speed_class[i];
@@ -187,8 +187,8 @@ TEST(Speed, ZeroFractionMatchesPaperBehaviour) {
     auto with = base_config(Model::kLem, 300);
     auto without = with;
     without.speed.slow_fraction = 0.0;
-    const auto a = backend::make_cpu(with);
-    const auto b = backend::make_cpu(without);
+    const auto a = backend::make_engine(backend::DeviceType::kCpu, with);
+    const auto b = backend::make_engine(backend::DeviceType::kCpu, without);
     for (int s = 0; s < 30; ++s) {
         a->step();
         b->step();
@@ -201,8 +201,8 @@ TEST(Speed, SlowPopulationCrossesLater) {
     auto slow = fast;
     slow.speed.slow_fraction = 1.0;  // everyone at half speed
     slow.speed.slow_period = 2;
-    const auto a = backend::make_cpu(fast);
-    const auto b = backend::make_cpu(slow);
+    const auto a = backend::make_engine(backend::DeviceType::kCpu, fast);
+    const auto b = backend::make_engine(backend::DeviceType::kCpu, slow);
     ThroughputRecorder ra, rb;
     a->run(700, ra.observer());
     b->run(700, rb.observer());
@@ -218,13 +218,13 @@ TEST(Speed, SlowAgentsNeverProposeOffPhase) {
     auto cfg = base_config(Model::kLem, 100, 23);
     cfg.speed.slow_fraction = 1.0;
     cfg.speed.slow_period = 3;
-    const auto sim = backend::make_cpu(cfg);
+    const auto sim = backend::make_engine(backend::DeviceType::kCpu, cfg);
     // Over any 3 consecutive steps each agent moves at most 1 cell... the
     // aggregate signature: total moves over a window is about a third of
     // the all-fast case.
     auto fast_cfg = cfg;
     fast_cfg.speed.slow_fraction = 0.0;
-    const auto fast = backend::make_cpu(fast_cfg);
+    const auto fast = backend::make_engine(backend::DeviceType::kCpu, fast_cfg);
     const auto rs = sim->run(60);
     const auto rf = fast->run(60);
     EXPECT_LT(rs.total_moves, rf.total_moves / 2);
@@ -234,7 +234,7 @@ TEST(Speed, EnginesStayBitIdenticalWithSpeedClasses) {
     auto cfg = base_config(Model::kAco, 300, 25);
     cfg.speed.slow_fraction = 0.4;
     cfg.speed.slow_period = 3;
-    const auto cpu = backend::make_cpu(cfg);
+    const auto cpu = backend::make_engine(backend::DeviceType::kCpu, cfg);
     const auto gpu = backend::make_simt(cfg);
     for (int s = 0; s < 40; ++s) {
         cpu->step();
@@ -323,7 +323,7 @@ TEST(ScanRange, EnginesStayBitIdenticalWithLookAhead) {
         auto cfg = base_config(model, 400, 29);
         cfg.scan.range = 3;
         cfg.scan.congestion_weight = 0.8;
-        const auto cpu = backend::make_cpu(cfg);
+        const auto cpu = backend::make_engine(backend::DeviceType::kCpu, cfg);
         const auto gpu = backend::make_simt(cfg);
         for (int s = 0; s < 30; ++s) {
             cpu->step();
@@ -342,7 +342,7 @@ TEST(ScanRange, AllExtensionsTogetherKeepInvariantsAndParity) {
     cfg.panic.row = 30;
     cfg.panic.col = 30;
     cfg.panic.radius = 12.0;
-    const auto cpu = backend::make_cpu(cfg);
+    const auto cpu = backend::make_engine(backend::DeviceType::kCpu, cfg);
     const auto gpu = backend::make_simt(cfg);
     for (int s = 0; s < 40; ++s) {
         cpu->step();

@@ -314,6 +314,26 @@ TEST(DistanceField, GeodesicRejectsOffGridGoalCells) {
     EXPECT_NO_THROW(DistanceField::shared_target(cfg, {}, off - 1));
 }
 
+TEST(DistanceField, SharedTargetFieldHoldsOneTable) {
+    // Both groups read one table, built or repaired: a waypoint field
+    // holds half the geodesic bytes of a two-group field.
+    const GridConfig cfg{32, 32};
+    const std::vector<std::uint32_t> walls{100, 101, 102};
+    const std::uint32_t target = 5 * 32 + 7;
+    const DistanceField two(cfg, walls, {});
+    const auto one = DistanceField::shared_target(cfg, walls, target);
+    GeodesicScratch scratch;
+    const auto repaired =
+        one.repaired_shared_target(walls, {100, 101}, target, scratch);
+    const std::size_t table = cfg.cell_count() * sizeof(double);
+    EXPECT_EQ(two.bytes() - one.bytes(), table);
+    for (const auto* f : {&one, &repaired}) {
+        EXPECT_EQ(f->geo_data(Group::kTop), f->geo_data(Group::kBottom));
+        EXPECT_EQ(f->bytes(), one.bytes());
+        EXPECT_EQ(f->geo(Group::kBottom, 5, 7), 0.0);
+    }
+}
+
 TEST(DistanceField, GeodesicRoutesAroundWalls) {
     // A wall across the grid with a doorway at the west end: cells east of
     // the door must pay the detour, not the straight-line distance.

@@ -30,7 +30,8 @@ core::SimConfig golden_config(core::Model model) {
 }
 
 TEST(RegressionGolden, LemFixedSeedCounts) {
-    const auto sim = backend::make_cpu(golden_config(core::Model::kLem));
+    const auto sim = backend::make_engine(
+        backend::DeviceType::kCpu, golden_config(core::Model::kLem));
     const auto rr = sim->run(300);
     EXPECT_EQ(rr.crossed_total(), 408u);
     EXPECT_EQ(rr.total_moves, 69281u);
@@ -38,7 +39,8 @@ TEST(RegressionGolden, LemFixedSeedCounts) {
 }
 
 TEST(RegressionGolden, AcoFixedSeedCounts) {
-    const auto sim = backend::make_cpu(golden_config(core::Model::kAco));
+    const auto sim = backend::make_engine(
+        backend::DeviceType::kCpu, golden_config(core::Model::kAco));
     const auto rr = sim->run(300);
     EXPECT_EQ(rr.crossed_total(), 488u);
     EXPECT_EQ(rr.total_moves, 95568u);
@@ -88,7 +90,7 @@ TEST(PheromoneDynamics, TrailsFormAlongTravelColumns) {
     // pheromone in the rows it has traversed than the untouched floor.
     auto cfg = golden_config(core::Model::kAco);
     cfg.agents_per_side = 150;
-    const auto sim = backend::make_cpu(cfg);
+    const auto sim = backend::make_engine(backend::DeviceType::kCpu, cfg);
     sim->run(60);  // mid-run: trails are active (they evaporate fast after)
     const auto& pher = *sim->pheromone();
     double mid_rows = 0.0;
@@ -105,7 +107,7 @@ TEST(PheromoneDynamics, TrailsFormAlongTravelColumns) {
 TEST(PheromoneDynamics, FieldDecaysAfterCrowdDrains) {
     auto cfg = golden_config(core::Model::kAco);
     cfg.agents_per_side = 60;  // sparse: drains quickly
-    const auto sim = backend::make_cpu(cfg);
+    const auto sim = backend::make_engine(backend::DeviceType::kCpu, cfg);
     sim->run(100);  // crowd active: trails above the evaporation floor
     const double before = sim->pheromone()->total(grid::Group::kTop);
     sim->run(500);  // crowd drained: evaporation pulls back to the floor
@@ -133,8 +135,8 @@ TEST_P(DeterminismSweep, RunResultsAreReproducible) {
     cfg.agents_per_side = p.agents;
     cfg.model = p.model;
     cfg.seed = 77;
-    const auto a = backend::make_cpu(cfg);
-    const auto b = backend::make_cpu(cfg);
+    const auto a = backend::make_engine(backend::DeviceType::kCpu, cfg);
+    const auto b = backend::make_engine(backend::DeviceType::kCpu, cfg);
     const auto ra = a->run(120);
     const auto rb = b->run(120);
     EXPECT_EQ(ra.crossed_total(), rb.crossed_total());
@@ -174,7 +176,8 @@ TEST(GlmIntegration, DispersionCorrectionOnRealRuns) {
                 // decoupled draws — the paper's situation.
                 cfg.seed = static_cast<std::uint64_t>(
                     10 * d + rep + platform * 5000);
-                const auto sim = backend::make_cpu(cfg);
+                const auto sim = backend::make_engine(
+                    backend::DeviceType::kCpu, cfg);
                 const auto rr = sim->run(250);
                 data.push_back(
                     {static_cast<double>(rr.crossed_total()),
@@ -216,7 +219,7 @@ TEST(PhaseStructure, SparseEqualMediumAcoWinsDenseBothCollapse) {
         cfg.agents_per_side = per_side;
         cfg.model = model;
         cfg.seed = 31;
-        const auto sim = backend::make_cpu(cfg);
+        const auto sim = backend::make_engine(backend::DeviceType::kCpu, cfg);
         return sim->run(900).crossed_total();
     };
     // Sparse: both drain completely.

@@ -52,7 +52,7 @@ TEST(Registry, PaperCorridorIsTheSeedDefaultConfig) {
 
 TEST(Registry, EveryScenarioConstructsOnTheCpuEngine) {
     for (const auto& s : all()) {
-        const auto sim = backend::make_cpu(s.sim);
+        const auto sim = backend::make_engine(backend::DeviceType::kCpu, s.sim);
         EXPECT_EQ(sim->properties().agent_count(), s.sim.total_agents())
             << s.name;
         EXPECT_EQ(sim->environment().wall_count(),
@@ -105,7 +105,7 @@ TEST(ScenarioFile, ParsesMapWithWallsAndGoals) {
     ASSERT_EQ(s.sim.layout.spawns.size(), 1u);
     EXPECT_EQ(s.sim.layout.spawns[0].count, 12u);
     // And it actually runs.
-    const auto sim = backend::make_cpu(s.sim);
+    const auto sim = backend::make_engine(backend::DeviceType::kCpu, s.sim);
     sim->run(s.default_steps);
     EXPECT_EQ(sim->environment().wall_count(), 12u);
 }
@@ -326,7 +326,7 @@ TEST(SeedReproduction, PaperCorridorScenarioMatchesDirectConfig) {
                                     s.sim.model, s.sim.seed, steps);
 
     core::SimConfig direct;  // untouched seed defaults
-    const auto sim = backend::make_cpu(direct);
+    const auto sim = backend::make_engine(backend::DeviceType::kCpu, direct);
     const auto rr = sim->run(steps);
 
     EXPECT_EQ(rec.result.steps_run, rr.steps_run);
@@ -359,7 +359,7 @@ TEST(SeedReproduction, CorridorSmallMatchesDirectConfigOnBothEngines) {
 
 TEST(Behaviour, BottleneckStillDrainsThroughTheDoorway) {
     const auto s = get("bottleneck_doorway");
-    const auto sim = backend::make_cpu(s.sim);
+    const auto sim = backend::make_engine(backend::DeviceType::kCpu, s.sim);
     const auto rr = sim->run(s.default_steps);
     // Both groups keep crossing despite the wall: the geodesic field
     // routes them through the gap.
@@ -374,7 +374,7 @@ TEST(Behaviour, BottleneckStillDrainsThroughTheDoorway) {
 
 TEST(Behaviour, RoomEvacuationDrainsThroughTheDoor) {
     const auto s = get("room_evacuation");
-    const auto sim = backend::make_cpu(s.sim);
+    const auto sim = backend::make_engine(backend::DeviceType::kCpu, s.sim);
     const auto rr = sim->run(s.default_steps);
     // Most of the 320 occupants find the single door.
     EXPECT_GT(rr.crossed_total(), s.sim.total_agents() / 2);
@@ -386,7 +386,7 @@ TEST(Behaviour, WallsAreConservedAcrossLongRuns) {
     for (const auto& name :
          {"pillar_field", "narrowing_corridor", "bottleneck_doorway"}) {
         const auto s = get(name);
-        const auto sim = backend::make_cpu(s.sim);
+        const auto sim = backend::make_engine(backend::DeviceType::kCpu, s.sim);
         sim->run(60);
         EXPECT_EQ(sim->environment().wall_count(),
                   s.sim.layout.wall_cells.size())

@@ -2,9 +2,10 @@
 // admission-queue fairness and bounds, warm-cache semantics, and
 // end-to-end socket round-trips pinning the server determinism contract —
 // server-returned fingerprints bit-identical to in-process runs, cache
-// hits bit-identical to misses, malformed frames killing one session but
-// never the server, graceful drain delivering every admitted job's
-// results, and a job whose client has gone releasing its executor.
+// hits bit-identical to misses, cache entries sharing their distance
+// fields, malformed frames killing one session but never the server,
+// finished sessions reaped, graceful drain delivering every admitted
+// job's results, and a job whose client has gone releasing its executor.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -25,7 +26,10 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "core/door_schedule.hpp"
+#include "grid/field_store.hpp"
 #include "io/scenario_file.hpp"
+#include "obs/metrics.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
 #include "server/admission.hpp"
@@ -776,6 +780,100 @@ TEST(ServerLifecycle, StaleSocketFileIsReclaimed) {
                                   backend::DeviceType::kCpu, 10);
     ASSERT_TRUE(client.submit(req).accepted);
     EXPECT_FALSE(client.wait_any().failed);
+}
+
+TEST(ServerLifecycle, FinishedSessionsAreReaped) {
+    // Each connection's session thread is joined at a later accept once
+    // the client hangs up; before, every one stayed until shutdown with
+    // its stack mapping (8 MB of address space each).
+    const auto sock = test_socket("reap");
+    ServerFixture fixture({sock, 1, 16});
+    // This process's thread count (/proc/self/status) and mapping count.
+    const auto threads = [] {
+        std::ifstream in("/proc/self/status");
+        std::string line;
+        while (std::getline(in, line)) {
+            if (line.rfind("Threads:", 0) == 0) {
+                return std::stol(line.substr(8));
+            }
+        }
+        return -1L;
+    };
+    const auto mappings = [] {
+        std::ifstream in("/proc/self/maps");
+        long n = 0;
+        for (std::string line; std::getline(in, line);) ++n;
+        return n;
+    };
+    const auto cycle = [&sock] { return Client(sock).stats(); };
+    // Readings taken while one fresh connection is the only live session,
+    // once the sessions before it have exited.
+    const auto settled = [&](long want_threads) {
+        for (int i = 0; i < 500; ++i) {
+            Client probe(sock);
+            if (probe.stats().live_sessions == 1 &&
+                (want_threads < 0 || threads() == want_threads)) {
+                return std::make_pair(threads(), mappings());
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        }
+        return std::make_pair(-1L, -1L);
+    };
+    for (int i = 0; i < 8; ++i) cycle();  // settle the allocator
+    const auto [threads0, maps0] = settled(-1);
+    ASSERT_GT(threads0, 0);
+    for (int i = 0; i < 200; ++i) ASSERT_GE(cycle().live_sessions, 1u);
+    const auto [threads1, maps1] = settled(threads0);
+    EXPECT_EQ(threads1, threads0);
+    // 200 unjoined sessions would add about 400 mappings (a stack and its
+    // guard page each); the slack covers the allocator's per-thread
+    // arenas and cached stacks.
+    EXPECT_LT(maps1 - maps0, 64L) << maps0 << " -> " << maps1;
+}
+
+TEST(ServerRoundTrip, VariantTextAdoptsTheRegistryEntrysFields) {
+    // A conveyor_platform copy whose mover starts later is its own cache
+    // entry but passes through the registry scenario's 50 wall
+    // configurations: the server keeps one copy of each field.
+    const auto sock = test_socket("fields");
+    ServerFixture fixture({sock, 2, 16});
+    Client client(sock);
+    const auto by_name =
+        registry_job("conveyor_platform", backend::DeviceType::kCpu, 80);
+    auto later = scenario::get("conveyor_platform");
+    later.sim.movers.at(0).start += 15;
+    protocol::JobRequest by_text = by_name;
+    by_text.registry = false;
+    by_text.scenario = io::scenario_to_text(later);
+
+    grid::FieldStore store;
+    const core::DoorSchedule sched(scenario::get("conveyor_platform").sim,
+                                   &store);
+    ASSERT_EQ(sched.field_count(), 50u);
+
+    ASSERT_TRUE(client.submit(by_name).accepted);
+    const auto r1 = client.wait_any();
+    ASSERT_FALSE(r1.failed) << r1.error;
+    EXPECT_EQ(r1.fingerprint, local_run(by_name).fingerprint);
+    const auto before = client.stats();
+    EXPECT_EQ(before.field_bytes, store.bytes());
+
+    obs::MetricsRegistry metrics;  // the server runs in this process
+    obs::MetricsRegistry::install(&metrics);
+    const auto sub = client.submit(by_text);
+    const auto r2 = sub.accepted ? client.wait_any() : RemoteResult{};
+    obs::MetricsRegistry::install(nullptr);
+    ASSERT_TRUE(sub.accepted) << sub.reason;
+    ASSERT_FALSE(r2.failed) << r2.error;
+    EXPECT_FALSE(r2.cache_hit);
+    EXPECT_EQ(r2.fingerprint, local_run(by_text).fingerprint);
+    const auto after = client.stats();
+    EXPECT_EQ(after.cache_entries, 2u);
+    EXPECT_EQ(after.field_bytes, before.field_bytes);
+    // Every one of the copy's 50 fields was adopted, none built.
+    const auto* shared = metrics.find_counter("doors.field_store.shared");
+    ASSERT_NE(shared, nullptr);
+    EXPECT_EQ(shared->value(), 50u);
 }
 
 TEST(ServerRoundTrip, PerturbedScenariosMatchLocalRunsBitForBit) {

@@ -52,27 +52,53 @@ std::map<std::int32_t, std::pair<int, int>> agent_positions(
 
 TEST(SimulatorInit, PopulationMatchesConfig) {
     const auto cfg = small_config(Model::kLem);
-    const auto sim = backend::make_cpu(cfg);
+    const auto sim = backend::make_engine(backend::DeviceType::kCpu, cfg);
     EXPECT_EQ(sim->environment().population(), 600u);
     EXPECT_EQ(sim->properties().agent_count(), 600u);
     EXPECT_EQ(sim->properties().active_count(), 600u);
 }
 
 TEST(SimulatorInit, LemHasNoPheromone) {
-    const auto sim = backend::make_cpu(small_config(Model::kLem));
+    const auto sim = backend::make_engine(
+        backend::DeviceType::kCpu, small_config(Model::kLem));
     EXPECT_EQ(sim->pheromone(), nullptr);
 }
 
 TEST(SimulatorInit, AcoHasPheromoneAtTau0) {
     auto cfg = small_config(Model::kAco);
     cfg.aco.tau0 = 0.25;
-    const auto sim = backend::make_cpu(cfg);
+    const auto sim = backend::make_engine(backend::DeviceType::kCpu, cfg);
     ASSERT_NE(sim->pheromone(), nullptr);
     EXPECT_DOUBLE_EQ(sim->pheromone()->at(grid::Group::kTop, 30, 30), 0.25);
 }
 
+TEST(SimulatorInit, OutOfRangeModelParametersFailByName) {
+    // Every engine checks the parser's ranges itself: alpha = nan ran to
+    // a meaningless result, and rho = 2 ran without error.
+    SimConfig nan_alpha = small_config(Model::kAco);
+    nan_alpha.aco.alpha = std::nan("");
+    SimConfig big_rho = small_config(Model::kAco);
+    big_rho.aco.rho = 2.0;
+    const std::pair<const SimConfig*, std::string> cases[] = {
+        {&nan_alpha, "alpha"}, {&big_rho, "rho"}};
+    for (const auto& [cfg, key] : cases) {
+        for (const auto engine :
+             {backend::DeviceType::kCpu, backend::DeviceType::kSimt}) {
+            try {
+                static_cast<void>(backend::make_engine(engine, *cfg));
+                ADD_FAILURE() << "accepted " << key;
+            } catch (const std::invalid_argument& e) {
+                EXPECT_NE(std::string(e.what()).find(key),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+}
+
 TEST(SimulatorInit, EnvironmentAndPropertiesAgree) {
-    const auto sim = backend::make_cpu(small_config(Model::kLem));
+    const auto sim = backend::make_engine(
+        backend::DeviceType::kCpu, small_config(Model::kLem));
     const auto& env = sim->environment();
     const auto& props = sim->properties();
     for (std::size_t i = 1; i < props.rows(); ++i) {
@@ -91,7 +117,7 @@ class InvariantTest : public ::testing::TestWithParam<Model> {};
 TEST_P(InvariantTest, AgentsAreConservedAcrossSteps) {
     auto cfg = small_config(GetParam(), 400);
     cfg.exit_on_cross = false;  // nobody leaves: strict conservation
-    const auto sim = backend::make_cpu(cfg);
+    const auto sim = backend::make_engine(backend::DeviceType::kCpu, cfg);
     for (int s = 0; s < 60; ++s) {
         sim->step();
         EXPECT_EQ(sim->environment().population(), 800u);
@@ -101,7 +127,7 @@ TEST_P(InvariantTest, AgentsAreConservedAcrossSteps) {
 
 TEST_P(InvariantTest, PopulationPlusCrossedIsConstantWithExits) {
     const auto cfg = small_config(GetParam(), 400);
-    const auto sim = backend::make_cpu(cfg);
+    const auto sim = backend::make_engine(backend::DeviceType::kCpu, cfg);
     for (int s = 0; s < 150; ++s) {
         sim->step();
         const auto on_grid = sim->environment().population();
@@ -112,7 +138,8 @@ TEST_P(InvariantTest, PopulationPlusCrossedIsConstantWithExits) {
 }
 
 TEST_P(InvariantTest, IndexMatrixStaysConsistent) {
-    const auto sim = backend::make_cpu(small_config(GetParam(), 350));
+    const auto sim = backend::make_engine(
+        backend::DeviceType::kCpu, small_config(GetParam(), 350));
     sim->run(80);
     const auto& env = sim->environment();
     const auto& props = sim->properties();
@@ -134,7 +161,8 @@ TEST_P(InvariantTest, IndexMatrixStaysConsistent) {
 }
 
 TEST_P(InvariantTest, NoAgentMovesMoreThanOneCellPerStep) {
-    const auto sim = backend::make_cpu(small_config(GetParam(), 400));
+    const auto sim = backend::make_engine(
+        backend::DeviceType::kCpu, small_config(GetParam(), 400));
     auto before = agent_positions(*sim);
     for (int s = 0; s < 40; ++s) {
         sim->step();
@@ -150,7 +178,8 @@ TEST_P(InvariantTest, NoAgentMovesMoreThanOneCellPerStep) {
 }
 
 TEST_P(InvariantTest, TourLengthsAreMonotone) {
-    const auto sim = backend::make_cpu(small_config(GetParam(), 300));
+    const auto sim = backend::make_engine(
+        backend::DeviceType::kCpu, small_config(GetParam(), 300));
     std::vector<double> prev(sim->properties().tour_length);
     for (int s = 0; s < 30; ++s) {
         sim->step();
@@ -174,8 +203,8 @@ class DeterminismTest : public ::testing::TestWithParam<Model> {};
 
 TEST_P(DeterminismTest, SameSeedSameTrajectory) {
     const auto cfg = small_config(GetParam());
-    const auto a = backend::make_cpu(cfg);
-    const auto b = backend::make_cpu(cfg);
+    const auto a = backend::make_engine(backend::DeviceType::kCpu, cfg);
+    const auto b = backend::make_engine(backend::DeviceType::kCpu, cfg);
     for (int s = 0; s < 50; ++s) {
         a->step();
         b->step();
@@ -185,8 +214,10 @@ TEST_P(DeterminismTest, SameSeedSameTrajectory) {
 }
 
 TEST_P(DeterminismTest, DifferentSeedDifferentTrajectory) {
-    const auto a = backend::make_cpu(small_config(GetParam(), 300, 1));
-    const auto b = backend::make_cpu(small_config(GetParam(), 300, 2));
+    const auto a = backend::make_engine(
+        backend::DeviceType::kCpu, small_config(GetParam(), 300, 1));
+    const auto b = backend::make_engine(
+        backend::DeviceType::kCpu, small_config(GetParam(), 300, 2));
     for (int s = 0; s < 30; ++s) {
         a->step();
         b->step();
@@ -213,7 +244,7 @@ class ParityTest : public ::testing::TestWithParam<ParityCase> {};
 TEST_P(ParityTest, EnginesAreBitIdentical) {
     const auto p = GetParam();
     const auto cfg = small_config(p.model, p.agents, p.seed);
-    const auto cpu = backend::make_cpu(cfg);
+    const auto cpu = backend::make_engine(backend::DeviceType::kCpu, cfg);
     const auto gpu = backend::make_simt(cfg);
     for (int s = 0; s < 60; ++s) {
         const auto rc = cpu->step();
@@ -562,7 +593,7 @@ struct Trace {
 Trace trace_cpu(const SimConfig& base, int threads, int steps) {
     SimConfig cfg = base;
     cfg.exec.threads = threads;
-    const auto sim = backend::make_cpu(cfg);
+    const auto sim = backend::make_engine(backend::DeviceType::kCpu, cfg);
     Trace t;
     sim->run(steps, [&t](const StepResult& sr) {
         t.steps.push_back(sr);
@@ -707,7 +738,8 @@ TEST(BackendNames, RemovedEngineFlagsAreNamedErrors) {
 // --- Crossing / progress semantics ------------------------------------------------------
 
 TEST(Crossing, AgentsEventuallyCrossInSparseScenario) {
-    const auto sim = backend::make_cpu(small_config(Model::kLem, 50));
+    const auto sim = backend::make_engine(
+        backend::DeviceType::kCpu, small_config(Model::kLem, 50));
     const auto rr = sim->run(500);
     EXPECT_GT(rr.crossed_total(), 80u);  // nearly all of 100
 }
@@ -715,7 +747,7 @@ TEST(Crossing, AgentsEventuallyCrossInSparseScenario) {
 TEST(Crossing, CrossedAgentsLeaveTheGrid) {
     auto cfg = small_config(Model::kLem, 50);
     cfg.exit_on_cross = true;
-    const auto sim = backend::make_cpu(cfg);
+    const auto sim = backend::make_engine(backend::DeviceType::kCpu, cfg);
     sim->run(500);
     EXPECT_EQ(sim->environment().population() +
                   sim->crossed_total(grid::Group::kTop) +
@@ -725,7 +757,8 @@ TEST(Crossing, CrossedAgentsLeaveTheGrid) {
 }
 
 TEST(Crossing, GroupsMoveTowardTheirTargets) {
-    const auto sim = backend::make_cpu(small_config(Model::kLem, 300));
+    const auto sim = backend::make_engine(
+        backend::DeviceType::kCpu, small_config(Model::kLem, 300));
     // Mean rows advanced from each group's starting edge, over its
     // active agents.
     const auto progress = [&](grid::Group g) {
@@ -756,8 +789,8 @@ TEST(Crossing, ForwardPriorityWalksIsolatedAgentsStraight) {
     auto with = small_config(Model::kLem, 1, 7);
     auto without = with;
     without.forward_priority = false;
-    const auto a = backend::make_cpu(with);
-    const auto b = backend::make_cpu(without);
+    const auto a = backend::make_engine(backend::DeviceType::kCpu, with);
+    const auto b = backend::make_engine(backend::DeviceType::kCpu, without);
     ThroughputRecorder ra, rb;
     a->run(600, ra.observer());
     b->run(600, rb.observer());
@@ -774,7 +807,8 @@ TEST(Crossing, ForwardPriorityWalksIsolatedAgentsStraight) {
 // --- Observers & metrics ------------------------------------------------------------------
 
 TEST(RunApi, ObserverCanStopEarly) {
-    const auto sim = backend::make_cpu(small_config(Model::kLem));
+    const auto sim = backend::make_engine(
+        backend::DeviceType::kCpu, small_config(Model::kLem));
     int seen = 0;
     const auto rr = sim->run(100, [&](const StepResult&) {
         return ++seen < 10;
@@ -784,7 +818,8 @@ TEST(RunApi, ObserverCanStopEarly) {
 }
 
 TEST(RunApi, StepResultAccounting) {
-    const auto sim = backend::make_cpu(small_config(Model::kAco, 400));
+    const auto sim = backend::make_engine(
+        backend::DeviceType::kCpu, small_config(Model::kAco, 400));
     for (int s = 0; s < 20; ++s) {
         const auto sr = sim->step();
         EXPECT_GE(sr.proposals, sr.moves);
@@ -793,7 +828,8 @@ TEST(RunApi, StepResultAccounting) {
 }
 
 TEST(Metrics, ThroughputRecorderAccumulates) {
-    const auto sim = backend::make_cpu(small_config(Model::kLem, 80));
+    const auto sim = backend::make_engine(
+        backend::DeviceType::kCpu, small_config(Model::kLem, 80));
     ThroughputRecorder rec;
     const auto record = rec.observer();
     std::int64_t step = 0, last_crossing = -1;
@@ -832,7 +868,8 @@ TEST(Metrics, GridlockDetectorResetsOnMovement) {
 
 TEST(Metrics, DrainedGridIsNotGridlock) {
     // Every agent crossed: the grid makes no moves because it is empty.
-    const auto sim = backend::make_cpu(small_config(Model::kLem, 1, 7));
+    const auto sim = backend::make_engine(
+        backend::DeviceType::kCpu, small_config(Model::kLem, 1, 7));
     GridlockDetector det(5);
     sim->run(300, [&](const StepResult& sr) {
         det.update(sr, sim->properties().active_count());
@@ -925,7 +962,8 @@ TEST(Perturbation, NoShowRetiresAtPlacementOrDropsOutMidRun) {
     // last_step = 0: the draw retires agents before the first step.
     auto at_placement = small_config(Model::kLem, 300);
     at_placement.perturb.no_shows.push_back({1, 0.5, 0});
-    const auto sim = backend::make_cpu(at_placement);
+    const auto sim = backend::make_engine(
+        backend::DeviceType::kCpu, at_placement);
     const auto retired = sim->perturb_retired();
     EXPECT_GT(retired, 100u);  // ~150 of the 300 top agents
     EXPECT_LT(retired, 200u);
@@ -936,7 +974,7 @@ TEST(Perturbation, NoShowRetiresAtPlacementOrDropsOutMidRun) {
     // instead — nobody is missing at placement.
     auto mid_run = small_config(Model::kLem, 300);
     mid_run.perturb.no_shows.push_back({2, 0.5, 40});
-    const auto sim2 = backend::make_cpu(mid_run);
+    const auto sim2 = backend::make_engine(backend::DeviceType::kCpu, mid_run);
     EXPECT_EQ(sim2->perturb_retired(), 0u);
     EXPECT_EQ(sim2->properties().active_count(), 600u);
     sim2->run(45);
@@ -949,7 +987,7 @@ TEST(Perturbation, NoShowRetiresAtPlacementOrDropsOutMidRun) {
 TEST(Perturbation, SurgeInjectsAtTheAuthoredStepWithPreallocatedRows) {
     auto cfg = small_config(Model::kLem, 50);
     cfg.perturb.surges.push_back({5, 1, 20, 20, 20, 30, 30});
-    const auto sim = backend::make_cpu(cfg);
+    const auto sim = backend::make_engine(backend::DeviceType::kCpu, cfg);
     // Rows for the surge exist from construction; they activate later.
     EXPECT_EQ(sim->properties().agent_count(), 120u);
     EXPECT_EQ(sim->properties().active_count(), 100u);
@@ -965,7 +1003,7 @@ TEST(Perturbation, SurgeClampsToTheWalkableCellsOfTheRect) {
     // deterministically, rather than failing the run.
     auto cfg = small_config(Model::kLem, 10);
     cfg.perturb.surges.push_back({3, 2, 20, 40, 40, 41, 41});
-    const auto sim = backend::make_cpu(cfg);
+    const auto sim = backend::make_engine(backend::DeviceType::kCpu, cfg);
     sim->run(10);
     EXPECT_LE(sim->perturb_spawned(), 4u);
     EXPECT_GT(sim->perturb_spawned(), 0u);
@@ -975,8 +1013,8 @@ TEST(Perturbation, SpeedClassSlowsTheGroupDown) {
     auto gated = small_config(Model::kLem, 200);
     gated.perturb.speeds.push_back({1, 0.5});
     auto free = small_config(Model::kLem, 200);
-    const auto a = backend::make_cpu(gated);
-    const auto b = backend::make_cpu(free);
+    const auto a = backend::make_engine(backend::DeviceType::kCpu, gated);
+    const auto b = backend::make_engine(backend::DeviceType::kCpu, free);
     const auto ra = a->run(80);
     const auto rb = b->run(80);
     // The gated top group crosses strictly later; the ungated bottom
@@ -996,8 +1034,8 @@ TEST(Perturbation, DwellDelaysTheChainByExactlyItsLength) {
     with.perturb.dwells.push_back({1, 10});
     auto without = with;
     without.perturb.dwells.clear();
-    const auto a = backend::make_cpu(with);
-    const auto b = backend::make_cpu(without);
+    const auto a = backend::make_engine(backend::DeviceType::kCpu, with);
+    const auto b = backend::make_engine(backend::DeviceType::kCpu, without);
     ThroughputRecorder ra, rb;
     a->run(600, ra.observer());
     b->run(600, rb.observer());
@@ -1011,23 +1049,28 @@ TEST(Perturbation, InvalidSpecsAreRejectedAtConstruction) {
     auto dup = small_config(Model::kLem);
     dup.perturb.no_shows.push_back({1, 0.5, 0});
     dup.perturb.no_shows.push_back({1, 0.25, 0});
-    EXPECT_THROW(backend::make_cpu(dup), std::invalid_argument);
+    EXPECT_THROW(backend::make_engine(
+        backend::DeviceType::kCpu, dup), std::invalid_argument);
 
     auto prob = small_config(Model::kLem);
     prob.perturb.no_shows.push_back({1, 1.5, 0});
-    EXPECT_THROW(backend::make_cpu(prob), std::invalid_argument);
+    EXPECT_THROW(backend::make_engine(
+        backend::DeviceType::kCpu, prob), std::invalid_argument);
 
     auto frac = small_config(Model::kLem);
     frac.perturb.speeds.push_back({2, 0.0});
-    EXPECT_THROW(backend::make_cpu(frac), std::invalid_argument);
+    EXPECT_THROW(backend::make_engine(
+        backend::DeviceType::kCpu, frac), std::invalid_argument);
 
     auto rect = small_config(Model::kLem);
     rect.perturb.surges.push_back({5, 1, 4, 0, 0, 64, 3});
-    EXPECT_THROW(backend::make_cpu(rect), std::invalid_argument);
+    EXPECT_THROW(backend::make_engine(
+        backend::DeviceType::kCpu, rect), std::invalid_argument);
 
     auto early = small_config(Model::kLem);
     early.perturb.surges.push_back({0, 1, 4, 0, 0, 3, 3});
-    EXPECT_THROW(backend::make_cpu(early), std::invalid_argument);
+    EXPECT_THROW(backend::make_engine(
+        backend::DeviceType::kCpu, early), std::invalid_argument);
 }
 
 }  // namespace

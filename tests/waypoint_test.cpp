@@ -47,7 +47,7 @@ TEST(Waypoint, ThreeWaypointChainVisitedInOrderThenCrossed) {
     ASSERT_EQ(chain_len(s.sim, grid::Group::kTop), 3u);
     ASSERT_EQ(chain_len(s.sim, grid::Group::kBottom), 3u);
 
-    const auto sim = backend::make_cpu(s.sim);
+    const auto sim = backend::make_engine(backend::DeviceType::kCpu, s.sim);
     const auto& p = sim->properties();
     std::vector<std::uint8_t> prev(p.waypoint);
     for (int step = 0; step < s.default_steps; ++step) {
@@ -90,7 +90,7 @@ TEST(Waypoint, RegistryChainsCompleteInsideTheSuiteBudgets) {
         const int budget = pedsim::testing::budget_past_events(
             s, /*base_small=*/60, /*base_large=*/25, /*margin=*/20,
             /*waypoint_floor=*/280);
-        const auto sim = backend::make_cpu(s.sim);
+        const auto sim = backend::make_engine(backend::DeviceType::kCpu, s.sim);
         int last_advance = -1;
         // Run PAST the budget (not just default_steps, which may equal
         // it) so an advance beyond the window is actually observable.
@@ -190,13 +190,13 @@ TEST(Waypoint, ArrivalRadiusIsChebyshev) {
         static_cast<std::uint32_t>(6 * cfg.grid.cols + 6)};
     cfg.layout.waypoint_radius = 2;
     {
-        const auto sim = backend::make_cpu(cfg);
+        const auto sim = backend::make_engine(backend::DeviceType::kCpu, cfg);
         EXPECT_EQ(sim->properties().waypoint[1], 1u)
             << "diagonal distance 2 is inside Chebyshev radius 2";
     }
     cfg.layout.waypoint_radius = 1;
     {
-        const auto sim = backend::make_cpu(cfg);
+        const auto sim = backend::make_engine(backend::DeviceType::kCpu, cfg);
         EXPECT_EQ(sim->properties().waypoint[1], 0u)
             << "diagonal distance 2 is outside Chebyshev radius 1";
     }
@@ -212,7 +212,7 @@ TEST(Waypoint, PendingChainSuspendsEdgewardForwardPriority) {
     cfg.layout.waypoints[0] = {
         static_cast<std::uint32_t>(8 * cfg.grid.cols + 2)};
     cfg.layout.waypoint_radius = 0;  // must stand on the cell
-    const auto sim = backend::make_cpu(cfg);
+    const auto sim = backend::make_engine(backend::DeviceType::kCpu, cfg);
     const auto& p = sim->properties();
     sim->step();
     EXPECT_EQ(p.row[1], 8);
