@@ -13,11 +13,12 @@
 // held fixed so crossings happen within a short step budget; --paper runs
 // the original 480x480 / 25,000-step / 10-repeat protocol.
 //
-// Three flow readings per model ride on the same runs: steps until half
+// Two flow readings per model ride on the same runs: steps until half
 // the crowd has crossed (the largest over repeats; -1 when any repeat
-// never gets there), conflicts per step (mean over repeats) and the
-// number of repeats that gridlocked (100 steps in which agents remain on
-// the grid and none moves).
+// never gets there) and conflicts per step (mean over repeats). No step
+// of this workload stands still while agents remain on the grid
+// (docs/REPRODUCTION.md has the proof), so the collapse shows in these
+// readings and in throughput, never as gridlock.
 // --max_density=36 reaches 40% of the grid's cells.
 //
 //   ./fig6a_throughput_lem_vs_aco [--paper] [--grid=128] [--steps=1500]
@@ -56,19 +57,16 @@ int main(int argc, char** argv) try {
     io::CsvWriter csv(bench::csv_path(args, "fig6a.csv"));
     csv.header({"scenario", "total_agents", "threads", "lem_throughput",
                 "aco_throughput", "lem_steps_to_half", "aco_steps_to_half",
-                "lem_conflicts_per_step", "aco_conflicts_per_step",
-                "lem_gridlocked_repeats", "aco_gridlocked_repeats"});
+                "lem_conflicts_per_step", "aco_conflicts_per_step"});
     io::TablePrinter table({"scenario", "total_agents", "LEM", "ACO",
                             "ACO/LEM", "t_half LEM", "t_half ACO",
-                            "conflicts/step LEM", "conflicts/step ACO",
-                            "gridlock LEM", "gridlock ACO"});
+                            "conflicts/step LEM", "conflicts/step ACO"});
 
     // Per model, over one density's repeats.
     struct Readings {
         double throughput = 0.0;
         std::int64_t steps_to_half = 0;
         double conflicts_per_step = 0.0;
-        int gridlocked = 0;
     };
     const auto t_half_cell = [](std::int64_t t) {
         return t >= 0 ? std::to_string(t) : std::string("-");
@@ -93,14 +91,7 @@ int main(int argc, char** argv) try {
                 cfg.seed = 1000 + static_cast<std::uint64_t>(100 * d + rep);
                 auto sim = backend::make_engine(engine, cfg);
                 core::ThroughputRecorder crossings;
-                core::GridlockDetector gridlock(100);
-                const auto record = crossings.observer();
-                const auto rr =
-                    sim->run(steps, [&](const core::StepResult& sr) {
-                        gridlock.update(sr,
-                                        sim->properties().active_count());
-                        return record(sr);
-                    });
+                const auto rr = sim->run(steps, crossings.observer());
                 acc += static_cast<double>(rr.crossed_total());
                 const auto t = crossings.steps_to_fraction(population, 0.5);
                 r.steps_to_half = t < 0 || r.steps_to_half < 0
@@ -108,7 +99,6 @@ int main(int argc, char** argv) try {
                                       : std::max(r.steps_to_half, t);
                 r.conflicts_per_step +=
                     static_cast<double>(rr.total_conflicts) / rr.steps_run;
-                r.gridlocked += gridlock.gridlocked() ? 1 : 0;
             }
             r.throughput = acc / repeats;
             r.conflicts_per_step /= repeats;
@@ -119,7 +109,7 @@ int main(int argc, char** argv) try {
         aco_sum += aco.throughput;
         csv.row(d, population, threads, lem.throughput, aco.throughput,
                 lem.steps_to_half, aco.steps_to_half, lem.conflicts_per_step,
-                aco.conflicts_per_step, lem.gridlocked, aco.gridlocked);
+                aco.conflicts_per_step);
         table.add_row(
             {std::to_string(d), std::to_string(population),
              io::TablePrinter::num(lem.throughput, 0),
@@ -129,8 +119,7 @@ int main(int argc, char** argv) try {
                  : std::string("-"),
              t_half_cell(lem.steps_to_half), t_half_cell(aco.steps_to_half),
              io::TablePrinter::num(lem.conflicts_per_step, 1),
-             io::TablePrinter::num(aco.conflicts_per_step, 1),
-             std::to_string(lem.gridlocked), std::to_string(aco.gridlocked)});
+             io::TablePrinter::num(aco.conflicts_per_step, 1)});
     }
     table.print();
     const double overall =

@@ -46,7 +46,7 @@ scenario::Scenario make_case(int k, int agents, int threads) {
         scenario::add_waypoint(s.sim.layout, s.sim.grid,
                                grid::Group::kBottom, 63 - row, 63 - col);
     }
-    scenario::canonicalize(s.sim.layout, s.sim.grid);
+    scenario::canonicalize(s.sim.layout);
     return s;
 }
 

@@ -137,7 +137,7 @@ int main(int argc, char** argv) {
         // Event count is post-expansion: a cycle or mover contributes
         // every open/close it will fire, not one authored line.
         const auto expanded = core::expand_dynamic_events(
-            s.sim.doors, s.sim.cycles, s.sim.movers, s.sim.grid);
+            s.sim.doors, s.sim.cycles, s.sim.movers);
         std::printf(
             "grid %dx%d, %zu agents, model %s, seed %llu, %d default "
             "steps, %zu wall cells, %zu wall events (%zu doors, %zu "

@@ -381,13 +381,15 @@ struct SimConfig {
     bool operator==(const SimConfig&) const = default;
 };
 
-/// Check that every model parameter is finite and in range: sigma, alpha,
-/// beta, q and tau0 in [0, inf), tau_min in (0, inf), rho,
-/// congestion_weight and slow_fraction in [0, 1], max_band_fill in
-/// (0, 1]. Shared by the scenario parser and the engines, so a config
-/// that parses is a config that runs, and an engine never runs a config
-/// whose result means nothing. Throws std::invalid_argument naming the
-/// scenario-file key of the offending parameter.
-void validate_model(const SimConfig& config);
+/// Check every rule that decides whether `config` can run, and throw
+/// std::invalid_argument naming the scenario-file key of the first one it
+/// breaks: the grid, the model parameters, the section VII extensions,
+/// the layout's cells, the door/cycle/mover events and the perturbation
+/// specs (docs/SCENARIOS.md#validation lists every rule). The one home of
+/// these rules: the scenario parser calls it on the final config,
+/// DoorSchedule before it builds a field, and the Simulator before
+/// placement, so no engine runs a config the parser rejects. It reads
+/// only the config's lists, never the cells of the grid.
+void validate(const SimConfig& config);
 
 }  // namespace pedsim::core

@@ -1,8 +1,6 @@
 #include "core/door_schedule.hpp"
 
 #include <algorithm>
-#include <stdexcept>
-#include <string>
 #include <unordered_set>
 
 #include "grid/field_store.hpp"
@@ -11,107 +9,13 @@
 
 namespace pedsim::core {
 
-namespace {
-
-/// Expansion ceiling per cycle/mover: scenario files carry full-uint64
-/// counters, and a typo'd repeats/count would otherwise materialize
-/// billions of DoorEvents at parse time (and, for movers, wrap the
-/// int-typed final-position bounds check). 2^15 firings is far beyond any
-/// plausible run length while keeping one authored line's expansion small.
-constexpr std::uint64_t kMaxFirings = 1u << 15;
-
-/// Step ceiling for cycle/mover parameters: the expansion computes
-/// `start + k * period (+ duty)` in uint64, and scenario files accept
-/// full-range counters — unchecked, a huge start/period wraps and emits
-/// a close event near step 0 with no matching open. With start, period
-/// and interval below 2^32 and k below kMaxFirings, every expanded step
-/// stays under 2^48: no wrap, and still beyond any reachable run length.
-constexpr std::uint64_t kMaxEventStep = 1ull << 32;
-
-void check_rect(const std::string& label, int row0, int col0, int row1,
-                int col1, const grid::GridConfig& grid) {
-    if (row0 < 0 || col0 < 0 || row1 < row0 || col1 < col0 ||
-        row1 >= grid.rows || col1 >= grid.cols) {
-        throw std::invalid_argument(
-            label + ": rect out of bounds for " + std::to_string(grid.rows) +
-            "x" + std::to_string(grid.cols) + " grid");
-    }
-}
-
-}  // namespace
-
-void validate_doors(const std::vector<DoorEvent>& doors,
-                    const grid::GridConfig& grid) {
-    for (std::size_t k = 0; k < doors.size(); ++k) {
-        const auto& e = doors[k];
-        check_rect("door event " + std::to_string(k) + " (step " +
-                       std::to_string(e.step) + ")",
-                   e.row0, e.col0, e.row1, e.col1, grid);
-    }
-}
-
-void validate_waypoints(const ScenarioLayout& layout,
-                        const grid::GridConfig& grid) {
-    if (layout.waypoint_radius < 0) {
-        throw std::invalid_argument(
-            "waypoint_radius must be non-negative, got " +
-            std::to_string(layout.waypoint_radius));
-    }
-    std::vector<std::uint32_t> walls = layout.wall_cells;
-    std::sort(walls.begin(), walls.end());
-    const std::size_t cells = grid.cell_count();
-    for (std::size_t g = 0; g < layout.waypoints.size(); ++g) {
-        const auto& chain = layout.waypoints[g];
-        const std::string who = g == 0 ? "top" : "bottom";
-        if (chain.size() > 255) {
-            throw std::invalid_argument(
-                who + " waypoint chain too long (" +
-                std::to_string(chain.size()) + " entries; max 255)");
-        }
-        for (std::size_t k = 0; k < chain.size(); ++k) {
-            if (chain[k] >= cells) {
-                throw std::invalid_argument(
-                    who + " waypoint " + std::to_string(k) +
-                    ": cell off-grid for " + std::to_string(grid.rows) +
-                    "x" + std::to_string(grid.cols) + " grid");
-            }
-            if (std::binary_search(walls.begin(), walls.end(), chain[k])) {
-                throw std::invalid_argument(
-                    who + " waypoint " + std::to_string(k) +
-                    ": cell is a wall");
-            }
-        }
-    }
-}
-
 std::vector<DoorEvent> expand_dynamic_events(
     const std::vector<DoorEvent>& doors,
     const std::vector<CycleEvent>& cycles,
-    const std::vector<MoverEvent>& movers, const grid::GridConfig& grid) {
-    validate_doors(doors, grid);
+    const std::vector<MoverEvent>& movers) {
     std::vector<DoorEvent> out = doors;
 
-    for (std::size_t k = 0; k < cycles.size(); ++k) {
-        const auto& cy = cycles[k];
-        check_rect("cycle event " + std::to_string(k), cy.row0, cy.col0,
-                   cy.row1, cy.col1, grid);
-        if (cy.period == 0 || cy.duty == 0 || cy.duty >= cy.period ||
-            cy.repeats == 0) {
-            throw std::invalid_argument(
-                "cycle event " + std::to_string(k) +
-                ": needs 0 < duty < period and repeats >= 1");
-        }
-        if (cy.repeats > kMaxFirings) {
-            throw std::invalid_argument(
-                "cycle event " + std::to_string(k) + ": repeats " +
-                std::to_string(cy.repeats) + " exceeds the expansion "
-                "ceiling of " + std::to_string(kMaxFirings));
-        }
-        if (cy.start > kMaxEventStep || cy.period > kMaxEventStep) {
-            throw std::invalid_argument(
-                "cycle event " + std::to_string(k) +
-                ": start/period exceed the step ceiling of 2^32");
-        }
+    for (const auto& cy : cycles) {
         for (std::uint64_t i = 0; i < cy.repeats; ++i) {
             const std::uint64_t open_step = cy.start + i * cy.period;
             out.push_back({open_step, cy.row0, cy.col0, cy.row1, cy.col1,
@@ -121,36 +25,7 @@ std::vector<DoorEvent> expand_dynamic_events(
         }
     }
 
-    for (std::size_t k = 0; k < movers.size(); ++k) {
-        const auto& mv = movers[k];
-        if (mv.interval == 0 || mv.count == 0 || mv.drow < -1 ||
-            mv.drow > 1 || mv.dcol < -1 || mv.dcol > 1 ||
-            (mv.drow == 0 && mv.dcol == 0)) {
-            throw std::invalid_argument(
-                "mover event " + std::to_string(k) +
-                ": needs interval >= 1, count >= 1, and a unit king-move "
-                "(drow, dcol)");
-        }
-        if (mv.count > kMaxFirings) {
-            throw std::invalid_argument(
-                "mover event " + std::to_string(k) + ": count " +
-                std::to_string(mv.count) + " exceeds the expansion "
-                "ceiling of " + std::to_string(kMaxFirings));
-        }
-        if (mv.start > kMaxEventStep || mv.interval > kMaxEventStep) {
-            throw std::invalid_argument(
-                "mover event " + std::to_string(k) +
-                ": start/interval exceed the step ceiling of 2^32");
-        }
-        // Translation is monotone, so checking the first and last
-        // positions bounds every intermediate one. (count is below
-        // kMaxFirings here, so the int cast cannot wrap.)
-        const std::string label = "mover event " + std::to_string(k);
-        check_rect(label, mv.row0, mv.col0, mv.row1, mv.col1, grid);
-        const auto n = static_cast<int>(mv.count);
-        check_rect(label + " (final position)", mv.row0 + n * mv.drow,
-                   mv.col0 + n * mv.dcol, mv.row1 + n * mv.drow,
-                   mv.col1 + n * mv.dcol, grid);
+    for (const auto& mv : movers) {
         for (std::uint64_t i = 0; i < mv.count; ++i) {
             const std::uint64_t step = mv.start + i * mv.interval;
             const auto p = static_cast<int>(i);
@@ -176,8 +51,9 @@ DoorSchedule::DoorSchedule(const SimConfig& config,
     // line prints even for schedules that never hit (or never miss).
     obs::MetricsRegistry::add("doors.field_cache.hit", 0);
     obs::MetricsRegistry::add("doors.field_cache.miss", 0);
+    validate(config);
     events_ = expand_dynamic_events(config.doors, config.cycles,
-                                    config.movers, config.grid);
+                                    config.movers);
     std::stable_sort(events_.begin(), events_.end(),
                      [](const DoorEvent& a, const DoorEvent& b) {
                          return a.step < b.step;
@@ -191,16 +67,10 @@ DoorSchedule::DoorSchedule(const SimConfig& config,
 
     const std::size_t cells = config.grid.cell_count();
     std::vector<std::uint8_t> mask(cells, 0);
-    for (const auto cell : config.layout.wall_cells) {
-        if (cell >= cells) {
-            throw std::invalid_argument("DoorSchedule: wall cell off-grid");
-        }
-        mask[cell] = 1;
-    }
+    for (const auto cell : config.layout.wall_cells) mask[cell] = 1;
 
     // Waypoint chains share one field per DISTINCT cell (a cell revisited
     // later in a chain, or used by both groups, is one build, not two).
-    validate_waypoints(config.layout, config.grid);
     for (const auto& chain : config.layout.waypoints) {
         wp_cells_.insert(wp_cells_.end(), chain.begin(), chain.end());
     }

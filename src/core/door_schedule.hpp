@@ -30,39 +30,25 @@ class FieldStore;
 
 namespace pedsim::core {
 
-/// Validate door-event rects against the grid; throws
-/// std::invalid_argument naming the offending event.
-void validate_doors(const std::vector<DoorEvent>& doors,
-                    const grid::GridConfig& grid);
-
-/// Validate the layout's waypoint chains: every cell on-grid and not a
-/// static wall, chains at most 255 entries (the per-agent index is a
-/// uint8), radius non-negative. Shared by the scenario parser and the
-/// engines (DoorSchedule), so a config that parses is a config that
-/// runs. Throws std::invalid_argument naming the offending chain entry.
-void validate_waypoints(const ScenarioLayout& layout,
-                        const grid::GridConfig& grid);
-
 /// Expand the authored dynamic geometry (plain doors, periodic cycles,
-/// moving walls) into one flat DoorEvent list, validating every rect and
-/// parameter (throws std::invalid_argument naming the offending event).
-/// Cycles expand to an open at `start + k * period` and a close `duty`
-/// steps later; movers expand each firing to an open of the old position
-/// followed by a close of the translated one (same step, in that order,
-/// so the overlap of the two rects ends up closed). The list is returned
-/// in authored order (doors, then cycles, then movers); DoorSchedule
-/// stable-sorts it by step, so same-step expanded events keep exactly
-/// that relative order.
+/// moving walls) of a config that validate() accepts into one flat
+/// DoorEvent list. Cycles expand to an open at `start + k * period` and a
+/// close `duty` steps later; movers expand each firing to an open of the
+/// old position followed by a close of the translated one (same step, in
+/// that order, so the overlap of the two rects ends up closed). The list
+/// is returned in authored order (doors, then cycles, then movers);
+/// DoorSchedule stable-sorts it by step, so same-step expanded events keep
+/// exactly that relative order.
 std::vector<DoorEvent> expand_dynamic_events(
     const std::vector<DoorEvent>& doors,
     const std::vector<CycleEvent>& cycles,
-    const std::vector<MoverEvent>& movers, const grid::GridConfig& grid);
+    const std::vector<MoverEvent>& movers);
 
 class DoorSchedule {
   public:
-    /// Interns every field through `store` when one is given (a server
-    /// passes the one its cache entries share), else through a store
-    /// private to this build.
+    /// Validates `config` (core::validate), then interns every field
+    /// through `store` when one is given (a server passes the one its
+    /// cache entries share), else through a store private to this build.
     explicit DoorSchedule(const SimConfig& config,
                           grid::FieldStore* store = nullptr);
 

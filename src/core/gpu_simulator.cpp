@@ -221,13 +221,13 @@ void GpuSimulator::stage_initial_calc() {
                 // Extension paths (panic flee, look-ahead scanning) reach
                 // beyond the 1-cell halo, so they read global memory; the
                 // shared env-backed builder keeps both engines identical.
-                ctx.instr(static_cast<std::uint32_t>(
-                    24 * std::max(config_.scan.range, 1)));
+                ctx.instr(
+                    static_cast<std::uint32_t>(24 * config_.scan.range));
                 ctx.global_load(kAccessProps,
                                 reinterpret_cast<std::uint64_t>(
                                     env_.occ_row(r) + c),
                                 static_cast<std::uint32_t>(
-                                    8 * std::max(config_.scan.range, 1)));
+                                    8 * config_.scan.range));
                 if (agent) {
                     scan_.count(i) = static_cast<std::int8_t>(
                         fill_scan_row(i, r, c, g, EnvEmpty(env_),

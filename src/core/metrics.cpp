@@ -22,15 +22,4 @@ std::int64_t ThroughputRecorder::steps_to_fraction(std::size_t population,
     return -1;
 }
 
-bool GridlockDetector::update(const StepResult& sr,
-                              std::size_t agents_on_grid) {
-    if (gridlocked_) return true;
-    if (sr.moves == 0 && agents_on_grid > 0) {
-        gridlocked_ = ++quiet_ >= window_;
-    } else {
-        quiet_ = 0;
-    }
-    return gridlocked_;
-}
-
 }  // namespace pedsim::core

@@ -1,5 +1,5 @@
-// Run-level instrumentation: per-step throughput series and gridlock
-// detection (fig6a_throughput_lem_vs_aco's flow columns).
+// Run-level instrumentation: the per-step throughput series behind
+// fig6a_throughput_lem_vs_aco's steps-to-half column.
 #pragma once
 
 #include <cstdint>
@@ -25,25 +25,6 @@ class ThroughputRecorder {
 
   private:
     std::vector<int> per_step_;
-};
-
-/// Detects total gridlock: `window` consecutive steps in which agents
-/// remain on the grid and none moves (paper section VI observes this above
-/// 51,200 agents). A drained grid makes no moves either; it is not
-/// gridlock.
-class GridlockDetector {
-  public:
-    explicit GridlockDetector(int window = 50) : window_(window) {}
-    /// Feed a step result and the agents still on the grid after it
-    /// (Simulator::properties().active_count()); returns true once
-    /// gridlock is established.
-    bool update(const StepResult& sr, std::size_t agents_on_grid);
-    [[nodiscard]] bool gridlocked() const { return gridlocked_; }
-
-  private:
-    int window_;
-    int quiet_ = 0;
-    bool gridlocked_ = false;
 };
 
 }  // namespace pedsim::core

@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <utility>
 
-#include "core/perturbation.hpp"
 #include "core/rules.hpp"
 #include "obs/clock.hpp"
 #include "obs/metrics.hpp"
@@ -16,10 +15,10 @@ namespace pedsim::core {
 
 namespace {
 
-/// `config` once validate_model() accepts it: placement and the pheromone
-/// planes read model parameters before the constructor body runs.
+/// `config` once validate() accepts it: the schedule, placement and the
+/// pheromone planes read it before the constructor body runs.
 const SimConfig& validated(const SimConfig& config) {
-    validate_model(config);
+    validate(config);
     return config;
 }
 
@@ -30,9 +29,6 @@ std::vector<grid::PlacedAgent> Simulator::init_agents(
     obs::Span span("setup/placement");
     // Static walls go in first so both placement modes sample around them.
     for (const auto cell : config.layout.wall_cells) {
-        if (cell >= config.grid.cell_count()) {
-            throw std::invalid_argument("layout: wall cell off-grid");
-        }
         const int r = static_cast<int>(cell) / config.grid.cols;
         const int c = static_cast<int>(cell) % config.grid.cols;
         env.set_wall(r, c);
@@ -103,7 +99,6 @@ Simulator::Simulator(const SimConfig& config,
 void Simulator::init_perturbations() {
     const PerturbationConfig& p = config_.perturb;
     if (p.empty()) return;
-    validate_perturbations(p, config_.grid);
     for (const auto& s : p.speeds) {
         // 32.32 fixed point; fraction 1 never gates, so store the
         // "no gate" sentinel and skip the per-agent arithmetic.
@@ -255,7 +250,7 @@ Simulator::Gate Simulator::run_gates(std::int32_t i) {
     // Slow agents act only on their phase of the period (speed extension).
     if (props_.speed_class[idx] != 0) {
         const auto period =
-            static_cast<std::uint64_t>(std::max(config_.speed.slow_period, 1));
+            static_cast<std::uint64_t>(config_.speed.slow_period);
         if ((step_ + idx) % period != 0) return Gate::kHold;
     }
 

@@ -1,6 +1,5 @@
 #include "io/scenario_file.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -9,8 +8,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/door_schedule.hpp"
-#include "core/perturbation.hpp"
 #include "io/strict_parse.hpp"
 
 namespace pedsim::io {
@@ -128,22 +125,6 @@ std::string fmt_double(double v) {
     return buf;
 }
 
-/// to_double within [lo, hi]; `hi` may be infinite. (Model parameters
-/// are range-checked on the final config, by core::validate_model.)
-double to_double_in(const std::string& key, const std::string& v, double lo,
-                    double hi) {
-    const double x = to_double(key, v);
-    if (x < lo || x > hi) {
-        throw std::invalid_argument(
-            "scenario: " + key + " must be in [" + fmt_double(lo) + ", " +
-            (std::isinf(hi) ? std::string("inf)") : fmt_double(hi) + "]") +
-            ": '" + v + "'");
-    }
-    return x;
-}
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
 struct ParseState {
     bool saw_rows = false;
     bool saw_cols = false;
@@ -161,7 +142,13 @@ void apply_key(scenario::Scenario& s, ParseState& st, const std::string& key,
     } else if (key == "description") {
         s.description = value;
     } else if (key == "steps") {
+        // The step budget is the scenario's, not the engine config's, so
+        // core::validate never sees it: a budget below 1 runs nothing.
         s.default_steps = to_int32(key, value);
+        if (s.default_steps < 1) {
+            throw std::invalid_argument(
+                "scenario: steps must be at least 1: '" + value + "'");
+        }
     } else if (key == "rows") {
         sim.grid.rows = to_int32(key, value);
         st.saw_rows = true;
@@ -215,10 +202,6 @@ void apply_key(scenario::Scenario& s, ParseState& st, const std::string& key,
         sim.speed.slow_fraction = to_double(key, value);
     } else if (key == "slow_period") {
         sim.speed.slow_period = to_int32(key, value);
-        if (sim.speed.slow_period < 1) {
-            throw std::invalid_argument(
-                "scenario: slow_period must be at least 1: '" + value + "'");
-        }
     } else if (key == "noshow") {
         const auto f = split_ws(value);
         if (f.size() != 3) {
@@ -281,8 +264,7 @@ void apply_key(scenario::Scenario& s, ParseState& st, const std::string& key,
         sim.panic.trigger_step = to_step(key, f[0]);
         sim.panic.row = to_int32(key, f[1]);
         sim.panic.col = to_int32(key, f[2]);
-        sim.panic.radius =
-            to_double_in("panic radius", f[3], 0.0, kInf);
+        sim.panic.radius = to_double("panic radius", f[3]);
     } else if (key == "door") {
         const auto f = split_ws(value);
         if (f.size() != 6) {
@@ -341,13 +323,7 @@ void apply_key(scenario::Scenario& s, ParseState& st, const std::string& key,
         e.col1 = to_int32(key, f[8]);
         sim.movers.push_back(e);
     } else if (key == "anticipate") {
-        const int h = to_int32(key, value);
-        if (h < 0) {
-            throw std::invalid_argument(
-                "scenario: anticipate horizon must be non-negative: '" +
-                value + "'");
-        }
-        sim.anticipate.horizon = h;
+        sim.anticipate.horizon = to_int32(key, value);
     } else if (key == "waypoints") {
         // Ordered chain: group then (row, col) pairs. Order is semantic
         // (agents visit in list order); repeated lines append.
@@ -363,13 +339,7 @@ void apply_key(scenario::Scenario& s, ParseState& st, const std::string& key,
             chain.emplace_back(to_int32(key, f[k]), to_int32(key, f[k + 1]));
         }
     } else if (key == "waypoint_radius") {
-        const int radius = to_int32(key, value);
-        if (radius < 0) {
-            throw std::invalid_argument(
-                "scenario: waypoint_radius must be non-negative: '" + value +
-                "'");
-        }
-        sim.layout.waypoint_radius = radius;
+        sim.layout.waypoint_radius = to_int32(key, value);
     } else if (key == "spawn") {
         const auto f = split_ws(value);
         if (f.size() != 6) {
@@ -404,11 +374,6 @@ void apply_map(scenario::Scenario& s, const ParseState& st,
     }
     sim.grid.rows = map_rows;
     sim.grid.cols = map_cols;
-    if (!sim.grid.tile_aligned()) {
-        throw std::invalid_argument(
-            "scenario: map dimensions must be positive multiples of the "
-            "16-cell tile edge");
-    }
     for (int r = 0; r < map_rows; ++r) {
         if (static_cast<int>(rows[static_cast<std::size_t>(r)].size()) !=
             map_cols) {
@@ -493,13 +458,7 @@ scenario::Scenario parse_scenario(const std::string& text) {
     // A `map:` header with no rows is an authoring error, not a no-op —
     // apply_map raises the documented "scenario: empty map".
     if (saw_map) apply_map(s, st, map_rows);
-    if (!s.sim.grid.tile_aligned()) {
-        throw std::invalid_argument(
-            "scenario: grid dimensions must be positive multiples of the "
-            "16-cell tile edge");
-    }
-    // Pack waypoint (row, col) pairs against the final grid; bounds (and
-    // wall-disjointness) are checked by canonicalize below.
+    // Pack waypoint (row, col) pairs against the final grid.
     for (std::size_t g = 0; g < 2; ++g) {
         for (const auto& [r, c] : st.waypoint_pairs[g]) {
             if (r < 0 || c < 0 || r >= s.sim.grid.rows ||
@@ -515,28 +474,10 @@ scenario::Scenario parse_scenario(const std::string& text) {
                 static_cast<std::size_t>(c)));
         }
     }
-    scenario::canonicalize(s.sim.layout, s.sim.grid);
-    // Dynamic-geometry rects and parameters can only be checked once the
-    // grid is final (a map block may define the dimensions after the
-    // door/cycle/mover lines); the expansion is discarded — the engines
-    // redo it at setup.
-    core::expand_dynamic_events(s.sim.doors, s.sim.cycles, s.sim.movers,
-                                s.sim.grid);
-    // Same late-validation rationale: surge rects need the final grid.
-    core::validate_perturbations(s.sim.perturb, s.sim.grid);
-    // The engines' own range checks, on the final value of each key.
-    core::validate_model(s.sim);
-    // The look-ahead walks scan_range - 1 cells per candidate, and a ray
-    // longer than the grid sees no more cells: bound it by the grid so a
-    // huge value cannot stall a step or overflow the ray arithmetic.
-    const int max_range = std::max(s.sim.grid.rows, s.sim.grid.cols);
-    if (s.sim.scan.range < 1 || s.sim.scan.range > max_range) {
-        throw std::invalid_argument(
-            "scenario: scan_range " + std::to_string(s.sim.scan.range) +
-            " outside 1.." + std::to_string(max_range) + " for the " +
-            std::to_string(s.sim.grid.rows) + "x" +
-            std::to_string(s.sim.grid.cols) + " grid");
-    }
+    scenario::canonicalize(s.sim.layout);
+    // Every rule on the final config: a map block may define the grid
+    // after the lines whose rects and cells it bounds.
+    core::validate(s.sim);
     return s;
 }
 
@@ -660,6 +601,19 @@ std::string to_text_canonical(const scenario::Scenario& s) {
         const auto& walls = sim.layout.wall_cells;
         const auto& top = sim.layout.goal_cells[0];
         const auto& bottom = sim.layout.goal_cells[1];
+        // A plain writer does not validate, but a cell the map cannot
+        // show is refused rather than dropped: a goal on a wall here, a
+        // cell past the last row below.
+        const auto goal = [&row, &sim](std::uint32_t cell, std::size_t at,
+                                       char mark) {
+            if (row[at] == '#') {
+                throw std::invalid_argument(
+                    "scenario_to_text: goal cell (" +
+                    std::to_string(cell / sim.grid.cols) + ", " +
+                    std::to_string(cell % sim.grid.cols) + ") is a wall");
+            }
+            row[at] = row[at] == '.' ? mark : '*';
+        };
         for (int r = 0; r < sim.grid.rows; ++r) {
             row.assign(static_cast<std::size_t>(sim.grid.cols), '.');
             const auto row_base = static_cast<std::uint32_t>(
@@ -671,13 +625,18 @@ std::string to_text_canonical(const scenario::Scenario& s) {
                 row[walls[wi] - row_base] = '#';
             }
             for (; g0 < top.size() && top[g0] < row_end; ++g0) {
-                row[top[g0] - row_base] = 't';
+                goal(top[g0], top[g0] - row_base, 't');
             }
             for (; g1 < bottom.size() && bottom[g1] < row_end; ++g1) {
-                const auto at = bottom[g1] - row_base;
-                row[at] = row[at] == 't' ? '*' : 'b';
+                goal(bottom[g1], bottom[g1] - row_base, 'b');
             }
             os << row << "\n";
+        }
+        if (wi < walls.size() || g0 < top.size() || g1 < bottom.size()) {
+            throw std::invalid_argument(
+                "scenario_to_text: map cell off the " +
+                std::to_string(sim.grid.rows) + "x" +
+                std::to_string(sim.grid.cols) + " grid");
         }
     }
     return os.str();
@@ -690,7 +649,7 @@ std::string scenario_to_text(const scenario::Scenario& s) {
     // only correct (and in-bounds) for sorted row-major lists: canonicalize
     // a copy so hand-built scenarios serialize safely too.
     scenario::Scenario canon = s;
-    scenario::canonicalize(canon.sim.layout, canon.sim.grid);
+    scenario::canonicalize(canon.sim.layout);
     return to_text_canonical(canon);
 }
 

@@ -34,7 +34,8 @@
 namespace pedsim::io {
 
 /// Parse a scenario from file text. Throws std::invalid_argument on
-/// malformed input (unknown key, bad value, ragged or misaligned map).
+/// malformed input (unknown key, bad value, ragged map, a step budget
+/// below 1) and on a config core::validate rejects.
 scenario::Scenario parse_scenario(const std::string& text);
 
 /// Read and parse a scenario file from disk; throws std::runtime_error
@@ -43,7 +44,10 @@ scenario::Scenario load_scenario_file(const std::string& path);
 
 /// Serialize a scenario to the same text format, round-trip-exact:
 /// parse_scenario(scenario_to_text(s)) == s for canonical scenarios (cell
-/// lists sorted row-major, as scenario::canonicalize produces).
+/// lists sorted row-major, as scenario::canonicalize produces). A plain
+/// writer: an invalid config serializes to text the parser rejects, but a
+/// wall or goal cell the map cannot show (off the grid, or a goal on a
+/// wall) throws std::invalid_argument.
 std::string scenario_to_text(const scenario::Scenario& s);
 
 }  // namespace pedsim::io

@@ -45,7 +45,7 @@ Scenario bottleneck_doorway() {
     s.sim.agents_per_side = 180;
     add_wall_rect(s.sim.layout, s.sim.grid, 31, 0, 32, 23);
     add_wall_rect(s.sim.layout, s.sim.grid, 31, 40, 32, 63);
-    canonicalize(s.sim.layout, s.sim.grid);
+    canonicalize(s.sim.layout);
     s.default_steps = 400;
     return s;
 }
@@ -66,7 +66,7 @@ Scenario pillar_field() {
             add_wall_rect(s.sim.layout, s.sim.grid, r, c, r + 1, c + 1);
         }
     }
-    canonicalize(s.sim.layout, s.sim.grid);
+    canonicalize(s.sim.layout);
     s.default_steps = 400;
     return s;
 }
@@ -87,7 +87,7 @@ Scenario narrowing_corridor() {
         add_wall_rect(s.sim.layout, s.sim.grid, r, 0, r, t - 1);
         add_wall_rect(s.sim.layout, s.sim.grid, r, 64 - t, r, 63);
     }
-    canonicalize(s.sim.layout, s.sim.grid);
+    canonicalize(s.sim.layout);
     s.default_steps = 500;
     return s;
 }
@@ -115,7 +115,7 @@ Scenario room_evacuation() {
                   47);
     s.sim.layout.spawns.push_back(
         {grid::Group::kTop, 6, 6, 41, 41, 320});
-    canonicalize(s.sim.layout, s.sim.grid);
+    canonicalize(s.sim.layout);
     s.default_steps = 600;
     return s;
 }
@@ -155,7 +155,7 @@ Scenario timed_exit() {
     s.sim.layout.spawns.push_back({grid::Group::kTop, 2, 2, 18, 45, 240});
     s.sim.doors.push_back(
         {30, 24, 20, 25, 27, core::DoorAction::kOpen});
-    canonicalize(s.sim.layout, s.sim.grid);
+    canonicalize(s.sim.layout);
     s.default_steps = 300;
     return s;
 }
@@ -178,7 +178,7 @@ Scenario closing_corridor() {
         {45, 31, 24, 32, 31, core::DoorAction::kClose});
     s.sim.doors.push_back(
         {90, 31, 32, 32, 39, core::DoorAction::kClose});
-    canonicalize(s.sim.layout, s.sim.grid);
+    canonicalize(s.sim.layout);
     s.default_steps = 300;
     return s;
 }
@@ -199,7 +199,7 @@ Scenario phased_evacuation() {
     s.sim.doors.push_back({30, 30, 8, 31, 15, core::DoorAction::kOpen});
     s.sim.doors.push_back({70, 30, 28, 31, 35, core::DoorAction::kOpen});
     s.sim.doors.push_back({110, 30, 48, 31, 55, core::DoorAction::kOpen});
-    canonicalize(s.sim.layout, s.sim.grid);
+    canonicalize(s.sim.layout);
     s.default_steps = 350;
     return s;
 }
@@ -218,7 +218,7 @@ Scenario pulsing_gate() {
     s.sim.agents_per_side = 180;
     add_wall_rect(s.sim.layout, s.sim.grid, 31, 0, 32, 63);
     s.sim.cycles.push_back({20, 40, 20, 31, 24, 32, 39, 5});
-    canonicalize(s.sim.layout, s.sim.grid);
+    canonicalize(s.sim.layout);
     s.default_steps = 260;
     return s;
 }
@@ -238,7 +238,7 @@ Scenario conveyor_platform() {
     s.sim.agents_per_side = 220;
     add_wall_rect(s.sim.layout, s.sim.grid, 30, 0, 33, 7);
     s.sim.movers.push_back({10, 4, 0, 1, 30, 0, 33, 7, 48});
-    canonicalize(s.sim.layout, s.sim.grid);
+    canonicalize(s.sim.layout);
     s.default_steps = 260;
     return s;
 }
@@ -261,7 +261,7 @@ Scenario prestaged_evacuation() {
     s.sim.layout.spawns.push_back({grid::Group::kTop, 2, 2, 18, 45, 240});
     s.sim.doors.push_back({60, 24, 20, 25, 27, core::DoorAction::kOpen});
     s.sim.anticipate.horizon = 40;
-    canonicalize(s.sim.layout, s.sim.grid);
+    canonicalize(s.sim.layout);
     s.default_steps = 320;
     return s;
 }
@@ -287,7 +287,7 @@ Scenario relay_race() {
     add_waypoint(s.sim.layout, s.sim.grid, grid::Group::kBottom, 36, 34);
     add_waypoint(s.sim.layout, s.sim.grid, grid::Group::kBottom, 24, 14);
     add_waypoint(s.sim.layout, s.sim.grid, grid::Group::kBottom, 12, 34);
-    canonicalize(s.sim.layout, s.sim.grid);
+    canonicalize(s.sim.layout);
     s.default_steps = 240;
     return s;
 }
@@ -315,7 +315,7 @@ Scenario stairwell_evacuation() {
     add_waypoint(s.sim.layout, s.sim.grid, grid::Group::kTop, 32, 8);
     add_waypoint(s.sim.layout, s.sim.grid, grid::Group::kTop, 40, 36);
     s.sim.layout.spawns.push_back({grid::Group::kTop, 2, 2, 12, 45, 100});
-    canonicalize(s.sim.layout, s.sim.grid);
+    canonicalize(s.sim.layout);
     s.default_steps = 300;
     return s;
 }
@@ -340,7 +340,7 @@ Scenario checkpoint_loop() {
     add_waypoint(s.sim.layout, s.sim.grid, grid::Group::kTop, 40, 32);
     add_waypoint(s.sim.layout, s.sim.grid, grid::Group::kBottom, 40, 32);
     add_waypoint(s.sim.layout, s.sim.grid, grid::Group::kBottom, 24, 32);
-    canonicalize(s.sim.layout, s.sim.grid);
+    canonicalize(s.sim.layout);
     s.default_steps = 280;
     return s;
 }
@@ -386,7 +386,7 @@ Scenario platform_dwell() {
     s.sim.perturb.dwells.push_back({1, 12});
     s.sim.perturb.dwells.push_back({2, 6});
     s.sim.perturb.speeds.push_back({1, 0.70});
-    canonicalize(s.sim.layout, s.sim.grid);
+    canonicalize(s.sim.layout);
     s.default_steps = 300;
     return s;
 }
@@ -414,7 +414,7 @@ Scenario surge_stadium() {
     s.sim.layout.spawns.push_back({grid::Group::kTop, 6, 6, 41, 41, 160});
     s.sim.perturb.surges.push_back({40, 1, 120, 2, 2, 20, 20});
     s.sim.perturb.surges.push_back({90, 1, 80, 28, 2, 45, 20});
-    canonicalize(s.sim.layout, s.sim.grid);
+    canonicalize(s.sim.layout);
     s.default_steps = 500;
     return s;
 }

@@ -87,7 +87,7 @@ struct PreparedScenario {
     std::shared_ptr<const core::DoorSchedule> schedule;
 };
 
-/// Build the shared schedule for `s` (validates layout + events; throws
+/// Build the shared schedule for `s` (runs core::validate, so it throws
 /// std::invalid_argument on a config the engines would reject). Its
 /// fields are interned through `store` when one is given (a server passes
 /// the one its cache entries share), else through a private store.

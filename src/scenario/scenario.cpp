@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "core/door_schedule.hpp"
-
 namespace pedsim::scenario {
 
 namespace {
@@ -58,28 +56,9 @@ void add_waypoint(core::ScenarioLayout& layout, const grid::GridConfig& grid,
                                    static_cast<std::size_t>(col)));
 }
 
-void canonicalize(core::ScenarioLayout& layout, const grid::GridConfig& grid) {
-    const auto cells = grid.cell_count();
+void canonicalize(core::ScenarioLayout& layout) {
     sort_dedupe(layout.wall_cells);
     for (auto& goals : layout.goal_cells) sort_dedupe(goals);
-    for (const auto cell : layout.wall_cells) {
-        if (cell >= cells) throw std::invalid_argument("wall cell off-grid");
-    }
-    for (const auto& goals : layout.goal_cells) {
-        for (const auto cell : goals) {
-            if (cell >= cells) {
-                throw std::invalid_argument("goal cell off-grid");
-            }
-            if (std::binary_search(layout.wall_cells.begin(),
-                                   layout.wall_cells.end(), cell)) {
-                throw std::invalid_argument("cell is both wall and goal");
-            }
-        }
-    }
-    // Waypoint chains are ORDERED (never sorted here); validation is the
-    // same check the engines run at setup, so a canonical scenario is a
-    // runnable one.
-    core::validate_waypoints(layout, grid);
 }
 
 }  // namespace pedsim::scenario

@@ -36,9 +36,10 @@ void add_goal_rect(core::ScenarioLayout& layout, const grid::GridConfig& grid,
 void add_waypoint(core::ScenarioLayout& layout, const grid::GridConfig& grid,
                   grid::Group group, int row, int col);
 
-/// Sort + dedupe the layout's cell lists into row-major order — the form
-/// the scenario-file parser produces, so canonical scenarios round-trip
-/// through text to equality. Throws if a cell is both wall and goal.
-void canonicalize(core::ScenarioLayout& layout, const grid::GridConfig& grid);
+/// Sort + dedupe the layout's wall and goal lists into row-major order —
+/// the form the scenario-file parser produces, so canonical scenarios
+/// round-trip through text to equality. Waypoint chains are ordered and
+/// stay as they are; core::validate checks every list.
+void canonicalize(core::ScenarioLayout& layout);
 
 }  // namespace pedsim::scenario

@@ -38,6 +38,18 @@ constexpr std::size_t kStepBatch = 64;
 /// instead of stalling an executor in thread-pool construction.
 constexpr int kMaxEngineThreads = 4096;
 
+/// accept() errors that say "not now" rather than "never": out of
+/// descriptors or kernel memory, or a connection that died in the backlog.
+bool accept_can_retry(int err) {
+    return err == EMFILE || err == ENFILE || err == ENOBUFS ||
+           err == ENOMEM || err == ECONNABORTED;
+}
+
+/// Back-off after a retryable accept() error. The listener stays readable
+/// while connections wait in the backlog, so polling it again at once
+/// would spin until a descriptor frees up.
+constexpr int kAcceptRetryMs = 50;
+
 }  // namespace
 
 /// Per-connection state. Frames to one client can come from its session
@@ -194,7 +206,17 @@ void Server::serve() {
         const int fd = ::accept(listen_fd_, nullptr, nullptr);
         if (fd < 0) {
             if (errno == EINTR) continue;
-            break;
+            if (!accept_can_retry(errno)) break;
+            // A full descriptor table must not end the server: free what
+            // finished sessions hold, then wait on the stop pipe alone.
+            obs::MetricsRegistry::add("server.accept.errors");
+            reap_sessions();
+            pollfd stop = {stop_pipe_[0], POLLIN, 0};
+            if (::poll(&stop, 1, kAcceptRetryMs) > 0 &&
+                (stop.revents & POLLIN) != 0) {
+                break;
+            }
+            continue;
         }
         reap_sessions();
         start_session(fd);

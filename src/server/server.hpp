@@ -60,6 +60,10 @@ class Server {
     void bind();
 
     /// Accept/serve until request_stop(); drains jobs before returning.
+    /// An accept() that fails for want of descriptors or memory, or on a
+    /// connection aborted in the backlog, counts `server.accept.errors`
+    /// and is retried after a short wait; any other accept error ends the
+    /// loop as a stop would.
     void serve();
 
     /// Async-signal-safe stop trigger (writes one byte to a self-pipe);

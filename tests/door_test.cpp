@@ -43,18 +43,29 @@ SimConfig walled_config() {
     return cfg;
 }
 
+/// core::validate on a default 16x16 config carrying these events.
+void validate_events(std::vector<DoorEvent> doors,
+                     std::vector<CycleEvent> cycles = {},
+                     std::vector<MoverEvent> movers = {}) {
+    SimConfig cfg;
+    cfg.grid.rows = cfg.grid.cols = 16;
+    cfg.doors = std::move(doors);
+    cfg.cycles = std::move(cycles);
+    cfg.movers = std::move(movers);
+    validate(cfg);
+}
+
 // --- Validation --------------------------------------------------------------
 
 TEST(DoorValidation, RejectsOffGridAndInvertedRects) {
-    const grid::GridConfig g{16, 16};
-    EXPECT_NO_THROW(validate_doors({{0, 0, 0, 15, 15, DoorAction::kOpen}}, g));
+    EXPECT_NO_THROW(validate_events({{0, 0, 0, 15, 15, DoorAction::kOpen}}));
     // Off-grid.
-    EXPECT_THROW(validate_doors({{0, 0, 0, 16, 3, DoorAction::kOpen}}, g),
+    EXPECT_THROW(validate_events({{0, 0, 0, 16, 3, DoorAction::kOpen}}),
                  std::invalid_argument);
-    EXPECT_THROW(validate_doors({{0, -1, 0, 3, 3, DoorAction::kClose}}, g),
+    EXPECT_THROW(validate_events({{0, -1, 0, 3, 3, DoorAction::kClose}}),
                  std::invalid_argument);
     // Inverted rect.
-    EXPECT_THROW(validate_doors({{0, 5, 5, 4, 5, DoorAction::kOpen}}, g),
+    EXPECT_THROW(validate_events({{0, 5, 5, 4, 5, DoorAction::kOpen}}),
                  std::invalid_argument);
 }
 
@@ -344,9 +355,8 @@ TEST(FieldStore, ConcurrentBuildsAdoptOneAnother) {
 // --- Cycle / mover expansion -------------------------------------------------
 
 TEST(DynamicEvents, CycleExpandsToOpenClosePairs) {
-    const grid::GridConfig g{16, 16};
-    const auto events = expand_dynamic_events(
-        {}, {{20, 40, 15, 7, 4, 8, 7, 3}}, {}, g);
+    const auto events =
+        expand_dynamic_events({}, {{20, 40, 15, 7, 4, 8, 7, 3}}, {});
     ASSERT_EQ(events.size(), 6u);
     for (std::uint64_t k = 0; k < 3; ++k) {
         const auto& open = events[2 * k];
@@ -379,10 +389,9 @@ TEST(DynamicEvents, CycleExpansionKeepsTwoCachedFields) {
 }
 
 TEST(DynamicEvents, MoverExpandsToOpenThenCloseAtEachFiring) {
-    const grid::GridConfig g{16, 16};
     // 3 east moves of a 2x2 block at rows 7-8, cols 2-3.
-    const auto events = expand_dynamic_events(
-        {}, {}, {{10, 4, 0, 1, 7, 2, 8, 3, 3}}, g);
+    const auto events =
+        expand_dynamic_events({}, {}, {{10, 4, 0, 1, 7, 2, 8, 3, 3}});
     ASSERT_EQ(events.size(), 6u);
     for (int k = 0; k < 3; ++k) {
         const auto& open = events[static_cast<std::size_t>(2 * k)];
@@ -396,51 +405,41 @@ TEST(DynamicEvents, MoverExpandsToOpenThenCloseAtEachFiring) {
     }
 }
 
-TEST(DynamicEvents, ExpansionValidatesParameters) {
-    const grid::GridConfig g{16, 16};
+TEST(DynamicEvents, ValidationRejectsBadParameters) {
     // duty >= period.
-    EXPECT_THROW(
-        expand_dynamic_events({}, {{0, 10, 10, 7, 4, 8, 7, 1}}, {}, g),
-        std::invalid_argument);
+    EXPECT_THROW(validate_events({}, {{0, 10, 10, 7, 4, 8, 7, 1}}),
+                 std::invalid_argument);
     // zero repeats.
-    EXPECT_THROW(
-        expand_dynamic_events({}, {{0, 10, 4, 7, 4, 8, 7, 0}}, {}, g),
-        std::invalid_argument);
+    EXPECT_THROW(validate_events({}, {{0, 10, 4, 7, 4, 8, 7, 0}}),
+                 std::invalid_argument);
     // cycle rect off-grid.
-    EXPECT_THROW(
-        expand_dynamic_events({}, {{0, 10, 4, 7, 4, 16, 7, 1}}, {}, g),
-        std::invalid_argument);
+    EXPECT_THROW(validate_events({}, {{0, 10, 4, 7, 4, 16, 7, 1}}),
+                 std::invalid_argument);
     // mover: zero translation.
-    EXPECT_THROW(
-        expand_dynamic_events({}, {}, {{0, 4, 0, 0, 7, 2, 8, 3, 3}}, g),
-        std::invalid_argument);
+    EXPECT_THROW(validate_events({}, {}, {{0, 4, 0, 0, 7, 2, 8, 3, 3}}),
+                 std::invalid_argument);
     // Expansion ceiling: a typo'd uint64 repeats/count must be rejected,
     // not materialized (and, for movers, must not wrap the int-typed
     // final-position bounds check).
+    EXPECT_THROW(validate_events({}, {{0, 10, 4, 7, 4, 8, 7, 1u << 20}}),
+                 std::invalid_argument);
     EXPECT_THROW(
-        expand_dynamic_events({}, {{0, 10, 4, 7, 4, 8, 7, 1u << 20}}, {}, g),
-        std::invalid_argument);
-    EXPECT_THROW(
-        expand_dynamic_events({}, {},
-                              {{0, 4, 0, 1, 7, 2, 8, 3, 1ull << 32}}, g),
+        validate_events({}, {}, {{0, 4, 0, 1, 7, 2, 8, 3, 1ull << 32}}),
         std::invalid_argument);
     // Step ceiling: a start/period near uint64 max would wrap the
     // expansion arithmetic and emit a close at ~step 0 with no open.
     EXPECT_THROW(
-        expand_dynamic_events(
-            {}, {{(1ull << 63) - 1, 1ull << 62, 4, 7, 4, 8, 7, 8}}, {}, g),
+        validate_events({},
+                        {{(1ull << 63) - 1, 1ull << 62, 4, 7, 4, 8, 7, 8}}),
         std::invalid_argument);
     EXPECT_THROW(
-        expand_dynamic_events(
-            {}, {}, {{(1ull << 63) - 1, 1ull << 62, 0, 1, 7, 2, 8, 3, 3}},
-            g),
+        validate_events(
+            {}, {}, {{(1ull << 63) - 1, 1ull << 62, 0, 1, 7, 2, 8, 3, 3}}),
         std::invalid_argument);
     // mover: final position walks off the grid (13 east moves from col 3).
-    EXPECT_THROW(
-        expand_dynamic_events({}, {}, {{0, 4, 0, 1, 7, 2, 8, 3, 13}}, g),
-        std::invalid_argument);
-    EXPECT_NO_THROW(
-        expand_dynamic_events({}, {}, {{0, 4, 0, 1, 7, 2, 8, 3, 12}}, g));
+    EXPECT_THROW(validate_events({}, {}, {{0, 4, 0, 1, 7, 2, 8, 3, 13}}),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(validate_events({}, {}, {{0, 4, 0, 1, 7, 2, 8, 3, 12}}));
 }
 
 TEST(DynamicEvents, MoverTranslatesTheWallBlock) {

@@ -32,9 +32,9 @@ int draw_int(rng::Stream& s, int lo, int hi) {  // inclusive
 }
 
 /// One random valid scenario. Walls live in rows [2, rows-3] and goals on
-/// the edge rows, so canonicalize's wall/goal-disjointness check always
-/// holds; every dynamic event is generated within the constraints
-/// expand_dynamic_events enforces, so the emitted text must parse.
+/// the edge rows, so core::validate's wall/goal-disjointness rule always
+/// holds; every dynamic event is generated within the constraints it
+/// enforces on doors, cycles and movers, so the emitted text must parse.
 scenario::Scenario random_scenario(std::uint64_t index) {
     rng::Stream s(kGeneratorSeed, rng::Stage::kGeneric, index, 0);
     scenario::Scenario sc;
@@ -195,7 +195,7 @@ scenario::Scenario random_scenario(std::uint64_t index) {
         sim.panic.radius = 1.0 + s.next_double() * 20.0;
     }
 
-    scenario::canonicalize(sim.layout, sim.grid);
+    scenario::canonicalize(sim.layout);
     return sc;
 }
 

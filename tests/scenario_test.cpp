@@ -5,8 +5,11 @@
 // stay bit-identical on every built-in — including the obstacle-laden ones.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -121,6 +124,14 @@ TEST(ScenarioFile, SerializesNonCanonicalLayoutsSafely) {
     const auto back = io::parse_scenario(io::scenario_to_text(s));
     EXPECT_EQ(back.sim.layout.wall_cells,
               (std::vector<std::uint32_t>{5, 100}));
+    // The writer does not validate, but a cell the map cannot show is
+    // refused rather than dropped from the text.
+    Scenario off_grid = s;
+    off_grid.sim.layout.wall_cells.push_back(16 * 16);
+    EXPECT_THROW(io::scenario_to_text(off_grid), std::invalid_argument);
+    Scenario covered = s;
+    covered.sim.layout.goal_cells[1] = {5};  // under the wall at cell 5
+    EXPECT_THROW(io::scenario_to_text(covered), std::invalid_argument);
 }
 
 TEST(ScenarioFile, RejectsSecondMapBlock) {
@@ -215,6 +226,7 @@ TEST(ScenarioFile, RejectsMalformedInput) {
         {"max_band_fill", "0"},   {"max_band_fill", "1.5"},
         {"max_band_fill", "nan"}, {"slow_period", "0"},
         {"panic", "10 32 32 -1"}, {"panic", "10 32 32 inf"},
+        {"steps", "0"},           {"steps", "-5"},
     };
     for (const auto& [key, value] : bad_values) {
         try {
@@ -229,6 +241,132 @@ TEST(ScenarioFile, RejectsMalformedInput) {
         grid64 +
         "alpha = 0\nrho = 0\nrho = 1\nmax_band_fill = 1\n"
         "tau_min = 1e-300\nslow_period = 1\npanic = 10 32 32 0\n"));
+}
+
+// --- Validation --------------------------------------------------------------
+
+/// The same broken config must fail by name wherever it enters: the
+/// parser, both engines and the prepared-scenario path the server caches
+/// (core::validate behind all four). The engines are also given the
+/// valid base's warm schedule, as a server job is, so their own check is
+/// the one that must fire. Base: a 64x64 map with a wall at row 32, cols
+/// 0-7, and 50 agents per side.
+TEST(Validation, EveryRuleFailsByNameAtEveryEntryPoint) {
+    std::string base = "agents_per_side = 50\nmap:\n";
+    for (int r = 0; r < 64; ++r) {
+        base += r == 32 ? std::string(8, '#') + std::string(56, '.')
+                        : std::string(64, '.');
+        base += "\n";
+    }
+    const Scenario good = io::parse_scenario(base);
+    const PreparedScenario warm = prepare_scenario(good);
+    constexpr std::uint32_t kWall = 32 * 64 + 3;  // (32, 3)
+    ASSERT_TRUE(std::binary_search(good.sim.layout.wall_cells.begin(),
+                                   good.sim.layout.wall_cells.end(), kWall));
+
+    struct Row {
+        const char* key;  ///< must appear in every entry point's message
+        /// Scenario-file line breaking the rule; empty when the format
+        /// cannot state it (a map cell is one character: wall or goal).
+        std::string line;
+        void (*breaks)(core::SimConfig&);
+    };
+    const Row rows[] = {
+        {"scan_range", "scan_range = 0",
+         [](core::SimConfig& c) { c.scan.range = 0; }},
+        {"scan_range", "scan_range = 65",
+         [](core::SimConfig& c) { c.scan.range = 65; }},
+        {"scan_range", "scan_range = 2000000000",
+         [](core::SimConfig& c) { c.scan.range = 2000000000; }},
+        {"panic", "panic = 10 32 32 -1",
+         [](core::SimConfig& c) {
+             c.panic = {true, 10, 32, 32, -1.0};
+         }},
+        {"panic", "panic = 10 32 32 nan",
+         [](core::SimConfig& c) {
+             c.panic = {true, 10, 32, 32, std::nan("")};
+         }},
+        {"panic", "panic = 10 32 32 inf",
+         [](core::SimConfig& c) {
+             c.panic = {true, 10, 32, 32, HUGE_VAL};
+         }},
+        {"slow_period", "slow_period = 0",
+         [](core::SimConfig& c) { c.speed.slow_period = 0; }},
+        {"anticipate", "anticipate = -1",
+         [](core::SimConfig& c) { c.anticipate.horizon = -1; }},
+        {"map", "",
+         [](core::SimConfig& c) { c.layout.goal_cells[0] = {kWall}; }},
+        {"waypoints", "waypoints = top 32 3",
+         [](core::SimConfig& c) { c.layout.waypoints[0] = {kWall}; }},
+        {"waypoint_radius", "waypoint_radius = -1",
+         [](core::SimConfig& c) { c.layout.waypoint_radius = -1; }},
+        {"door", "door = 10 open 60 0 64 3",
+         [](core::SimConfig& c) {
+             c.doors = {{10, 60, 0, 64, 3, core::DoorAction::kOpen}};
+         }},
+        {"cycle", "cycle = 10 10 10 1 20 20 21 21",
+         [](core::SimConfig& c) {
+             c.cycles = {{10, 10, 10, 20, 20, 21, 21, 1}};
+         }},
+        {"mover", "mover = 10 4 3 0 0 20 20 21 21",
+         [](core::SimConfig& c) {
+             c.movers = {{10, 4, 0, 0, 20, 20, 21, 21, 3}};
+         }},
+        {"surge", "surge = 5 top 10 60 60 70 70",
+         [](core::SimConfig& c) {
+             c.perturb.surges = {{5, 1, 10, 60, 60, 70, 70}};
+         }},
+        {"dwell", "dwell = top 0",
+         [](core::SimConfig& c) { c.perturb.dwells = {{1, 0}}; }},
+        {"rho", "rho = 1.5", [](core::SimConfig& c) { c.aco.rho = 1.5; }},
+        {"alpha", "alpha = nan",
+         [](core::SimConfig& c) { c.aco.alpha = std::nan(""); }},
+    };
+    const auto expect_named = [](const char* key, const std::string& where,
+                                 const auto& entry) {
+        try {
+            entry();
+            ADD_FAILURE() << where << " accepted a broken " << key;
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+                << where << ": " << e.what();
+        }
+    };
+    for (const auto& row : rows) {
+        const std::string tag = std::string(row.key) + " (" +
+                                (row.line.empty() ? "no text" : row.line) +
+                                ")";
+        if (!row.line.empty()) {
+            expect_named(row.key, "parse_scenario " + tag, [&] {
+                static_cast<void>(io::parse_scenario(row.line + "\n" + base));
+            });
+        }
+        Scenario bad = good;
+        row.breaks(bad.sim);
+        for (const auto engine :
+             {backend::DeviceType::kCpu, backend::DeviceType::kSimt}) {
+            const std::string name = backend::device_name(engine);
+            expect_named(row.key, "make_engine " + name + " " + tag, [&] {
+                static_cast<void>(backend::make_engine(engine, bad.sim));
+            });
+            expect_named(row.key, "warm make_engine " + name + " " + tag,
+                         [&] {
+                             static_cast<void>(backend::make_engine(
+                                 engine, bad.sim, warm.schedule));
+                         });
+        }
+        expect_named(row.key, "prepare_scenario " + tag, [&] {
+            static_cast<void>(prepare_scenario(bad));
+        });
+    }
+    // The base itself runs everywhere.
+    for (const auto engine :
+         {backend::DeviceType::kCpu, backend::DeviceType::kSimt}) {
+        EXPECT_NO_THROW(
+            static_cast<void>(backend::make_engine(engine, good.sim)));
+        EXPECT_NO_THROW(static_cast<void>(
+            backend::make_engine(engine, good.sim, warm.schedule)));
+    }
 }
 
 // --- Runner ------------------------------------------------------------------

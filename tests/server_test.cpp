@@ -20,7 +20,9 @@
 #include <thread>
 #include <vector>
 
-#include <spawn.h>
+#include <fcntl.h>
+#include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <sys/wait.h>
@@ -65,21 +67,44 @@ struct ServerFixture {
     std::thread thread;
 };
 
+/// Highest descriptor open in this process (below 4096), by fcntl
+/// alone so a child may call it between fork and exec.
+int highest_open_fd() {
+    int top = 2;
+    for (int fd = 3; fd < 4096; ++fd) {
+        if (::fcntl(fd, F_GETFD) != -1) top = fd;
+    }
+    return top;
+}
+
 /// pedsim_server in a child process: unlike ServerFixture, it can be
-/// ended while a job is still running.
+/// ended while a job is still running. A positive `nofile_headroom`
+/// lowers the child's RLIMIT_NOFILE, between fork and exec, to its
+/// highest open descriptor + 1 + `nofile_headroom`: the server's own
+/// descriptors and the sanitizer runtimes fit, and few connections do.
 struct ServerProcess {
-    ServerProcess(const std::string& socket, const std::string& metrics) {
+    ServerProcess(const std::string& socket, const std::string& metrics,
+                  int nofile_headroom = 0) {
         std::vector<std::string> args = {PEDSIM_SERVER_BIN,
                                          "--socket=" + socket, "--threads=1",
                                          "--metrics-json=" + metrics};
         std::vector<char*> argv;
         for (auto& a : args) argv.push_back(a.data());
         argv.push_back(nullptr);
-        if (::posix_spawn(&pid, argv[0], nullptr, nullptr, argv.data(),
-                          environ) != 0) {
-            pid = -1;
-            return;
+        pid = ::fork();
+        if (pid == 0) {
+            // Async-signal-safe calls only: the test process has threads.
+            if (nofile_headroom > 0) {
+                rlimit lim{};
+                ::getrlimit(RLIMIT_NOFILE, &lim);
+                lim.rlim_cur = static_cast<rlim_t>(highest_open_fd() + 1 +
+                                                   nofile_headroom);
+                ::setrlimit(RLIMIT_NOFILE, &lim);
+            }
+            ::execve(argv[0], argv.data(), environ);
+            ::_exit(127);
         }
+        if (pid < 0) return;
         for (int i = 0; i < 1000; ++i) {  // until it listens (<= 10 s)
             try {
                 Client probe(socket);
@@ -93,11 +118,14 @@ struct ServerProcess {
     ServerProcess(const ServerProcess&) = delete;
     ServerProcess& operator=(const ServerProcess&) = delete;
     /// Signal the server and reap it; SIGTERM drains and writes metrics.
-    void stop(int sig) {
-        if (pid <= 0) return;
+    /// Returns the wait status, or -1 when no server was running.
+    int stop(int sig) {
+        if (pid <= 0) return -1;
         ::kill(pid, sig);
-        ::waitpid(pid, nullptr, 0);
+        int status = -1;
+        ::waitpid(pid, &status, 0);
         pid = -1;
+        return status;
     }
     pid_t pid = -1;
 };
@@ -829,6 +857,87 @@ TEST(ServerLifecycle, FinishedSessionsAreReaped) {
     // guard page each); the slack covers the allocator's per-thread
     // arenas and cached stacks.
     EXPECT_LT(maps1 - maps0, 64L) << maps0 << " -> " << maps1;
+}
+
+TEST(ServerLifecycle, DescriptorLimitNeitherEndsNorSpinsTheServer) {
+    // Any accept() error but EINTR used to end serve(): a burst of clients
+    // at the descriptor limit made the server drain, exit and unlink its
+    // socket, and every later connect got ENOENT.
+    const auto sock = test_socket("fdlimit");
+    const auto metrics = sock + ".metrics.json";
+    constexpr int kHeadroom = 12;
+    ServerProcess server(sock, metrics, kHeadroom);
+    ASSERT_GT(server.pid, 0) << "cannot start " << PEDSIM_SERVER_BIN;
+
+    // More connections than the server has descriptors, each asking for
+    // stats. The connects are non-blocking: one that finds the backlog
+    // full ends the burst instead of hanging it.
+    const int burst = highest_open_fd() + 1 + kHeadroom + 8;
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, sock.c_str(), sizeof(addr.sun_path) - 1);
+    std::vector<int> fds;
+    for (int i = 0; i < burst; ++i) {
+        const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0);
+        ASSERT_GE(fd, 0);
+        if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)) != 0) {
+            ::close(fd);
+            break;
+        }
+        ::fcntl(fd, F_SETFL, 0);  // blocking from here on
+        protocol::write_frame(fd, protocol::MsgType::kStats, {});
+        fds.push_back(fd);
+    }
+    // Collect replies until none comes for half a second: the server has
+    // answered every connection it could accept and sits at its limit.
+    std::vector<bool> done(fds.size(), false);
+    std::size_t replies = 0;
+    for (;;) {  // each pass settles at least one connection
+        std::vector<pollfd> waiting;
+        for (std::size_t i = 0; i < fds.size(); ++i) {
+            if (!done[i]) waiting.push_back({fds[i], POLLIN, 0});
+        }
+        if (waiting.empty() ||
+            ::poll(waiting.data(), waiting.size(), 500) <= 0) {
+            break;
+        }
+        for (std::size_t i = 0, w = 0; i < fds.size(); ++i) {
+            if (done[i] || waiting[w++].revents == 0) continue;
+            done[i] = true;
+            protocol::Frame frame;
+            try {
+                if (protocol::read_frame(fds[i], frame,
+                                         protocol::Direction::kReply)) {
+                    ++replies;
+                }
+            } catch (const std::exception&) {
+                // Reset by a server that went away: not a reply.
+            }
+        }
+    }
+    EXPECT_GT(replies, 0u);
+    EXPECT_LT(replies, fds.size()) << "the burst never reached the limit";
+    for (const int fd : fds) ::close(fd);
+
+    // Descriptors free up as the burst hangs up; a new client is served.
+    {
+        Client client(sock);
+        EXPECT_GE(client.stats().live_sessions, 1u);
+    }
+    const int status = server.stop(SIGTERM);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << status;
+    std::ifstream in(metrics);
+    std::stringstream json;
+    json << in.rdbuf();
+    const std::string key = "\"server.accept.errors\":";
+    const auto at = json.str().find(key);
+    ASSERT_NE(at, std::string::npos) << json.str();
+    const long errors = std::stol(json.str().substr(at + key.size()));
+    EXPECT_GE(errors, 1);
+    // One retry per back-off interval, not a spin on a readable listener.
+    EXPECT_LT(errors, 1000);
+    std::remove(metrics.c_str());
 }
 
 TEST(ServerRoundTrip, VariantTextAdoptsTheRegistryEntrysFields) {

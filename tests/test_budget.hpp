@@ -22,7 +22,7 @@ inline int budget_past_events(const scenario::Scenario& s, int base_small,
                               int waypoint_floor = 0) {
     int budget = s.sim.grid.rows >= 256 ? base_large : base_small;
     for (const auto& e : core::expand_dynamic_events(
-             s.sim.doors, s.sim.cycles, s.sim.movers, s.sim.grid)) {
+             s.sim.doors, s.sim.cycles, s.sim.movers)) {
         budget = std::max(budget, static_cast<int>(e.step) + margin);
     }
     // Perturbation events are dynamic events too: every surge injection

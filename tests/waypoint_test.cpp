@@ -277,30 +277,26 @@ TEST(Waypoint, FieldSwapsWhenGeometryChangesMidChain) {
 }
 
 TEST(Waypoint, ValidationRejectsBadChains) {
-    const grid::GridConfig grid;  // 480x480
-    core::ScenarioLayout layout;
+    core::SimConfig cfg;  // 480x480
+    auto& layout = cfg.layout;
 
     layout.waypoints[0] = {480u * 480u};  // first off-grid cell
-    EXPECT_THROW(core::validate_waypoints(layout, grid),
-                 std::invalid_argument);
+    EXPECT_THROW(core::validate(cfg), std::invalid_argument);
 
     layout.waypoints[0] = {42u};
     layout.wall_cells = {42u};
-    EXPECT_THROW(core::validate_waypoints(layout, grid),
-                 std::invalid_argument);
+    EXPECT_THROW(core::validate(cfg), std::invalid_argument);
 
     layout.wall_cells.clear();
     layout.waypoints[0].assign(256, 7u);  // past the uint8 index range
-    EXPECT_THROW(core::validate_waypoints(layout, grid),
-                 std::invalid_argument);
+    EXPECT_THROW(core::validate(cfg), std::invalid_argument);
 
     layout.waypoints[0] = {7u};
     layout.waypoint_radius = -1;
-    EXPECT_THROW(core::validate_waypoints(layout, grid),
-                 std::invalid_argument);
+    EXPECT_THROW(core::validate(cfg), std::invalid_argument);
 
     layout.waypoint_radius = 0;
-    EXPECT_NO_THROW(core::validate_waypoints(layout, grid));
+    EXPECT_NO_THROW(core::validate(cfg));
 }
 
 TEST(Waypoint, ParserRejectsMalformedWaypointLines) {
