@@ -60,9 +60,10 @@ void check_rect(const std::string& label, int row0, int col0, int row1,
     }
 }
 
-/// Walls, goals and waypoint chains: every cell on the grid, no goal or
-/// waypoint on a static wall, chains short enough for the per-agent
-/// uint8 chain index.
+/// Walls, goals, waypoint chains and spawn regions: every cell on the
+/// grid, no goal or waypoint on a static wall, chains short enough for
+/// the per-agent uint8 chain index, spawn rects of the top or bottom
+/// group.
 void check_layout(const ScenarioLayout& layout,
                   const grid::GridConfig& grid) {
     const std::size_t cells = grid.cell_count();
@@ -128,6 +129,15 @@ void check_layout(const ScenarioLayout& layout,
                                             where(chain[k]) + " is a wall");
             }
         }
+    }
+    for (std::size_t k = 0; k < layout.spawns.size(); ++k) {
+        const auto& s = layout.spawns[k];
+        const std::string label = "spawn " + std::to_string(k);
+        if (s.group != grid::Group::kTop && s.group != grid::Group::kBottom) {
+            throw std::invalid_argument(label +
+                                        ": group must be top or bottom");
+        }
+        check_rect(label, s.row0, s.col0, s.row1, s.col1, grid);
     }
 }
 
@@ -299,6 +309,18 @@ void validate(const SimConfig& config) {
     // PanicConfig::affects compares squared distances, so a negative
     // radius would panic the same agents as its absolute value.
     check_range("panic radius", config.panic.radius, 0.0, kInf);
+    // 0 is the auto value of both, which a negative value would silently
+    // become.
+    if (config.band_rows < 0) {
+        throw std::invalid_argument(
+            "band_rows must be non-negative (0 = auto), got " +
+            std::to_string(config.band_rows));
+    }
+    if (config.cross_margin < 0) {
+        throw std::invalid_argument(
+            "cross_margin must be non-negative (0 = auto), got " +
+            std::to_string(config.cross_margin));
+    }
     if (config.anticipate.horizon < 0) {
         throw std::invalid_argument(
             "anticipate horizon must be non-negative, got " +

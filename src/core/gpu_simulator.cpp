@@ -217,10 +217,12 @@ void GpuSimulator::stage_initial_calc() {
             ctx.branch(kSiteFrontEmpty, needs_scan);
             if (!needs_scan) return;
 
-            if (panicked || config_.scan.range > 1) {
-                // Extension paths (panic flee, look-ahead scanning) reach
-                // beyond the 1-cell halo, so they read global memory; the
-                // shared env-backed builder keeps both engines identical.
+            // Extension paths (panic flight, look-ahead scanning) reach
+            // beyond the 1-cell halo, so they read global memory through
+            // the host engine's readers; the paper's case reads the tiles.
+            // Both paths call build_scan_row, as the host engine does.
+            const bool global_path = panicked || config_.scan.range > 1;
+            if (global_path) {
                 ctx.instr(
                     static_cast<std::uint32_t>(24 * config_.scan.range));
                 ctx.global_load(kAccessProps,
@@ -228,30 +230,25 @@ void GpuSimulator::stage_initial_calc() {
                                     env_.occ_row(r) + c),
                                 static_cast<std::uint32_t>(
                                     8 * config_.scan.range));
-                if (agent) {
-                    scan_.count(i) = static_cast<std::int8_t>(
-                        fill_scan_row(i, r, c, g, EnvEmpty(env_),
-                                      scan_.values(i), scan_.cells(i)));
-                }
-                ctx.global_store(
-                    kAccessScan,
-                    reinterpret_cast<std::uint64_t>(scan_.values(i)),
-                    static_cast<std::uint32_t>(grid::kNeighborCount *
-                                               sizeof(double)));
-                return;
+            } else {
+                ctx.instr(16);  // eq. (1)/(2) arithmetic per candidate batch
             }
-
-            ctx.instr(16);  // eq. (1)/(2) arithmetic per candidate batch
             // Per-agent scoring view: the agent's current waypoint field
             // while its chain is pending, the goal field otherwise (dump
             // threads read the goal field; their output is discarded).
             const grid::BlendedField& field = scoring_field(i, g);
-            int n;
-            if (config_.model == Model::kLem) {
-                n = build_candidates_lem_t(tile_empty, field, g, r, c,
-                                           out_values, out_cells);
+            int n = 0;
+            if (global_path) {
+                if (agent) {
+                    const auto tau = [&](int nr, int nc) {
+                        return pher_->at(g, nr, nc);
+                    };
+                    n = build_scan_row(EnvEmpty(env_), tau, field, config_,
+                                       panicked, g, r, c, out_values,
+                                       out_cells);
+                }
             } else {
-                auto tile_tau = [&](int nr, int nc) {
+                const auto tile_tau = [&](int nr, int nc) {
                     ctx.shared_load(8);
                     ctx.instr(40);  // two pow() + divide per candidate
                     const auto& tile = g == grid::Group::kTop
@@ -260,9 +257,8 @@ void GpuSimulator::stage_initial_calc() {
                     return tile.at(nr - ctx.block_idx.y * simt::kTileEdge,
                                    nc - ctx.block_idx.x * simt::kTileEdge);
                 };
-                n = build_candidates_aco_t(tile_empty, tile_tau, field,
-                                           config_.aco, g, r, c, out_values,
-                                           out_cells);
+                n = build_scan_row(tile_empty, tile_tau, field, config_,
+                                   panicked, g, r, c, out_values, out_cells);
             }
             (agent ? scan_.count(i) : dump_count) =
                 static_cast<std::int8_t>(n);

@@ -40,12 +40,6 @@ class PheromoneField {
     }
     [[nodiscard]] std::vector<double>& raw(grid::Group g) { return field(g); }
 
-    [[nodiscard]] double total(grid::Group g) const {
-        double t = 0.0;
-        for (const auto v : field(g)) t += v;
-        return t;
-    }
-
   private:
     [[nodiscard]] std::size_t flat(int r, int c) const {
         return static_cast<std::size_t>(r) * cfg_.cols +

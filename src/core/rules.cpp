@@ -4,15 +4,6 @@
 
 namespace pedsim::core {
 
-int select_lem(rng::Stream& stream, int candidate_count, double sigma) {
-    return rng::lem_rank_draw(stream, candidate_count, sigma);
-}
-
-int select_aco(rng::Stream& stream, const double* values,
-               int candidate_count) {
-    return rng::roulette(stream, values, candidate_count);
-}
-
 int select_winner(rng::Stream& stream, int count) {
     if (count <= 0) return -1;
     if (count == 1) return 0;

@@ -11,10 +11,8 @@
 #include <cstdint>
 
 #include "core/config.hpp"
-#include "core/pheromone.hpp"
 #include "grid/distance_field.hpp"
 #include "grid/environment.hpp"
-#include "rng/distributions.hpp"
 #include "rng/stream.hpp"
 
 namespace pedsim::core {
@@ -43,74 +41,6 @@ struct EnvEmpty {
     }
 };
 
-/// Candidate list for one agent: empty neighbour cells in the group's
-/// ranked (distance-ascending) visit order. `values`/`cells` must have
-/// room for 8 entries. Returns the candidate count.
-///
-/// The templated builders abstract where occupancy/pheromone are read
-/// from: the CPU engine passes environment-backed callables, the GPU-style
-/// engine passes shared-memory tile views. Both produce identical values.
-/// The field parameter accepts anything with DistanceField's cost()
-/// contract — the engines pass a grid::BlendedField so anticipatory
-/// routing (door events blending toward the next phase) flows through
-/// every builder without touching them.
-///
-/// LEM flavour: value = distance of the candidate to the target, sorted
-/// ascending — the paper's sorted scan row. In the analytic field the
-/// ranked visit order already yields non-decreasing values, so the stable
-/// insertion sort is the identity there (bit-parity with the paper's
-/// corridor); in a geodesic field obstacles can reorder neighbours, and
-/// the sort restores the rank-draw's "slot 0 = least effort" contract.
-/// `empty(r, c)` -> true when the cell is in bounds and unoccupied.
-template <typename EmptyFn, typename Field>
-int build_candidates_lem_t(EmptyFn&& empty, const Field& df,
-                           grid::Group g, int r, int c, double* values,
-                           std::int8_t* cells) {
-    int n = 0;
-    for (const int k : grid::ranked_order(g)) {
-        const auto off = grid::kNeighborOffsets[static_cast<std::size_t>(k)];
-        const int nr = r + off.dr;
-        const int nc = c + off.dc;
-        if (!empty(nr, nc)) continue;
-        const double d = df.cost(g, nr, nc, off.dc);
-        // Stable insertion sort over at most 8 slots.
-        int pos = n;
-        while (pos > 0 && values[pos - 1] > d) {
-            values[pos] = values[pos - 1];
-            cells[pos] = cells[pos - 1];
-            --pos;
-        }
-        values[pos] = d;
-        cells[pos] = static_cast<std::int8_t>(k);
-        ++n;
-    }
-    return n;
-}
-
-/// ACO flavour: value = tau(candidate)^alpha * (1/D)^beta — the numerator
-/// of eq. (2) with the goal heuristic substituted for inter-city distance.
-/// `tau(r, c)` reads the agent's own group's pheromone field.
-template <typename EmptyFn, typename TauFn, typename Field>
-int build_candidates_aco_t(EmptyFn&& empty, TauFn&& tau,
-                           const Field& df,
-                           const AcoParams& params, grid::Group g, int r,
-                           int c, double* values, std::int8_t* cells) {
-    int n = 0;
-    for (const int k : grid::ranked_order(g)) {
-        const auto off = grid::kNeighborOffsets[static_cast<std::size_t>(k)];
-        const int nr = r + off.dr;
-        const int nc = c + off.dc;
-        if (!empty(nr, nc)) continue;
-        const double d =
-            std::max(df.cost(g, nr, nc, off.dc), kMinHeuristicDistance);
-        values[n] = std::pow(tau(nr, nc), params.alpha) *
-                    std::pow(1.0 / d, params.beta);
-        cells[n] = static_cast<std::int8_t>(k);
-        ++n;
-    }
-    return n;
-}
-
 /// Fraction of occupied cells on the `range - 1`-cell ray beyond the
 /// candidate cell (nr, nc) in travel direction (dr, dc) — the look-ahead
 /// of the scanning-range extension (ScanConfig). Off-grid cells count as
@@ -131,59 +61,97 @@ double ray_congestion(EmptyFn&& empty, int nr, int nc, int dr, int dc,
     return static_cast<double>(occupied) / static_cast<double>(range - 1);
 }
 
-/// LEM candidates with the scanning-range look-ahead: effort = distance *
-/// (1 + w * congestion), insertion-sorted ascending (stable, so range = 1
-/// degenerates to the plain builder's ordering).
+/// Stable insertion of neighbour k with `key` into the ascending row
+/// values/cells[0, n): equal keys keep the ranked visit order.
+inline void insert_ranked(double* values, std::int8_t* cells, int n,
+                          double key, int k) {
+    int pos = n;
+    while (pos > 0 && values[pos - 1] > key) {
+        values[pos] = values[pos - 1];
+        cells[pos] = cells[pos - 1];
+        --pos;
+    }
+    values[pos] = key;
+    cells[pos] = static_cast<std::int8_t>(k);
+}
+
+/// Candidate list for one agent: empty neighbour cells visited in the
+/// group's ranked order. `values`/`cells` must have room for 8 entries.
+/// Returns the candidate count.
+///
+/// The templated builders abstract where occupancy/pheromone are read
+/// from: the host engine and gpu-simt's global path pass EnvEmpty and the
+/// pheromone field, gpu-simt's tile path passes shared-memory tile views.
+/// Both produce identical values. The field parameter accepts anything
+/// with DistanceField's cost() contract — the engines pass a
+/// grid::BlendedField so anticipatory routing (door events blending
+/// toward the next phase) flows through every builder without touching
+/// them. With `scan.range > 1` the LEM and ACO builders also walk each
+/// candidate's look-ahead ray (ray_congestion); at range 1 they never
+/// call it.
+///
+/// LEM flavour: value = distance of the candidate to the target (times
+/// 1 + w * congestion under the look-ahead), sorted ascending — the
+/// paper's sorted scan row. In the analytic field the ranked visit order
+/// already yields non-decreasing values, so the stable insertion sort is
+/// the identity there (bit-parity with the paper's corridor); in a
+/// geodesic field obstacles can reorder neighbours, and the sort restores
+/// the rank-draw's "slot 0 = least effort" contract.
+/// `empty(r, c)` -> true when the cell is in bounds and unoccupied.
 template <typename EmptyFn, typename Field>
-int build_candidates_lem_scan_t(EmptyFn&& empty,
-                                const Field& df,
-                                const ScanConfig& scan,
-                                const grid::GridConfig& gcfg, grid::Group g,
-                                int r, int c, double* values,
-                                std::int8_t* cells) {
+int build_candidates_lem_t(EmptyFn&& empty, const Field& df,
+                           const ScanConfig& scan,
+                           const grid::GridConfig& gcfg, grid::Group g,
+                           int r, int c, double* values,
+                           std::int8_t* cells) {
     int n = 0;
     for (const int k : grid::ranked_order(g)) {
         const auto off = grid::kNeighborOffsets[static_cast<std::size_t>(k)];
         const int nr = r + off.dr;
         const int nc = c + off.dc;
         if (!empty(nr, nc)) continue;
-        const double congestion = ray_congestion(
-            empty, nr, nc, off.dr, off.dc, scan.range, gcfg);
-        const double effort = df.cost(g, nr, nc, off.dc) *
-                              (1.0 + scan.congestion_weight * congestion);
-        // Stable insertion sort over at most 8 slots.
-        int pos = n;
-        while (pos > 0 && values[pos - 1] > effort) {
-            values[pos] = values[pos - 1];
-            cells[pos] = cells[pos - 1];
-            --pos;
+        double effort = df.cost(g, nr, nc, off.dc);
+        if (scan.range > 1) {
+            effort *= 1.0 + scan.congestion_weight *
+                                ray_congestion(empty, nr, nc, off.dr,
+                                               off.dc, scan.range, gcfg);
         }
-        values[pos] = effort;
-        cells[pos] = static_cast<std::int8_t>(k);
-        ++n;
+        insert_ranked(values, cells, n++, effort, k);
     }
     return n;
 }
 
-/// ACO candidates with the look-ahead: the eq. (2) numerator is discounted
-/// by the visible congestion beyond each candidate.
+/// ACO flavour: value = tau(candidate)^alpha * (1/D)^beta — the numerator
+/// of eq. (2) with the goal heuristic substituted for inter-city distance
+/// — discounted under the look-ahead by the congestion visible beyond the
+/// candidate. `tau(r, c)` reads the agent's own group's pheromone field.
 template <typename EmptyFn, typename TauFn, typename Field>
-int build_candidates_aco_scan_t(EmptyFn&& empty, TauFn&& tau,
-                                const Field& df,
-                                const AcoParams& params,
-                                const ScanConfig& scan,
-                                const grid::GridConfig& gcfg, grid::Group g,
-                                int r, int c, double* values,
-                                std::int8_t* cells) {
-    const int n = build_candidates_aco_t(empty, tau, df, params, g, r, c,
-                                         values, cells);
-    if (scan.range <= 1) return n;
-    for (int i = 0; i < n; ++i) {
-        const auto off =
-            grid::kNeighborOffsets[static_cast<std::size_t>(cells[i])];
-        const double congestion = ray_congestion(
-            empty, r + off.dr, c + off.dc, off.dr, off.dc, scan.range, gcfg);
-        values[i] *= std::max(1.0 - scan.congestion_weight * congestion, 0.05);
+int build_candidates_aco_t(EmptyFn&& empty, TauFn&& tau,
+                           const Field& df, const AcoParams& params,
+                           const ScanConfig& scan,
+                           const grid::GridConfig& gcfg, grid::Group g,
+                           int r, int c, double* values,
+                           std::int8_t* cells) {
+    int n = 0;
+    for (const int k : grid::ranked_order(g)) {
+        const auto off = grid::kNeighborOffsets[static_cast<std::size_t>(k)];
+        const int nr = r + off.dr;
+        const int nc = c + off.dc;
+        if (!empty(nr, nc)) continue;
+        const double d =
+            std::max(df.cost(g, nr, nc, off.dc), kMinHeuristicDistance);
+        double weight = std::pow(tau(nr, nc), params.alpha) *
+                        std::pow(1.0 / d, params.beta);
+        if (scan.range > 1) {
+            weight *= std::max(
+                1.0 - scan.congestion_weight *
+                          ray_congestion(empty, nr, nc, off.dr, off.dc,
+                                         scan.range, gcfg),
+                0.05);
+        }
+        values[n] = weight;
+        cells[n] = static_cast<std::int8_t>(k);
+        ++n;
     }
     return n;
 }
@@ -203,29 +171,31 @@ int build_candidates_flee_t(EmptyFn&& empty, const PanicConfig& panic,
         if (!empty(nr, nc)) continue;
         const double dr = nr - panic.row;
         const double dc = nc - panic.col;
-        // Negative distance: insertion-sort ascending ranks farthest first.
-        const double key = -std::sqrt(dr * dr + dc * dc);
-        int pos = n;
-        while (pos > 0 && values[pos - 1] > key) {
-            values[pos] = values[pos - 1];
-            cells[pos] = cells[pos - 1];
-            --pos;
-        }
-        values[pos] = key;
-        cells[pos] = static_cast<std::int8_t>(k);
-        ++n;
+        // Negative distance: the ascending insertion ranks farthest first.
+        insert_ranked(values, cells, n++, -std::sqrt(dr * dr + dc * dc), k);
     }
     return n;
 }
 
-/// LEM selection (section IV.c): rounded-normal rank draw over the
-/// distance-ascending candidates. Returns the chosen slot.
-int select_lem(rng::Stream& stream, int candidate_count, double sigma);
-
-/// ACO selection: roulette wheel over the eq. (2) numerators; the warp
-/// reduction in the paper computes the denominator, the draw lands in a
-/// slot. Returns the chosen slot, or -1 when total weight is zero.
-int select_aco(rng::Stream& stream, const double* values, int candidate_count);
+/// Agent scan row (section IV.b), the one dispatch both engines call:
+/// panic flight while the agent panics, else the model's builder over
+/// `field`, the agent's scoring field. `tau` is read only under ACO.
+/// Returns the candidate count.
+template <typename EmptyFn, typename TauFn, typename Field>
+int build_scan_row(EmptyFn&& empty, TauFn&& tau, const Field& field,
+                   const SimConfig& cfg, bool panicked, grid::Group g, int r,
+                   int c, double* values, std::int8_t* cells) {
+    if (panicked) {
+        return build_candidates_flee_t(empty, cfg.panic, g, r, c, values,
+                                       cells);
+    }
+    if (cfg.model == Model::kLem) {
+        return build_candidates_lem_t(empty, field, cfg.scan, cfg.grid, g, r,
+                                      c, values, cells);
+    }
+    return build_candidates_aco_t(empty, tau, field, cfg.aco, cfg.scan,
+                                  cfg.grid, g, r, c, values, cells);
+}
 
 /// Winner selection among `count` proposers: uniform draw on the *cell's*
 /// stream (the thread assigned to the empty cell makes the choice).

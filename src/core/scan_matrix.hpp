@@ -6,7 +6,6 @@
 // position.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -17,12 +16,9 @@ namespace pedsim::core {
 class ScanMatrix {
   public:
     explicit ScanMatrix(std::size_t agent_count)
-        : rows_(agent_count + 1),
-          value_(rows_ * grid::kNeighborCount, 0.0),
-          cell_(rows_ * grid::kNeighborCount, -1),
-          count_(rows_, 0) {}
-
-    [[nodiscard]] std::size_t rows() const { return rows_; }
+        : value_((agent_count + 1) * grid::kNeighborCount, 0.0),
+          cell_((agent_count + 1) * grid::kNeighborCount, -1),
+          count_(agent_count + 1, 0) {}
 
     /// Candidate slots of agent i (1-based; 0 = dump row).
     [[nodiscard]] double* values(std::int32_t i) {
@@ -45,13 +41,7 @@ class ScanMatrix {
         return count_[static_cast<std::size_t>(i)];
     }
 
-    /// The supporting kernel's per-step reset.
-    void reset() {
-        std::fill(count_.begin(), count_.end(), 0);
-    }
-
   private:
-    std::size_t rows_;
     std::vector<double> value_;
     std::vector<std::int8_t> cell_;
     std::vector<std::int8_t> count_;

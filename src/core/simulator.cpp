@@ -10,6 +10,7 @@
 #include "obs/clock.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "rng/distributions.hpp"
 
 namespace pedsim::core {
 
@@ -215,35 +216,6 @@ void Simulator::allocate_proposal_planes() {
     proposers_.assign(rows * static_cast<std::size_t>(env_.stride()), 0);
 }
 
-int Simulator::fill_scan_row(std::int32_t i, int r, int c, grid::Group g,
-                             const EnvEmpty& empty, double* values,
-                             std::int8_t* cells) const {
-    const auto idx = static_cast<std::size_t>(i);
-    if (props_.panicked[idx] != 0) {
-        return build_candidates_flee_t(empty, config_.panic, g, r, c, values,
-                                       cells);
-    }
-    // The scoring view is per-agent: the current waypoint's field while a
-    // chain is pending, the final (goal) field otherwise.
-    const grid::BlendedField& field = scoring_field(i, g);
-    if (config_.model == Model::kLem) {
-        if (config_.scan.range > 1) {
-            return build_candidates_lem_scan_t(empty, field, config_.scan,
-                                               config_.grid, g, r, c, values,
-                                               cells);
-        }
-        return build_candidates_lem_t(empty, field, g, r, c, values, cells);
-    }
-    auto tau = [&](int rr, int cc) { return pher_->at(g, rr, cc); };
-    if (config_.scan.range > 1) {
-        return build_candidates_aco_scan_t(empty, tau, field, config_.aco,
-                                           config_.scan, config_.grid, g, r,
-                                           c, values, cells);
-    }
-    return build_candidates_aco_t(empty, tau, field, config_.aco, g, r, c,
-                                  values, cells);
-}
-
 Simulator::Gate Simulator::run_gates(std::int32_t i) {
     const auto idx = static_cast<std::size_t>(i);
 
@@ -303,9 +275,9 @@ bool Simulator::draw_future(std::int32_t i, const CandidateRow& row) {
                        static_cast<std::uint64_t>(i), step_);
     int slot;
     if (props_.panicked[idx] != 0 || config_.model == Model::kLem) {
-        slot = select_lem(stream, row.count, config_.lem.sigma);
+        slot = rng::lem_rank_draw(stream, row.count, config_.lem.sigma);
     } else {
-        slot = select_aco(stream, row.values, row.count);
+        slot = rng::roulette(stream, row.values, row.count);
         if (slot < 0) return false;
     }
     const auto off =
@@ -327,8 +299,12 @@ bool Simulator::decide_host(std::int32_t i, const EnvEmpty& empty) {
     double values[grid::kNeighborCount];
     std::int8_t cells[grid::kNeighborCount];
     return decide_future(i, [&] {
-        return CandidateRow{values, cells,
-                            fill_scan_row(i, r, c, g, empty, values, cells)};
+        const auto tau = [&](int rr, int cc) { return pher_->at(g, rr, cc); };
+        return CandidateRow{
+            values, cells,
+            build_scan_row(empty, tau, scoring_field(i, g), config_,
+                           props_.panicked[idx] != 0, g, r, c, values,
+                           cells)};
     });
 }
 

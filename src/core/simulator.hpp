@@ -206,20 +206,12 @@ class Simulator {
 
     /// The host engine's fused stage b + c for agent i (active, on-grid):
     /// set its FRONT CELL and panic flags, then decide_future with the
-    /// candidate row built in a stack buffer through `empty`, only when
-    /// the draw needs it. Reads only state frozen for the stage and writes
-    /// only agent i's property row, so disjoint agent slices may run
-    /// concurrently. Returns true when a proposal was made.
+    /// candidate row build_scan_row (rules.hpp) fills in a stack buffer
+    /// through `empty`, only when the draw needs it. Reads only state
+    /// frozen for the stage and writes only agent i's property row, so
+    /// disjoint agent slices may run concurrently. Returns true when a
+    /// proposal was made.
     bool decide_host(std::int32_t i, const EnvEmpty& empty);
-
-    /// Candidate-row fill for agent i at (r, c) into `values`/`cells`
-    /// (room for 8 slots each), through the emptiness window `empty`:
-    /// panic flee ranking, the scanning-range look-ahead and plain
-    /// LEM/ACO scoring. Every engine calls it for these paths, so
-    /// bit-parity holds with every feature enabled. Returns the count.
-    int fill_scan_row(std::int32_t i, int r, int c, grid::Group g,
-                      const EnvEmpty& empty, double* values,
-                      std::int8_t* cells) const;
 
     /// True when agent i flees this step (panic active and in radius).
     [[nodiscard]] bool panic_applies(int r, int c) const {

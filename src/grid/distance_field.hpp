@@ -174,14 +174,6 @@ class DistanceField {
         return geodesic_ ? geo(g, r, c) : distance(g, r, dc);
     }
 
-    /// Distance of neighbour cell #k (0-based index into kNeighborOffsets)
-    /// of an agent at (r, c) — clamps are the caller's job; this is pure
-    /// geometry. Analytic mode only.
-    [[nodiscard]] double neighbor_distance(Group g, int r, int k) const {
-        const auto off = kNeighborOffsets[static_cast<std::size_t>(k)];
-        return distance(g, r + off.dr, off.dc);
-    }
-
     /// True once an agent at row r has reached (or passed) the crossing
     /// line: within `margin` rows of the target edge. Analytic mode only.
     [[nodiscard]] bool crossed(Group g, int r, int margin) const {

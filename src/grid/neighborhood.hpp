@@ -73,10 +73,4 @@ constexpr std::array<int, kNeighborCount> ranked_order(Group g) {
     return {5, 6, 7, 3, 4, 0, 1, 2};
 }
 
-/// The opposing group (useful for pheromone field selection in tests).
-constexpr Group opposite(Group g) {
-    return g == Group::kTop ? Group::kBottom
-                            : (g == Group::kBottom ? Group::kTop : Group::kNone);
-}
-
 }  // namespace pedsim::grid

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "rng/stream.hpp"
 
@@ -40,11 +41,19 @@ std::vector<PlacedAgent> place_bidirectional(Environment& env,
                                               cfg.max_band_fill);
     const auto band_cells =
         static_cast<std::size_t>(band) * static_cast<std::size_t>(cols);
+    const std::string population =
+        "agents_per_side " + std::to_string(cfg.agents_per_side);
     if (cfg.agents_per_side > band_cells) {
-        throw std::invalid_argument("placement band too small for population");
+        throw std::invalid_argument(population + " does not fit band_rows " +
+                                    std::to_string(band) + " (" +
+                                    std::to_string(band_cells) +
+                                    " cells per side)");
     }
     if (2 * band > env.rows()) {
-        throw std::invalid_argument("placement bands overlap");
+        throw std::invalid_argument(
+            population + " needs band_rows " + std::to_string(band) +
+            " per side, and the two bands overlap on a " +
+            std::to_string(env.rows()) + "-row grid");
     }
 
     std::vector<PlacedAgent> agents;
@@ -68,7 +77,9 @@ std::vector<PlacedAgent> place_bidirectional(Environment& env,
         }
         if (cfg.agents_per_side > ids.size()) {
             throw std::invalid_argument(
-                "placement band too small for population");
+                population + " does not fit the " +
+                std::to_string(ids.size()) + " walkable cells of band_rows " +
+                std::to_string(band));
         }
         rng::Stream stream(cfg.seed, rng::Stage::kPlacement,
                            /*entity=*/static_cast<std::uint64_t>(g),
@@ -97,12 +108,13 @@ std::vector<PlacedAgent> place_regions(Environment& env,
     std::int32_t next_index = 1;
     for (std::size_t ri = 0; ri < spawns.size(); ++ri) {
         const auto& s = spawns[ri];
+        const std::string label = "spawn " + std::to_string(ri);
         if (s.group == Group::kNone) {
-            throw std::invalid_argument("place_regions: spawn needs a group");
+            throw std::invalid_argument(label + ": needs a group");
         }
         if (s.row1 < s.row0 || s.col1 < s.col0 || s.row0 < 0 ||
             s.col0 < 0 || s.row1 >= env.rows() || s.col1 >= env.cols()) {
-            throw std::invalid_argument("place_regions: bad region rect");
+            throw std::invalid_argument(label + ": rect out of bounds");
         }
         std::vector<std::uint32_t> ids;
         for (int r = s.row0; r <= s.row1; ++r) {
@@ -115,7 +127,9 @@ std::vector<PlacedAgent> place_regions(Environment& env,
         }
         if (s.count > ids.size()) {
             throw std::invalid_argument(
-                "place_regions: region too small for its population");
+                label + ": count " + std::to_string(s.count) +
+                " does not fit the rect's " + std::to_string(ids.size()) +
+                " walkable cells");
         }
         // Entities 0/1 key the band placement; regions start at 2 so the
         // two modes never share a stream.

@@ -40,11 +40,6 @@ class ObsSession {
     /// Idempotent; the destructor calls it.
     void finish();
 
-    [[nodiscard]] bool tracing() const { return tracer_ != nullptr; }
-    [[nodiscard]] bool metrics() const { return registry_ != nullptr; }
-    [[nodiscard]] Tracer* tracer() { return tracer_.get(); }
-    [[nodiscard]] MetricsRegistry* registry() { return registry_.get(); }
-
   private:
     std::unique_ptr<Tracer> tracer_;
     std::unique_ptr<MetricsRegistry> registry_;

@@ -145,10 +145,6 @@ std::vector<RunRecord> ScenarioRunner::run(
     return records;
 }
 
-std::vector<RunRecord> ScenarioRunner::run_registry() const {
-    return run(all());
-}
-
 std::string ScenarioRunner::summary_table(
     const std::vector<RunRecord>& records) {
     io::TablePrinter table({"scenario", "engine", "model", "seed", "steps",

@@ -134,9 +134,6 @@ class ScenarioRunner {
     [[nodiscard]] std::vector<RunRecord> run(
         const std::vector<Scenario>& scenarios) const;
 
-    /// The full batch over every registry built-in.
-    [[nodiscard]] std::vector<RunRecord> run_registry() const;
-
     /// Metrics table (one row per run).
     static std::string summary_table(const std::vector<RunRecord>& records);
 

@@ -93,11 +93,6 @@ class AdmissionQueue {
         return depth_;
     }
 
-    [[nodiscard]] bool closed() const {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        return closed_;
-    }
-
   private:
     struct Lane {
         std::uint64_t client = 0;

@@ -159,18 +159,11 @@ class ThreadCtx {
         return thread_idx.y * block_dim.x + thread_idx.x;
     }
     [[nodiscard]] int lane() const { return flat_tid() % 32; }
-    [[nodiscard]] int warp_in_block() const { return flat_tid() / 32; }
     [[nodiscard]] int global_x() const {
         return block_idx.x * block_dim.x + thread_idx.x;
     }
     [[nodiscard]] int global_y() const {
         return block_idx.y * block_dim.y + thread_idx.y;
-    }
-    /// Linear thread id across the whole launch.
-    [[nodiscard]] std::int64_t global_flat() const {
-        const std::int64_t block_id =
-            static_cast<std::int64_t>(block_idx.y) * grid_dim.x + block_idx.x;
-        return block_id * block_dim.count() + flat_tid();
     }
 
     void instr(std::uint32_t n = 1) { warp_->instr(n); }

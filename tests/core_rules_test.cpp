@@ -5,8 +5,8 @@
 #include <cmath>
 #include <vector>
 
+#include "core/pheromone.hpp"
 #include "core/rules.hpp"
-#include "test_candidates.hpp"
 
 namespace pedsim::core {
 namespace {
@@ -15,9 +15,24 @@ using grid::Environment;
 using grid::GridConfig;
 using grid::Group;
 
+/// The builders read the grid through EnvEmpty, as the host engine does,
+/// at the paper's scanning range.
 class RulesTest : public ::testing::Test {
   protected:
     RulesTest() : env_(GridConfig{32, 32}), df_(GridConfig{32, 32}) {}
+
+    int build_lem(Group g, int r, int c) {
+        return build_candidates_lem_t(EnvEmpty(env_), df_, ScanConfig{},
+                                      env_.config(), g, r, c, values_,
+                                      cells_);
+    }
+    int build_aco(const PheromoneField& pher, const AcoParams& params,
+                  Group g, int r, int c) {
+        return build_candidates_aco_t(
+            EnvEmpty(env_),
+            [&](int nr, int nc) { return pher.at(g, nr, nc); }, df_, params,
+            ScanConfig{}, env_.config(), g, r, c, values_, cells_);
+    }
 
     Environment env_;
     grid::DistanceField df_;
@@ -29,8 +44,7 @@ class RulesTest : public ::testing::Test {
 
 TEST_F(RulesTest, LemAllNeighborsEmptyYieldsEight) {
     env_.place(10, 10, Group::kTop, 1);
-    const int n = build_candidates_lem(env_, df_, Group::kTop, 10, 10,
-                                       values_, cells_);
+    const int n = build_lem(Group::kTop, 10, 10);
     EXPECT_EQ(n, 8);
     // Distance-ascending (the paper's sorted scan row).
     for (int i = 1; i < n; ++i) EXPECT_GE(values_[i], values_[i - 1]);
@@ -42,8 +56,7 @@ TEST_F(RulesTest, LemOccupiedNeighborsAreExcluded) {
     env_.place(10, 10, Group::kTop, 1);
     env_.place(11, 10, Group::kTop, 2);  // forward cell occupied
     env_.place(10, 9, Group::kBottom, 3);
-    const int n = build_candidates_lem(env_, df_, Group::kTop, 10, 10,
-                                       values_, cells_);
+    const int n = build_lem(Group::kTop, 10, 10);
     EXPECT_EQ(n, 6);
     for (int i = 0; i < n; ++i) {
         EXPECT_NE(cells_[i], 0);  // fwd (#1) gone
@@ -53,8 +66,7 @@ TEST_F(RulesTest, LemOccupiedNeighborsAreExcluded) {
 
 TEST_F(RulesTest, LemCornerAgentSeesOnlyInGridCells) {
     env_.place(0, 0, Group::kTop, 1);
-    const int n =
-        build_candidates_lem(env_, df_, Group::kTop, 0, 0, values_, cells_);
+    const int n = build_lem(Group::kTop, 0, 0);
     EXPECT_EQ(n, 3);  // S, SE, E
 }
 
@@ -64,15 +76,13 @@ TEST_F(RulesTest, LemFullyEnclosedAgentHasNoCandidates) {
     for (const auto off : grid::kNeighborOffsets) {
         env_.place(10 + off.dr, 10 + off.dc, Group::kBottom, id++);
     }
-    const int n = build_candidates_lem(env_, df_, Group::kTop, 10, 10,
-                                       values_, cells_);
+    const int n = build_lem(Group::kTop, 10, 10);
     EXPECT_EQ(n, 0);
 }
 
 TEST_F(RulesTest, LemBottomGroupMirrorsOrdering) {
     env_.place(10, 10, Group::kBottom, 1);
-    const int n = build_candidates_lem(env_, df_, Group::kBottom, 10, 10,
-                                       values_, cells_);
+    const int n = build_lem(Group::kBottom, 10, 10);
     EXPECT_EQ(n, 8);
     EXPECT_EQ(cells_[0], grid::forward_neighbor(Group::kBottom));
     for (int i = 1; i < n; ++i) EXPECT_GE(values_[i], values_[i - 1]);
@@ -88,8 +98,7 @@ TEST_F(RulesTest, AcoNumeratorMatchesEquationTwo) {
     pher.deposit(Group::kTop, 11, 10, 0.7);  // forward cell now tau = 1.0
 
     env_.place(10, 10, Group::kTop, 1);
-    const int n = build_candidates_aco(env_, df_, pher, params, Group::kTop,
-                                       10, 10, values_, cells_);
+    const int n = build_aco(pher, params, Group::kTop, 10, 10);
     ASSERT_EQ(n, 8);
     // Slot 0 is the forward cell (ranked order): tau = 1.0, d = 20.
     const double d0 = df_.distance(Group::kTop, 11, 0);
@@ -108,12 +117,10 @@ TEST_F(RulesTest, AcoPheromoneBiasesWeights) {
     PheromoneField pher(env_.config(), 0.1, 1e-3);
     env_.place(10, 10, Group::kTop, 1);
 
-    build_candidates_aco(env_, df_, pher, params, Group::kTop, 10, 10,
-                         values_, cells_);
+    build_aco(pher, params, Group::kTop, 10, 10);
     const double before = values_[1];
     pher.deposit(Group::kTop, 11, 9, 5.0);  // boost SW diagonal (#2, slot 1)
-    build_candidates_aco(env_, df_, pher, params, Group::kTop, 10, 10,
-                         values_, cells_);
+    build_aco(pher, params, Group::kTop, 10, 10);
     EXPECT_GT(values_[1], 10.0 * before);
 }
 
@@ -122,8 +129,7 @@ TEST_F(RulesTest, AcoReadsOwnGroupsField) {
     PheromoneField pher(env_.config(), 0.1, 1e-3);
     pher.deposit(Group::kBottom, 11, 10, 100.0);  // other group's trail
     env_.place(10, 10, Group::kTop, 1);
-    build_candidates_aco(env_, df_, pher, params, Group::kTop, 10, 10,
-                         values_, cells_);
+    build_aco(pher, params, Group::kTop, 10, 10);
     const double d0 = df_.distance(Group::kTop, 11, 0);
     EXPECT_NEAR(values_[0], 0.1 * std::pow(1.0 / d0, 2.0), 1e-12);
 }
@@ -134,8 +140,7 @@ TEST_F(RulesTest, AcoDistanceGuardNearTarget) {
     env_.place(30, 10, Group::kTop, 1);
     AcoParams params;
     PheromoneField pher(env_.config(), 0.1, 1e-3);
-    const int n = build_candidates_aco(env_, df_, pher, params, Group::kTop,
-                                       30, 10, values_, cells_);
+    const int n = build_aco(pher, params, Group::kTop, 30, 10);
     ASSERT_GT(n, 0);
     for (int i = 0; i < n; ++i) {
         EXPECT_TRUE(std::isfinite(values_[i]));
@@ -144,23 +149,6 @@ TEST_F(RulesTest, AcoDistanceGuardNearTarget) {
 }
 
 // --- Selection ------------------------------------------------------------------
-
-TEST(Selection, LemStronglyPrefersFirstSlot) {
-    rng::Stream s(1, rng::Stage::kGeneric, 0, 0);
-    int first = 0;
-    const int n = 20000;
-    for (int i = 0; i < n; ++i) first += (select_lem(s, 8, 1.0) == 0);
-    EXPECT_GT(static_cast<double>(first) / n, 0.6);
-}
-
-TEST(Selection, AcoFollowsWeights) {
-    rng::Stream s(2, rng::Stage::kGeneric, 0, 0);
-    const double w[4] = {8.0, 1.0, 0.5, 0.5};
-    int first = 0;
-    const int n = 20000;
-    for (int i = 0; i < n; ++i) first += (select_aco(s, w, 4) == 0);
-    EXPECT_NEAR(static_cast<double>(first) / n, 0.8, 0.02);
-}
 
 TEST(Selection, WinnerUniformAmongProposers) {
     int hist[3] = {0, 0, 0};
@@ -222,14 +210,6 @@ TEST(Pheromone, DepositAccumulates) {
     pher.deposit(Group::kBottom, 5, 6, 0.3);
     EXPECT_NEAR(pher.at(Group::kBottom, 5, 6), 0.8, 1e-12);
     EXPECT_NEAR(pher.at(Group::kTop, 5, 6), 0.1, 1e-12);  // isolated fields
-}
-
-TEST(Pheromone, TotalTracksDeposits) {
-    PheromoneField pher(GridConfig{32, 32}, 0.0, 0.0);
-    EXPECT_DOUBLE_EQ(pher.total(Group::kTop), 0.0);
-    pher.deposit(Group::kTop, 0, 0, 1.5);
-    pher.deposit(Group::kTop, 1, 1, 2.5);
-    EXPECT_DOUBLE_EQ(pher.total(Group::kTop), 4.0);
 }
 
 }  // namespace

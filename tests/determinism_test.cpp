@@ -209,7 +209,7 @@ TEST(Determinism, RunnerBatchIdenticalAcrossBatchAndEngineThreads) {
     base_opts.steps_override = 20;
     base_opts.threads = 1;
     const auto base =
-        scenario::ScenarioRunner(base_opts).run_registry();
+        scenario::ScenarioRunner(base_opts).run(scenario::all());
     ASSERT_FALSE(base.empty());
 
     for (const int threads : counts) {
@@ -217,7 +217,7 @@ TEST(Determinism, RunnerBatchIdenticalAcrossBatchAndEngineThreads) {
         // Batch-level parallelism: jobs fan out, records keep batch order.
         scenario::RunnerOptions batch = base_opts;
         batch.threads = threads;
-        const auto got = scenario::ScenarioRunner(batch).run_registry();
+        const auto got = scenario::ScenarioRunner(batch).run(scenario::all());
         ASSERT_EQ(got.size(), base.size()) << threads;
         for (std::size_t i = 0; i < base.size(); ++i) {
             EXPECT_EQ(got[i].scenario, base[i].scenario) << i;
@@ -233,7 +233,7 @@ TEST(Determinism, RunnerBatchIdenticalAcrossBatchAndEngineThreads) {
         // Engine-level parallelism through the runner override.
         scenario::RunnerOptions engine = base_opts;
         engine.engine_threads = threads;
-        const auto eng = scenario::ScenarioRunner(engine).run_registry();
+        const auto eng = scenario::ScenarioRunner(engine).run(scenario::all());
         ASSERT_EQ(eng.size(), base.size()) << threads;
         for (std::size_t i = 0; i < base.size(); ++i) {
             EXPECT_EQ(eng[i].fingerprint, base[i].fingerprint)

@@ -12,7 +12,6 @@
 #include "core/gpu_simulator.hpp"
 #include "core/metrics.hpp"
 #include "core/rules.hpp"
-#include "test_candidates.hpp"
 
 namespace pedsim::core {
 namespace {
@@ -123,9 +122,9 @@ TEST(Panic, FleeRuleRanksAwayFromEpicentre) {
     panic.col = 10;  // directly north of the agent
     double values[8];
     std::int8_t cells[8];
-    auto empty = [&](int r, int c) { return env.walkable(r, c); };
-    const int n = build_candidates_flee_t(empty, panic, grid::Group::kTop,
-                                          10, 10, values, cells);
+    const int n = build_candidates_flee_t(EnvEmpty(env), panic,
+                                          grid::Group::kTop, 10, 10, values,
+                                          cells);
     ASSERT_EQ(n, 8);
     // Best slots are the south diagonals: from (10,10) with the epicentre
     // at (9,10), cells (11,9)/(11,11) sit sqrt(5) away vs 2.0 for straight
@@ -144,12 +143,12 @@ TEST(Panic, PanickedAcoAgentsDoNotDeposit) {
     cfg.panic.row = 32;
     cfg.panic.col = 32;
     cfg.panic.radius = 100.0;  // everyone panics
-    cfg.aco.rho = 0.0;         // no evaporation: total tau must stay flat
+    cfg.aco.rho = 0.0;         // no evaporation: every tau must stay put
     cfg.aco.tau0 = 0.5;
     const auto sim = backend::make_engine(backend::DeviceType::kCpu, cfg);
-    const double t0 = sim->pheromone()->total(grid::Group::kTop);
+    const auto before = sim->pheromone()->raw(grid::Group::kTop);
     sim->run(10);
-    EXPECT_DOUBLE_EQ(sim->pheromone()->total(grid::Group::kTop), t0);
+    EXPECT_EQ(sim->pheromone()->raw(grid::Group::kTop), before);
 }
 
 TEST(Panic, EnginesStayBitIdenticalUnderPanic) {
@@ -249,7 +248,7 @@ TEST(ScanRange, RayCongestionCountsOccupiedCells) {
     grid::Environment env(grid::GridConfig{32, 32});
     env.place(12, 10, grid::Group::kBottom, 1);
     env.place(13, 10, grid::Group::kBottom, 2);
-    auto empty = [&](int r, int c) { return env.walkable(r, c); };
+    const EnvEmpty empty(env);
     // Ray from candidate (11,10) heading south: cells (12,10),(13,10),(14,10).
     const double c4 = ray_congestion(empty, 11, 10, 1, 0, 4,
                                      grid::GridConfig{32, 32});
@@ -262,7 +261,7 @@ TEST(ScanRange, RayCongestionCountsOccupiedCells) {
 
 TEST(ScanRange, OffGridCountsAsFree) {
     grid::Environment env(grid::GridConfig{32, 32});
-    auto empty = [&](int r, int c) { return env.walkable(r, c); };
+    const EnvEmpty empty(env);
     // Ray from (30,10) south leaves the grid: no congestion penalty.
     EXPECT_DOUBLE_EQ(ray_congestion(empty, 30, 10, 1, 0, 5,
                                     grid::GridConfig{32, 32}),
@@ -278,16 +277,15 @@ TEST(ScanRange, LemLookAheadDemotesCongestedForwardPath) {
     env.place(12, 10, grid::Group::kBottom, 3);
     env.place(12, 11, grid::Group::kBottom, 4);
 
-    auto empty = [&](int r, int c) { return env.walkable(r, c); };
     double values[8];
     std::int8_t cells[8];
 
     ScanConfig wide;
     wide.range = 3;
     wide.congestion_weight = 1.0;
-    const int n = build_candidates_lem_scan_t(
-        empty, df, wide, grid::GridConfig{32, 32}, grid::Group::kTop, 10,
-        10, values, cells);
+    const int n = build_candidates_lem_t(EnvEmpty(env), df, wide,
+                                         env.config(), grid::Group::kTop, 10,
+                                         10, values, cells);
     ASSERT_EQ(n, 8);
     // The straight-ahead cell (offset #1) is no longer the top candidate —
     // a diagonal that slips past the wall outranks it.
@@ -296,26 +294,30 @@ TEST(ScanRange, LemLookAheadDemotesCongestedForwardPath) {
     for (int i = 1; i < n; ++i) EXPECT_GE(values[i], values[i - 1]);
 }
 
-TEST(ScanRange, RangeOneEqualsPaperBuilder) {
+TEST(ScanRange, AcoLookAheadDiscountsByVisibleCongestion) {
     grid::Environment env(grid::GridConfig{32, 32});
     const grid::DistanceField df(grid::GridConfig{32, 32});
     env.place(10, 10, grid::Group::kTop, 1);
-    env.place(11, 11, grid::Group::kBottom, 2);
-
-    auto empty = [&](int r, int c) { return env.walkable(r, c); };
-    double v1[8], v2[8];
-    std::int8_t c1[8], c2[8];
-    ScanConfig narrow;  // range 1
-    const int n1 = build_candidates_lem_scan_t(
-        empty, df, narrow, grid::GridConfig{32, 32}, grid::Group::kTop, 10,
-        10, v1, c1);
-    const int n2 =
-        build_candidates_lem(env, df, grid::Group::kTop, 10, 10, v2, c2);
-    ASSERT_EQ(n1, n2);
-    for (int i = 0; i < n1; ++i) {
-        EXPECT_EQ(c1[i], c2[i]);
-        EXPECT_DOUBLE_EQ(v1[i], v2[i]);
-    }
+    env.place(12, 10, grid::Group::kBottom, 2);  // 1 of 2 cells past fwd
+    const auto tau = [](int, int) { return 0.3; };
+    AcoParams params;
+    double plain[8], wide[8];
+    std::int8_t plain_cells[8], wide_cells[8];
+    ScanConfig range3;
+    range3.range = 3;
+    range3.congestion_weight = 1.0;
+    const int n = build_candidates_aco_t(EnvEmpty(env), tau, df, params,
+                                         ScanConfig{}, env.config(),
+                                         grid::Group::kTop, 10, 10, plain,
+                                         plain_cells);
+    ASSERT_EQ(build_candidates_aco_t(EnvEmpty(env), tau, df, params, range3,
+                                     env.config(), grid::Group::kTop, 10,
+                                     10, wide, wide_cells),
+              n);
+    // Slot 0 is the forward cell (11, 10): its ray sees (12, 10) taken
+    // and (13, 10) free, so eq. (2)'s numerator is halved.
+    ASSERT_EQ(wide_cells[0], 0);
+    EXPECT_EQ(wide[0], plain[0] * 0.5);
 }
 
 TEST(ScanRange, EnginesStayBitIdenticalWithLookAhead) {

@@ -66,17 +66,12 @@ TEST(Neighborhood, RankedOrderIsDistanceAscending) {
         const int r = 30;  // mid-grid
         double prev = -1.0;
         for (const int k : ranked_order(g)) {
-            const double d = df.neighbor_distance(g, r, k);
+            const auto off = kNeighborOffsets[static_cast<std::size_t>(k)];
+            const double d = df.distance(g, r + off.dr, off.dc);
             EXPECT_GE(d, prev - 1e-12);
             prev = d;
         }
     }
-}
-
-TEST(Neighborhood, OppositeGroups) {
-    EXPECT_EQ(opposite(Group::kTop), Group::kBottom);
-    EXPECT_EQ(opposite(Group::kBottom), Group::kTop);
-    EXPECT_EQ(opposite(Group::kNone), Group::kNone);
 }
 
 // --- Environment ----------------------------------------------------------
@@ -236,7 +231,8 @@ TEST(DistanceField, PaperCellOrderingHoldsMidGrid) {
     const DistanceField df(GridConfig{480, 480});
     const int r = 100;
     const auto d = [&](int k) {
-        return df.neighbor_distance(Group::kTop, r, k);
+        const auto off = kNeighborOffsets[static_cast<std::size_t>(k)];
+        return df.distance(Group::kTop, r + off.dr, off.dc);
     };
     EXPECT_LT(d(0), d(1));               // fwd < fwd-diag
     EXPECT_DOUBLE_EQ(d(1), d(2));        // the two fwd diagonals tie

