@@ -9,16 +9,12 @@
 // printed so a reader can tell exactly what was run.
 #pragma once
 
-#include <algorithm>
 #include <cstdio>
-#include <initializer_list>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/cpu_simulator.hpp"
-#include "core/gpu_simulator.hpp"
 #include "io/args.hpp"
 #include "io/csv.hpp"
 #include "io/strict_parse.hpp"
@@ -73,56 +69,6 @@ inline std::size_t scaled_agents_per_side(int density_index, int grid_edge) {
 inline double timed_run(core::Simulator& sim, int warmup, int measure) {
     sim.run(warmup);
     return sim.run(measure).wall_seconds / measure;
-}
-
-/// A measured window of the gpu-simt engine: the launches of `steps`
-/// steps run after unmeasured warmup steps. Every modeled number of
-/// fig5_exec_time and ablation_simt is read from a window through here.
-struct GpuWindow {
-    int steps = 0;
-    std::vector<simt::LaunchRecord> launches;
-
-    /// Summed operation counts of the launches of the named kernels
-    /// (of every launch when `kernels` is empty).
-    [[nodiscard]] simt::KernelStats stats(
-        std::initializer_list<std::string_view> kernels = {}) const {
-        simt::KernelStats out;
-        for (const auto& rec : launches) {
-            if (selects(kernels, rec)) out.merge(rec.stats);
-        }
-        return out;
-    }
-
-    /// Modeled seconds per step of the same launches, each launch costed
-    /// by `timing`. TimingModel(DeviceSpec::gtx560ti()) gives back the
-    /// engine's own LaunchRecord::modeled_seconds; another device's model
-    /// re-costs the same kernel stream.
-    [[nodiscard]] double seconds_per_step(
-        const simt::TimingModel& timing,
-        std::initializer_list<std::string_view> kernels = {}) const {
-        double seconds = 0.0;
-        for (const auto& rec : launches) {
-            if (selects(kernels, rec)) seconds += timing.seconds(rec.stats);
-        }
-        return seconds / steps;
-    }
-
-  private:
-    static bool selects(std::initializer_list<std::string_view> kernels,
-                        const simt::LaunchRecord& rec) {
-        return kernels.size() == 0 ||
-               std::find(kernels.begin(), kernels.end(), rec.kernel_name) !=
-                   kernels.end();
-    }
-};
-
-inline GpuWindow gpu_window(core::GpuSimulator& sim, int warmup,
-                            int measure) {
-    sim.run(warmup);
-    const auto& log = sim.launch_log().records();
-    const auto before = static_cast<std::ptrdiff_t>(log.size());
-    sim.run(measure);
-    return {measure, {log.begin() + before, log.end()}};
 }
 
 /// CSV output directory (bench binaries drop series next to the binary).

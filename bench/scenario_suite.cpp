@@ -118,7 +118,7 @@ std::vector<scenario::RunRecord> run_remote(
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     const io::ArgParser args(argc, argv);
     if (args.has("help")) {
         std::puts(
@@ -146,34 +146,29 @@ int main(int argc, char** argv) {
     }
 
     scenario::RunnerOptions opts;
-    try {
-        // io::ArgParser ignores unknown flags, so the removed ones would
-        // otherwise run the full registry silently.
-        for (const char* removed : {"json", "repeats"}) {
-            if (args.has(removed)) {
-                throw std::invalid_argument(
-                    std::string("--") + removed +
-                    " was removed; perfbench/run.py and tools/perf_ab.py "
-                    "measure performance");
-            }
+    // io::ArgParser ignores unknown flags, so the removed ones would
+    // otherwise run the full registry silently.
+    for (const char* removed : {"json", "repeats"}) {
+        if (args.has(removed)) {
+            throw std::invalid_argument(
+                std::string("--") + removed +
+                " was removed; perfbench/run.py and tools/perf_ab.py "
+                "measure performance");
         }
-        opts.engines = backend::engines_from_args(args, opts.engines);
-        for (const auto& m : split_csv(args.get("models", ""))) {
-            if (m == "lem") {
-                opts.models.push_back(core::Model::kLem);
-            } else if (m == "aco") {
-                opts.models.push_back(core::Model::kAco);
-            } else {
-                throw std::invalid_argument("unknown model: " + m);
-            }
-        }
-        opts.steps_override = args.get_int32("steps", 0, 0);
-        opts.threads = args.get_threads();
-        opts.engine_threads = args.get_int32("engine-threads", 0, 0);
-    } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return 1;
     }
+    opts.engines = backend::engines_from_args(args, opts.engines);
+    for (const auto& m : split_csv(args.get("models", ""))) {
+        if (m == "lem") {
+            opts.models.push_back(core::Model::kLem);
+        } else if (m == "aco") {
+            opts.models.push_back(core::Model::kAco);
+        } else {
+            throw std::invalid_argument("unknown model: " + m);
+        }
+    }
+    opts.steps_override = args.get_int32("steps", 0, 0);
+    opts.threads = args.get_threads();
+    opts.engine_threads = args.get_int32("engine-threads", 0, 0);
 
     std::vector<scenario::Scenario> scenarios;
     std::vector<bool> from_registry;  // remote submission: by name vs text
@@ -183,37 +178,23 @@ int main(int argc, char** argv) {
     }
     for (const auto& name : args.positional()) {
         if (!scenario::has(name)) {
-            std::fprintf(stderr, "unknown scenario: %s\n", name.c_str());
-            return 1;
+            throw std::invalid_argument("unknown scenario: " + name);
         }
         scenarios.push_back(scenario::get(name));
         from_registry.push_back(true);
     }
     if (args.has("file")) {
-        try {
-            scenarios.push_back(io::load_scenario_file(args.get("file")));
-            from_registry.push_back(false);
-        } catch (const std::exception& e) {
-            std::fprintf(stderr, "%s\n", e.what());
-            return 1;
-        }
+        scenarios.push_back(io::load_scenario_file(args.get("file")));
+        from_registry.push_back(false);
     }
 
     obs::ObsSession session(args);
     const scenario::ScenarioRunner runner(opts);
     const obs::Stopwatch batch_watch;
-    std::vector<scenario::RunRecord> records;
-    if (args.has("server")) {
-        try {
-            records = run_remote(runner, scenarios, from_registry,
-                                 args.get("server"), opts);
-        } catch (const std::exception& e) {
-            std::fprintf(stderr, "%s\n", e.what());
-            return 1;
-        }
-    } else {
-        records = runner.run(scenarios);
-    }
+    const auto records =
+        args.has("server") ? run_remote(runner, scenarios, from_registry,
+                                        args.get("server"), opts)
+                           : runner.run(scenarios);
     const double batch_wall = batch_watch.seconds();
     session.finish();
     std::fputs(scenario::ScenarioRunner::summary_table(records).c_str(),
@@ -250,4 +231,7 @@ int main(int argc, char** argv) {
         std::printf("\nwrote %s\n", args.get("csv").c_str());
     }
     return 0;
+} catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
 }

@@ -2,10 +2,13 @@
 //
 // Builds a small bi-directional scenario, runs both movement models on both
 // engines, and prints throughput plus the GPU engine's modeled kernel
-// profile. Run with no arguments; see --help for the knobs.
+// profile. The engines must end every run in the same positions, or it
+// exits 1. Run with no arguments; see --help for the knobs.
 //
 //   ./quickstart [--agents=640] [--steps=400] [--grid=96] [--seed=42]
 #include <cstdio>
+#include <stdexcept>
+#include <string>
 
 #include "backend/device.hpp"
 #include "core/cpu_simulator.hpp"
@@ -14,6 +17,7 @@
 #include "io/args.hpp"
 #include "io/table.hpp"
 #include "obs/cli.hpp"
+#include "scenario/runner.hpp"
 
 using namespace pedsim;
 
@@ -69,8 +73,12 @@ int main(int argc, char** argv) try {
              io::TablePrinter::num(gpu_result.wall_seconds, 3),
              io::TablePrinter::num(gpu_result.modeled_device_seconds, 4)});
 
-        if (gpu_result.crossed_total() != cpu_result.crossed_total()) {
-            std::printf("WARNING: engines disagree for %s!\n", model_name);
+        if (scenario::position_fingerprint(*gpu) !=
+            scenario::position_fingerprint(*cpu)) {
+            throw std::runtime_error(std::string("engines disagree for ") +
+                                     model_name +
+                                     ": cpu and gpu-simt end in different "
+                                     "positions");
         }
     }
     table.print();

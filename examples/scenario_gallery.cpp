@@ -83,7 +83,7 @@ void run_frames(core::Simulator& sim, const core::SimConfig& cfg, int steps,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     const io::ArgParser args(argc, argv);
     if (args.has("help")) {
         std::puts(
@@ -103,31 +103,25 @@ int main(int argc, char** argv) {
     }
     obs::ObsSession session(args);
 
+    const int preview = args.get_int32("preview", 0, 0);
+    const int frame_every = args.get_int32("frame-every", 0, 0);
+    if (frame_every > 0 && preview == 0) {
+        throw std::invalid_argument(
+            "--frame-every: frames come from a --preview=N run");
+    }
+    const int threads = args.get_threads();
     std::vector<scenario::Scenario> scenarios;
-    int preview = 0, frame_every = 0, threads = 0;
-    try {
-        preview = args.get_int32("preview", 0, 0);
-        frame_every = args.get_int32("frame-every", 0, 0);
-        if (frame_every > 0 && preview == 0) {
-            throw std::invalid_argument(
-                "--frame-every: frames come from a --preview=N run");
+    if (args.positional().empty() && !args.has("file")) {
+        scenarios = scenario::all();
+    }
+    for (const auto& name : args.positional()) {
+        if (!scenario::has(name)) {
+            throw std::invalid_argument("unknown scenario: " + name);
         }
-        threads = args.get_threads();
-        if (args.positional().empty() && !args.has("file")) {
-            scenarios = scenario::all();
-        }
-        for (const auto& name : args.positional()) {
-            if (!scenario::has(name)) {
-                throw std::invalid_argument("unknown scenario: " + name);
-            }
-            scenarios.push_back(scenario::get(name));
-        }
-        if (args.has("file")) {
-            scenarios.push_back(io::load_scenario_file(args.get("file")));
-        }
-    } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return 1;
+        scenarios.push_back(scenario::get(name));
+    }
+    if (args.has("file")) {
+        scenarios.push_back(io::load_scenario_file(args.get("file")));
     }
 
     for (auto& s : scenarios) {
@@ -161,28 +155,18 @@ int main(int argc, char** argv) {
             std::ofstream out(path);
             out << text;
             out.close();
-            if (!out) {
-                std::fprintf(stderr, "cannot write %s\n", path.c_str());
-                return 1;
-            }
+            if (!out) throw std::runtime_error("cannot write " + path);
             // Round-trip self-check: re-parse the exported file and
             // re-serialize; any serializer/parser drift fails the export.
-            try {
-                const auto back = io::load_scenario_file(path);
-                if (io::scenario_to_text(back) != text) {
-                    std::fprintf(stderr,
-                                 "round-trip drift: %s re-serializes "
-                                 "differently\n",
-                                 path.c_str());
-                    return 1;
-                }
-            } catch (const std::exception& e) {
-                std::fprintf(stderr, "round-trip parse of %s failed: %s\n",
-                             path.c_str(), e.what());
-                return 1;
+            if (io::scenario_to_text(io::load_scenario_file(path)) != text) {
+                throw std::runtime_error("round-trip drift: " + path +
+                                         " re-serializes differently");
             }
             std::printf("wrote %s (round-trip ok)\n\n", path.c_str());
         }
     }
     return 0;
+} catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
 }

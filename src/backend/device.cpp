@@ -73,15 +73,14 @@ std::unique_ptr<core::Simulator> make_engine(
         case DeviceType::kCpu:
             return std::make_unique<core::CpuSimulator>(cfg, std::move(warm));
         case DeviceType::kSimt:
-            return std::make_unique<core::GpuSimulator>(
-                cfg, core::GpuOptions{}, std::move(warm));
+            return std::make_unique<core::GpuSimulator>(cfg,
+                                                        std::move(warm));
     }
     throw std::invalid_argument("make_engine: unknown device type");
 }
 
-std::unique_ptr<core::GpuSimulator> make_simt(const core::SimConfig& cfg,
-                                              core::GpuOptions options) {
-    return std::make_unique<core::GpuSimulator>(cfg, std::move(options));
+std::unique_ptr<core::GpuSimulator> make_simt(const core::SimConfig& cfg) {
+    return std::make_unique<core::GpuSimulator>(cfg);
 }
 
 }  // namespace pedsim::backend

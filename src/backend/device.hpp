@@ -52,8 +52,7 @@ std::unique_ptr<core::Simulator> make_engine(
     std::shared_ptr<const core::DoorSchedule> warm = nullptr);
 
 /// Typed SIMT factory for harnesses that need engine-specific APIs
-/// (launch_log(), ablation GpuOptions).
-std::unique_ptr<core::GpuSimulator> make_simt(const core::SimConfig& cfg,
-                                              core::GpuOptions options = {});
+/// (launch_log(), staging_stats()).
+std::unique_ptr<core::GpuSimulator> make_simt(const core::SimConfig& cfg);
 
 }  // namespace pedsim::backend

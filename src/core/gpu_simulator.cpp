@@ -1,5 +1,6 @@
 #include "core/gpu_simulator.hpp"
 
+#include <stdexcept>
 #include <string>
 
 #include "core/rules.hpp"
@@ -40,20 +41,67 @@ struct TourShared {
     std::array<double, 32 * grid::kNeighborCount> values{};
 };
 
+/// The global planes a tiled kernel stages. The views carry the padded
+/// environment rows' stride; pheromone planes are dense.
+struct TileViews {
+    simt::GlobalView<std::uint8_t> occ;
+    simt::GlobalView<std::int32_t> idx;
+    simt::GlobalView<double> pher_top, pher_bottom;
+    bool pheromone = false;
+};
+
+/// Mat and index, plus both pheromone planes when `pher` is given.
+TileViews tile_views(const grid::Environment& env,
+                     const PheromoneField* pher) {
+    TileViews v;
+    v.occ = {env.occ_row(0), env.rows(), env.cols(), env.stride()};
+    v.idx = {env.idx_row(0), env.rows(), env.cols(), env.stride()};
+    if (pher != nullptr) {
+        v.pher_top = {pher->raw(grid::Group::kTop).data(), env.rows(),
+                      env.cols()};
+        v.pher_bottom = {pher->raw(grid::Group::kBottom).data(), env.rows(),
+                         env.cols()};
+        v.pheromone = true;
+    }
+    return v;
+}
+
 // Off-grid halo fill and in-grid static walls share grid::kWallOcc: both
 // read as occupied in every emptiness test, with index 0 so the dump row
 // absorbs any work a wall-assigned thread produces.
 using grid::kWallOcc;
 
+/// Phase 0 of both tiled kernels: stage the tiles (paper Fig. 3) with the
+/// warp-remapped loader or the naive one. Walls read as occupied.
+void stage_tiles(simt::ThreadCtx& ctx, TileShared& sh, const TileViews& v,
+                 bool remapped) {
+    const auto load = [&](auto& tile, const auto& view, auto wall) {
+        if (remapped) {
+            tile.load_halo_remapped(ctx, view, wall);
+        } else {
+            tile.load_halo_naive(ctx, view, wall);
+        }
+    };
+    load(sh.occ, v.occ, kWallOcc);
+    load(sh.idx, v.idx, std::int32_t{0});
+    if (v.pheromone) {
+        load(sh.pher_top, v.pher_top, 0.0);
+        load(sh.pher_bottom, v.pher_bottom, 0.0);
+    }
+}
+
+/// Both tiled kernels launch one 16x16 block per tile of the grid.
+constexpr simt::Dim2 kTileBlock{simt::kTileEdge, simt::kTileEdge};
+
+simt::Dim2 tile_grid(const grid::Environment& env) {
+    return {env.cols() / simt::kTileEdge, env.rows() / simt::kTileEdge};
+}
+
 }  // namespace
 
-GpuSimulator::GpuSimulator(const SimConfig& config, GpuOptions options)
-    : GpuSimulator(config, std::move(options), nullptr) {}
-
-GpuSimulator::GpuSimulator(const SimConfig& config, GpuOptions options,
+GpuSimulator::GpuSimulator(const SimConfig& config,
                            std::shared_ptr<const DoorSchedule> warm)
     : Simulator(config, std::move(warm)),
-      options_(std::move(options)),
       timing_(simt::DeviceSpec::gtx560ti()),
       scan_(props_.agent_count()),
       winner_(env_.config().cell_count(), 0) {}
@@ -85,6 +133,22 @@ void GpuSimulator::record(const char* name, simt::Dim2 grid, simt::Dim2 block,
     log_.add(std::move(rec));
 }
 
+simt::KernelStats GpuSimulator::staging_stats(std::string_view kernel,
+                                              bool remapped) const {
+    if (kernel != "initial_calc" && kernel != "movement") {
+        throw std::invalid_argument("staging_stats: '" + std::string(kernel) +
+                                    "' is not a tiled kernel");
+    }
+    const TileViews views =
+        tile_views(env_, kernel == "initial_calc" ? pher_.get() : nullptr);
+    return simt::launch<TileShared>(
+        timing_.spec(), tile_grid(env_), kTileBlock, /*phases=*/1,
+        [&](simt::ThreadCtx& ctx, TileShared& sh, int) {
+            stage_tiles(ctx, sh, views, remapped);
+        },
+        config_.exec);
+}
+
 void GpuSimulator::stage_reset() {
     // Supporting kernel (section IV.e): one thread per property/scan row.
     const auto rows = static_cast<int>(props_.rows());
@@ -109,46 +173,14 @@ void GpuSimulator::stage_reset() {
 }
 
 void GpuSimulator::stage_initial_calc() {
-    const simt::Dim2 block{simt::kTileEdge, simt::kTileEdge};
-    const simt::Dim2 grid{env_.cols() / simt::kTileEdge,
-                          env_.rows() / simt::kTileEdge};
-    // The environment's rows are padded; the views carry the stride so
-    // kernel-side (r, c) addressing is unchanged. Pheromone fields stay
-    // dense (stride = cols default).
-    const simt::GlobalView<std::uint8_t> occ_view{
-        env_.occ_row(0), env_.rows(), env_.cols(), env_.stride()};
-    const simt::GlobalView<std::int32_t> idx_view{
-        env_.idx_row(0), env_.rows(), env_.cols(), env_.stride()};
-    const bool aco = config_.model == Model::kAco;
-    simt::GlobalView<double> ptop_view, pbot_view;
-    if (aco) {
-        ptop_view = {pher_->raw(grid::Group::kTop).data(), env_.rows(),
-                     env_.cols()};
-        pbot_view = {pher_->raw(grid::Group::kBottom).data(), env_.rows(),
-                     env_.cols()};
-    }
+    const simt::Dim2 grid = tile_grid(env_);
+    const TileViews views = tile_views(env_, pher_.get());
 
     auto stats = simt::launch<TileShared>(
-        timing_.spec(), grid, block, /*phases=*/2,
+        timing_.spec(), grid, kTileBlock, /*phases=*/2,
         [&](simt::ThreadCtx& ctx, TileShared& sh, int phase) {
             if (phase == 0) {
-                // Stage the tiles (paper Fig. 3). The index/pheromone tiles
-                // reuse the same remapping; walls read as occupied.
-                if (options_.remapped_halo_load) {
-                    sh.occ.load_halo_remapped(ctx, occ_view, kWallOcc);
-                    sh.idx.load_halo_remapped(ctx, idx_view, 0);
-                    if (aco) {
-                        sh.pher_top.load_halo_remapped(ctx, ptop_view, 0.0);
-                        sh.pher_bottom.load_halo_remapped(ctx, pbot_view, 0.0);
-                    }
-                } else {
-                    sh.occ.load_halo_naive(ctx, occ_view, kWallOcc);
-                    sh.idx.load_halo_naive(ctx, idx_view, 0);
-                    if (aco) {
-                        sh.pher_top.load_halo_naive(ctx, ptop_view, 0.0);
-                        sh.pher_bottom.load_halo_naive(ctx, pbot_view, 0.0);
-                    }
-                }
+                stage_tiles(ctx, sh, views, /*remapped=*/true);
                 return;
             }
 
@@ -268,7 +300,7 @@ void GpuSimulator::stage_initial_calc() {
                                  grid::kNeighborCount * sizeof(double)));
         },
         config_.exec);
-    record("initial_calc", grid, block, std::move(stats));
+    record("initial_calc", grid, kTileBlock, std::move(stats));
 }
 
 void GpuSimulator::stage_tour_construction() {
@@ -332,28 +364,17 @@ void GpuSimulator::stage_tour_construction() {
 }
 
 void GpuSimulator::stage_movement(std::vector<Move>& out_moves) {
-    const simt::Dim2 block{simt::kTileEdge, simt::kTileEdge};
-    const simt::Dim2 grid{env_.cols() / simt::kTileEdge,
-                          env_.rows() / simt::kTileEdge};
-    const simt::GlobalView<std::uint8_t> occ_view{
-        env_.occ_row(0), env_.rows(), env_.cols(), env_.stride()};
-    const simt::GlobalView<std::int32_t> idx_view{
-        env_.idx_row(0), env_.rows(), env_.cols(), env_.stride()};
+    const simt::Dim2 grid = tile_grid(env_);
+    const TileViews views = tile_views(env_, nullptr);
     const bool aco = config_.model == Model::kAco;
 
     std::fill(winner_.begin(), winner_.end(), 0);
 
     auto stats = simt::launch<TileShared>(
-        timing_.spec(), grid, block, /*phases=*/2,
+        timing_.spec(), grid, kTileBlock, /*phases=*/2,
         [&](simt::ThreadCtx& ctx, TileShared& sh, int phase) {
             if (phase == 0) {
-                if (options_.remapped_halo_load) {
-                    sh.occ.load_halo_remapped(ctx, occ_view, kWallOcc);
-                    sh.idx.load_halo_remapped(ctx, idx_view, 0);
-                } else {
-                    sh.occ.load_halo_naive(ctx, occ_view, kWallOcc);
-                    sh.idx.load_halo_naive(ctx, idx_view, 0);
-                }
+                stage_tiles(ctx, sh, views, /*remapped=*/true);
                 return;
             }
 
@@ -399,11 +420,6 @@ void GpuSimulator::stage_movement(std::vector<Move>& out_moves) {
             }
             if (!ctx.branch(kSiteHasProposer, n > 0)) return;
 
-            if (options_.atomic_movement) {
-                // Ablation cost model: each proposer would have issued a
-                // global atomic CAS on this cell.
-                for (int a = 0; a < n; ++a) ctx.atomic();
-            }
             rng::Stream stream(config_.seed, rng::Stage::kMovement,
                                static_cast<std::uint64_t>(env_.flat(r, c)),
                                step_);
@@ -417,7 +433,7 @@ void GpuSimulator::stage_movement(std::vector<Move>& out_moves) {
                 sizeof(std::int32_t));
         },
         config_.exec);
-    record("movement", grid, block, std::move(stats));
+    record("movement", grid, kTileBlock, std::move(stats));
 
     // Host-side collection in row-major order — the same order the CPU
     // engine emits, so downstream state evolves identically.

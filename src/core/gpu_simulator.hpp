@@ -17,6 +17,8 @@
 // modeled GPUs share.
 #pragma once
 
+#include <string_view>
+
 #include "core/scan_matrix.hpp"
 #include "core/simulator.hpp"
 #include "simt/device_spec.hpp"
@@ -26,29 +28,27 @@
 
 namespace pedsim::core {
 
-struct GpuOptions {
-    /// Paper's warp-remapped halo load; false = naive boundary-thread
-    /// loads (tiling ablation).
-    bool remapped_halo_load = true;
-    /// Model the movement stage with per-proposer global atomics instead
-    /// of scatter-to-gather (conflict-resolution ablation). Semantics stay
-    /// gather-based (deterministic); only the cost model changes, the way
-    /// the paper argues atomics *would* have serialized.
-    bool atomic_movement = false;
-};
-
 class GpuSimulator final : public Simulator {
   public:
-    GpuSimulator(const SimConfig& config, GpuOptions options = {});
-    /// Warm-setup variant: reuse a precomputed door schedule (see the
+    /// The optional `warm` schedule skips the field precompute (see the
     /// Simulator base-class contract).
-    GpuSimulator(const SimConfig& config, GpuOptions options,
-                 std::shared_ptr<const DoorSchedule> warm);
+    explicit GpuSimulator(const SimConfig& config,
+                          std::shared_ptr<const DoorSchedule> warm = nullptr);
 
     [[nodiscard]] const simt::LaunchLog& launch_log() const { return log_; }
     [[nodiscard]] double modeled_seconds() const override {
         return log_.total_modeled_seconds();
     }
+
+    /// Operation counts of one tiled kernel's halo-staging phase alone
+    /// (`kernel` is "initial_calc" or "movement"), launched over this
+    /// engine's grid and buffers with the paper's warp-remapped loader or
+    /// the naive boundary-thread loader (section IV.b). Staging reads no
+    /// agent state, so these counts are the same at every step: swapping
+    /// the remapped counts for the naive ones in a launch record re-costs
+    /// that launch for the naive load.
+    [[nodiscard]] simt::KernelStats staging_stats(std::string_view kernel,
+                                                  bool remapped) const;
 
   protected:
     void stage_reset() override;
@@ -60,7 +60,6 @@ class GpuSimulator final : public Simulator {
     void record(const char* name, simt::Dim2 grid, simt::Dim2 block,
                 simt::KernelStats stats);
 
-    GpuOptions options_;
     simt::TimingModel timing_;
     simt::LaunchLog log_;
     /// The scan matrix in global memory: initial_calc stores each agent's

@@ -55,7 +55,11 @@ struct RunRecord {
     /// Authored waypoint-chain cells across both groups (0 = no chains) —
     /// the multi-goal workload axis for throughput-vs-waypoint sweeps.
     int waypoint_cells = 0;
-    /// Engine-internal thread count the run actually used.
+    /// The run's configured engine thread count: `sim.exec.threads` after
+    /// any RunnerOptions::engine_threads override (0 = hardware
+    /// concurrency). Not the count it ran on: in a parallel batch or a
+    /// server executor every engine slice runs inline on the pool worker
+    /// (the pool's nested-run rule, docs/SERVER.md).
     int engine_threads = 0;
     /// Wall time of engine construction — scenario validation, event
     /// expansion and every phase's geodesic field build. Kept separate

@@ -186,7 +186,10 @@ struct DoneMsg {
     std::uint64_t fingerprint = 0;
     core::RunResult result;
     double setup_seconds = 0.0;
-    /// The engine-internal thread count the run actually used.
+    /// The run's configured engine thread count
+    /// (scenario::RunRecord::engine_threads). Inside a server executor
+    /// every engine slice runs inline (the pool's nested-run rule,
+    /// docs/SERVER.md), so the job stepped on one thread.
     std::int32_t engine_threads = 0;
     bool cache_hit = false;
 };

@@ -90,7 +90,6 @@ class WarpTracker {
         }
     }
 
-    void atomic() { ++atomics_; }
     void rng_draw(std::uint32_t n) { rng_draws_ += n; }
 
     /// Fold this warp's lane data into kernel-level stats.
@@ -115,7 +114,6 @@ class WarpTracker {
         ks.global_store_bytes += store_bytes_;
         ks.shared_load_bytes += shared_load_bytes_;
         ks.shared_store_bytes += shared_store_bytes_;
-        ks.atomics += atomics_;
         ks.rng_draws += rng_draws_;
     }
 
@@ -141,7 +139,6 @@ class WarpTracker {
     std::uint64_t store_bytes_ = 0;
     std::uint64_t shared_load_bytes_ = 0;
     std::uint64_t shared_store_bytes_ = 0;
-    std::uint64_t atomics_ = 0;
     std::uint64_t rng_draws_ = 0;
 };
 
@@ -188,10 +185,6 @@ class ThreadCtx {
     }
     void shared_store(std::uint32_t bytes) {
         warp_->shared_access(bytes, true);
-        warp_->instr(1);
-    }
-    void atomic() {
-        warp_->atomic();
         warp_->instr(1);
     }
     void rng_draw(std::uint32_t n = 1) {

@@ -39,27 +39,20 @@ struct KernelStats {
     std::uint64_t shared_store_bytes = 0;
 
     /// Atomic operations (zero in the paper's design — scatter-to-gather
-    /// exists to keep it so; the ablation turns them back on).
+    /// exists to keep it so; fig5_exec_time's IV.d table re-costs the
+    /// movement kernel with one per proposal).
     std::uint64_t atomics = 0;
 
     /// Philox blocks consumed (CURAND stand-in cost accounting).
     std::uint64_t rng_draws = 0;
 
     void merge(const KernelStats& o) {
-        blocks += o.blocks;
-        warps += o.warps;
-        threads += o.threads;
-        warp_instructions += o.warp_instructions;
-        lane_instructions += o.lane_instructions;
-        branch_evals += o.branch_evals;
-        divergent_branches += o.divergent_branches;
-        global_load_bytes += o.global_load_bytes;
-        global_store_bytes += o.global_store_bytes;
-        global_transactions += o.global_transactions;
-        shared_load_bytes += o.shared_load_bytes;
-        shared_store_bytes += o.shared_store_bytes;
-        atomics += o.atomics;
-        rng_draws += o.rng_draws;
+        combine(o, [](std::uint64_t& a, std::uint64_t b) { a += b; });
+    }
+    /// The inverse of merge: take back counts merged in earlier (a
+    /// re-cost swaps one part of a launch's counts for another).
+    void subtract(const KernelStats& o) {
+        combine(o, [](std::uint64_t& a, std::uint64_t b) { a -= b; });
     }
 
     [[nodiscard]] double divergence_rate() const {
@@ -67,6 +60,25 @@ struct KernelStats {
                    ? 0.0
                    : static_cast<double>(divergent_branches) /
                          static_cast<double>(branch_evals);
+    }
+
+  private:
+    template <typename Op>
+    void combine(const KernelStats& o, Op op) {
+        op(blocks, o.blocks);
+        op(warps, o.warps);
+        op(threads, o.threads);
+        op(warp_instructions, o.warp_instructions);
+        op(lane_instructions, o.lane_instructions);
+        op(branch_evals, o.branch_evals);
+        op(divergent_branches, o.divergent_branches);
+        op(global_load_bytes, o.global_load_bytes);
+        op(global_store_bytes, o.global_store_bytes);
+        op(global_transactions, o.global_transactions);
+        op(shared_load_bytes, o.shared_load_bytes);
+        op(shared_store_bytes, o.shared_store_bytes);
+        op(atomics, o.atomics);
+        op(rng_draws, o.rng_draws);
     }
 };
 

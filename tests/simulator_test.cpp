@@ -259,21 +259,6 @@ INSTANTIATE_TEST_SUITE_P(
                std::to_string(info.param.seed);
     });
 
-TEST(ParityNaiveHalo, TileLoadStrategyDoesNotChangeResults) {
-    // The halo-load strategy is a performance choice; functional results
-    // must be identical either way.
-    const auto cfg = small_config(Model::kAco, 400, 9);
-    GpuOptions remapped, naive;
-    naive.remapped_halo_load = false;
-    const auto a = backend::make_simt(cfg, remapped);
-    const auto b = backend::make_simt(cfg, naive);
-    for (int s = 0; s < 40; ++s) {
-        a->step();
-        b->step();
-    }
-    EXPECT_TRUE(a->environment() == b->environment());
-}
-
 // --- Movement oracle: the host proposal walk vs the SIMT per-cell gather ------------
 //
 // The host engines resolve only the cells some agent proposed; the
@@ -875,7 +860,7 @@ TEST(GpuAccounting, FourKernelsPerStep) {
 }
 
 TEST(GpuAccounting, ModeledSecondsAreTheGtx560TiCostOfTheStats) {
-    // ablation_simt's Kepler column re-costs launch records with another
+    // fig5_exec_time's VII table re-costs launch records with another
     // TimingModel; it compares like with like only if each record's own
     // modeled time is the GTX 560 Ti model applied to its stats.
     const auto sim = backend::make_simt(small_config(Model::kAco, 200));
@@ -910,32 +895,10 @@ TEST(GpuAccounting, AcoCostsMoreThanLem) {
     EXPECT_GT(aco->modeled_seconds(), lem->modeled_seconds());
 }
 
-TEST(GpuAccounting, RemappedHaloReducesDivergence) {
-    const auto cfg = small_config(Model::kLem, 400);
-    GpuOptions naive;
-    naive.remapped_halo_load = false;
-    const auto a = backend::make_simt(cfg);
-    const auto b = backend::make_simt(cfg, naive);
-    for (int s = 0; s < 5; ++s) {
-        a->step();
-        b->step();
-    }
-    EXPECT_LT(a->launch_log().total_stats().divergence_rate(),
-              b->launch_log().total_stats().divergence_rate());
-}
-
 TEST(GpuAccounting, NoAtomicsInPaperConfiguration) {
     const auto sim = backend::make_simt(small_config(Model::kAco, 400));
     sim->run(5);
     EXPECT_EQ(sim->launch_log().total_stats().atomics, 0u);
-}
-
-TEST(GpuAccounting, AtomicAblationCountsAtomics) {
-    GpuOptions opt;
-    opt.atomic_movement = true;
-    const auto sim = backend::make_simt(small_config(Model::kAco, 400), opt);
-    sim->run(5);
-    EXPECT_GT(sim->launch_log().total_stats().atomics, 0u);
 }
 
 /// Every KernelStats counter but global_transactions, which coalesces on
@@ -1022,6 +985,95 @@ TEST(GpuAccounting, CostCountersArePinned) {
                     << kLayoutFreeCounters[k];
             }
         }
+    }
+}
+
+TEST(GpuAccounting, RemappedStagingIsDivergenceFree) {
+    // Section IV.b: the warp-remapped halo load walks the ring with the
+    // block's first warp only, so no warp diverges while staging; the
+    // naive boundary-thread load splits warps at every tile edge.
+    for (const auto model : {Model::kLem, Model::kAco}) {
+        const auto sim = backend::make_simt(small_config(model, 400));
+        for (const char* kernel : {"initial_calc", "movement"}) {
+            EXPECT_EQ(sim->staging_stats(kernel, true).divergent_branches,
+                      0u)
+                << kernel;
+            EXPECT_GT(sim->staging_stats(kernel, false).divergent_branches,
+                      0u)
+                << kernel;
+        }
+    }
+    const auto sim = backend::make_simt(small_config(Model::kLem));
+    EXPECT_THROW((void)sim->staging_stats("tour_construction", true),
+                 std::invalid_argument);
+}
+
+TEST(GpuAccounting, StagingCountersArePinned) {
+    // fig5_exec_time's IV.b table swaps each tiled launch's remapped
+    // staging counts for the naive ones. corridor_small (LEM) stages the
+    // mat and index tiles in both kernels; pillar_field's (ACO)
+    // initial_calc also stages both pheromone tiles. Staging reads no
+    // agent state, so the counts are the same before and after steps.
+    struct Pin {
+        const char* scenario;
+        const char* kernel;
+        bool remapped;
+        std::array<std::uint64_t, 13> counters;
+    };
+    constexpr std::array<std::uint64_t, 13> kMatIndexRemapped = {
+        16, 128, 4096, 1344, 37632, 128, 0, 25920, 0, 0, 25920, 0, 0};
+    constexpr std::array<std::uint64_t, 13> kMatIndexNaive = {
+        16, 128, 4096, 2528, 61128, 640, 320, 24500, 0, 0, 25920, 0, 0};
+    const Pin pins[] = {
+        {"corridor_small", "initial_calc", true, kMatIndexRemapped},
+        {"corridor_small", "initial_calc", false, kMatIndexNaive},
+        {"corridor_small", "movement", true, kMatIndexRemapped},
+        {"corridor_small", "movement", false, kMatIndexNaive},
+        {"pillar_field", "initial_calc", true,
+         {16, 128, 4096, 2688, 75264, 128, 0, 108864, 0, 0, 108864, 0, 0}},
+        {"pillar_field", "initial_calc", false,
+         {16, 128, 4096, 5056, 122256, 640, 320, 102900, 0, 0, 108864, 0,
+          0}},
+        {"pillar_field", "movement", true, kMatIndexRemapped},
+        {"pillar_field", "movement", false, kMatIndexNaive},
+    };
+    for (const int threads : pin_thread_counts()) {
+        for (const auto& pin : pins) {
+            SimConfig cfg = scenario::get(pin.scenario).sim;
+            cfg.exec.threads = threads;
+            const auto sim = backend::make_simt(cfg);
+            for (const int steps : {0, 10}) {
+                sim->run(steps);
+                const auto got = layout_free_counters(
+                    sim->staging_stats(pin.kernel, pin.remapped));
+                for (std::size_t k = 0; k < got.size(); ++k) {
+                    EXPECT_EQ(got[k], pin.counters[k])
+                        << pin.scenario << " " << pin.kernel
+                        << (pin.remapped ? " remapped" : " naive") << " @ "
+                        << threads << " threads, step "
+                        << sim->current_step() << ": "
+                        << kLayoutFreeCounters[k];
+                }
+            }
+        }
+    }
+}
+
+TEST(GpuAccounting, ProposalsCountTheAtomicMovementKernelsAtomics) {
+    // fig5_exec_time's IV.d table charges each movement launch one global
+    // atomic per proposal of its step. A movement kernel that issued an
+    // atomic per proposer at every empty cell counted 4,997 atomics over
+    // this 10-step window.
+    for (const int threads : pin_thread_counts()) {
+        SimConfig cfg = scenario::get("pillar_field").sim;
+        cfg.exec.threads = threads;
+        const auto sim = backend::make_simt(cfg);
+        std::uint64_t proposals = 0;
+        sim->run(10, [&](const StepResult& sr) {
+            proposals += static_cast<std::uint64_t>(sr.proposals);
+            return true;
+        });
+        EXPECT_EQ(proposals, 4997u) << threads << " threads";
     }
 }
 
