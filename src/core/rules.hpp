@@ -7,6 +7,8 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 
@@ -75,6 +77,27 @@ inline void insert_ranked(double* values, std::int8_t* cells, int n,
     cells[pos] = static_cast<std::int8_t>(k);
 }
 
+/// Emptiness of the 8 neighbours of (r, c), probed once each in the
+/// ranked visit order `order`: bit j is set when neighbour order[j] is
+/// empty. The builders read the whole neighbourhood first, so the probes
+/// take no data-dependent branch, then score the set bits lowest first,
+/// which is the ranked order: each builder makes one probe per neighbour
+/// and one set of per-candidate reader calls (tau, the look-ahead ray)
+/// per empty neighbour, in ranked order — what gpu-simt's tile readers
+/// charge for.
+template <typename EmptyFn>
+unsigned empty_mask(EmptyFn&& empty,
+                    const std::array<int, grid::kNeighborCount>& order,
+                    int r, int c) {
+    unsigned mask = 0;
+    for (int j = 0; j < grid::kNeighborCount; ++j) {
+        const auto off = grid::kNeighborOffsets[static_cast<std::size_t>(
+            order[static_cast<std::size_t>(j)])];
+        mask |= static_cast<unsigned>(empty(r + off.dr, c + off.dc)) << j;
+    }
+    return mask;
+}
+
 /// Candidate list for one agent: empty neighbour cells visited in the
 /// group's ranked order. `values`/`cells` must have room for 8 entries.
 /// Returns the candidate count.
@@ -104,12 +127,13 @@ int build_candidates_lem_t(EmptyFn&& empty, const Field& df,
                            const grid::GridConfig& gcfg, grid::Group g,
                            int r, int c, double* values,
                            std::int8_t* cells) {
+    const auto order = grid::ranked_order(g);
     int n = 0;
-    for (const int k : grid::ranked_order(g)) {
+    for (unsigned m = empty_mask(empty, order, r, c); m != 0; m &= m - 1) {
+        const int k = order[static_cast<std::size_t>(std::countr_zero(m))];
         const auto off = grid::kNeighborOffsets[static_cast<std::size_t>(k)];
         const int nr = r + off.dr;
         const int nc = c + off.dc;
-        if (!empty(nr, nc)) continue;
         double effort = df.cost(g, nr, nc, off.dc);
         if (scan.range > 1) {
             effort *= 1.0 + scan.congestion_weight *
@@ -132,12 +156,13 @@ int build_candidates_aco_t(EmptyFn&& empty, TauFn&& tau,
                            const grid::GridConfig& gcfg, grid::Group g,
                            int r, int c, double* values,
                            std::int8_t* cells) {
+    const auto order = grid::ranked_order(g);
     int n = 0;
-    for (const int k : grid::ranked_order(g)) {
+    for (unsigned m = empty_mask(empty, order, r, c); m != 0; m &= m - 1) {
+        const int k = order[static_cast<std::size_t>(std::countr_zero(m))];
         const auto off = grid::kNeighborOffsets[static_cast<std::size_t>(k)];
         const int nr = r + off.dr;
         const int nc = c + off.dc;
-        if (!empty(nr, nc)) continue;
         const double d =
             std::max(df.cost(g, nr, nc, off.dc), kMinHeuristicDistance);
         double weight = std::pow(tau(nr, nc), params.alpha) *
@@ -163,12 +188,13 @@ template <typename EmptyFn>
 int build_candidates_flee_t(EmptyFn&& empty, const PanicConfig& panic,
                             grid::Group g, int r, int c, double* values,
                             std::int8_t* cells) {
+    const auto order = grid::ranked_order(g);
     int n = 0;
-    for (const int k : grid::ranked_order(g)) {
+    for (unsigned m = empty_mask(empty, order, r, c); m != 0; m &= m - 1) {
+        const int k = order[static_cast<std::size_t>(std::countr_zero(m))];
         const auto off = grid::kNeighborOffsets[static_cast<std::size_t>(k)];
         const int nr = r + off.dr;
         const int nc = c + off.dc;
-        if (!empty(nr, nc)) continue;
         const double dr = nr - panic.row;
         const double dc = nc - panic.col;
         // Negative distance: the ascending insertion ranks farthest first.
@@ -198,14 +224,24 @@ int build_scan_row(EmptyFn&& empty, TauFn&& tau, const Field& field,
 }
 
 /// Winner selection among `count` proposers: uniform draw on the *cell's*
-/// stream (the thread assigned to the empty cell makes the choice).
-int select_winner(rng::Stream& stream, int count);
+/// stream (the thread assigned to the empty cell makes the choice). A
+/// lone proposer wins without a draw.
+inline int select_winner(rng::Stream& stream, int count) {
+    if (count <= 0) return -1;
+    if (count == 1) return 0;
+    return static_cast<int>(
+        stream.next_below(static_cast<std::uint32_t>(count)));
+}
 
 /// Step length for a move with the given displacement (1 or sqrt 2) —
 /// accumulates into the ACO tour length L_k.
-double step_length(int dr, int dc);
+inline double step_length(int dr, int dc) {
+    return (dr != 0 && dc != 0) ? std::sqrt(2.0) : 1.0;
+}
 
 /// Pheromone deposited by an agent with tour length `tour_len` (eq. 5).
-double deposit_amount(const AcoParams& params, double tour_len);
+inline double deposit_amount(const AcoParams& params, double tour_len) {
+    return params.q / std::max(tour_len, 1.0);
+}
 
 }  // namespace pedsim::core

@@ -455,14 +455,14 @@ StepResult Simulator::step() {
         proposers_[row * stride + p] |= static_cast<std::uint8_t>(1u << k);
     }
 
-    std::vector<Move> moves;
+    moves_.clear();
     {
         obs::Span s("stage/movement");
-        stage_movement(moves);
+        stage_movement(moves_);
     }
     {
         obs::Span s("stage/finish_step");
-        finish_step(moves, res);
+        finish_step(moves_, res);
     }
 
     if (mx) {

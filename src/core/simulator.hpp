@@ -328,6 +328,11 @@ class Simulator {
     /// environment.
     void fire_due_surges();
 
+    /// This step's resolved moves, filled by stage_movement and read by
+    /// finish_step. step() clears it and keeps its capacity, so after the
+    /// busiest step no step allocates it.
+    std::vector<Move> moves_;
+
     std::size_t next_door_ = 0;
     std::size_t door_retired_ = 0;
 

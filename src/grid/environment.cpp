@@ -41,20 +41,6 @@ void Environment::clear(int r, int c) {
     index_[padded(r, c)] = 0;
 }
 
-void Environment::move(int fr, int fc, int tr, int tc) {
-    if (!in_bounds(fr, fc) || !in_bounds(tr, tc)) {
-        throw std::out_of_range("move: off-grid");
-    }
-    const auto from = padded(fr, fc);
-    const auto to = padded(tr, tc);
-    if (occupancy_[from] == 0) throw std::logic_error("move: source empty");
-    if (occupancy_[to] != 0) throw std::logic_error("move: target occupied");
-    occupancy_[to] = occupancy_[from];
-    index_[to] = index_[from];
-    occupancy_[from] = 0;
-    index_[from] = 0;
-}
-
 void Environment::set_wall(int r, int c) {
     if (!in_bounds(r, c)) throw std::out_of_range("set_wall: off-grid");
     if (!empty(r, c)) throw std::logic_error("set_wall: cell already occupied");

@@ -99,8 +99,25 @@ class Environment {
 
     void place(int r, int c, Group g, std::int32_t index);
     void clear(int r, int c);
-    /// Move the contents of (fr, fc) to the empty cell (tr, tc).
-    void move(int fr, int fc, int tr, int tc);
+    /// Move the contents of (fr, fc) to the empty cell (tr, tc). Inline:
+    /// finish_step calls it once per move.
+    void move(int fr, int fc, int tr, int tc) {
+        if (!in_bounds(fr, fc) || !in_bounds(tr, tc)) {
+            throw std::out_of_range("move: off-grid");
+        }
+        const auto from = padded(fr, fc);
+        const auto to = padded(tr, tc);
+        if (occupancy_[from] == 0) {
+            throw std::logic_error("move: source empty");
+        }
+        if (occupancy_[to] != 0) {
+            throw std::logic_error("move: target occupied");
+        }
+        occupancy_[to] = occupancy_[from];
+        index_[to] = index_[from];
+        occupancy_[from] = 0;
+        index_[from] = 0;
+    }
 
     /// Turn the empty cell (r, c) into a wall (occupancy kWallOcc,
     /// index 0). Layout walls are placed before agents; timed door events

@@ -148,21 +148,6 @@ TEST(Stream, NextBelowIsApproximatelyUniform) {
 
 // --- Distributions -------------------------------------------------------
 
-TEST(Distributions, NormalMoments) {
-    Stream s(11, Stage::kGeneric, 0, 0);
-    const int n = 200000;
-    double sum = 0.0, sum2 = 0.0;
-    for (int i = 0; i < n; ++i) {
-        const double x = normal(s, 2.0, 3.0);
-        sum += x;
-        sum2 += x * x;
-    }
-    const double m = sum / n;
-    const double v = sum2 / n - m * m;
-    EXPECT_NEAR(m, 2.0, 0.05);
-    EXPECT_NEAR(v, 9.0, 0.2);
-}
-
 TEST(Distributions, LemRankDrawSingleCandidate) {
     Stream s(1, Stage::kGeneric, 0, 0);
     for (int i = 0; i < 100; ++i) EXPECT_EQ(lem_rank_draw(s, 1), 0);
@@ -201,6 +186,102 @@ TEST(Distributions, LemRankDrawSigmaControlsSpread) {
         mean_large += lem_rank_draw(s2, 8, 3.0);
     }
     EXPECT_LT(mean_small / n, mean_large / n);
+}
+
+// --- The rank draw at its edges ----------------------------------------------
+
+/// The rank draw as it read before lem_rank's rank-0 shortcut: Box-Muller
+/// with mean 0, the clamp, then lround. lem_rank must agree with it on
+/// every input.
+int reference_rank(double u1, double u2, int count, double sigma) {
+    const double r = std::sqrt(-2.0 * std::log(u1));
+    double x = 0.0 + sigma * r * std::cos(2.0 * M_PI * u2);
+    if (x < 0.0) x = 0.0;
+    const double top = static_cast<double>(count - 1);
+    if (x > top) x = top;
+    return static_cast<int>(std::lround(x));
+}
+
+/// The configured sigmas, plus one so large that any positive cos would
+/// push the reference off rank 0 right at the shortcut's ends.
+constexpr std::array<double, 5> kSigmas{0.0, 0.5, 1.0, 3.0, 1e12};
+
+/// u1 values from r = 0 (u1 = 1) to the largest r a stream can give
+/// (u1 = 2^-53).
+constexpr std::array<double, 4> kU1s{1.0, 0.5, 1e-3, 0x1.0p-53};
+
+/// lem_rank against the reference at u2 for every u1, sigma and count
+/// 2..8; returns the number of disagreements.
+int mismatches_at(double u2) {
+    int bad = 0;
+    for (const double u1 : kU1s) {
+        for (const double sigma : kSigmas) {
+            for (int count = 2; count <= 8; ++count) {
+                bad += lem_rank(u1, u2, count, sigma) !=
+                       reference_rank(u1, u2, count, sigma);
+            }
+        }
+    }
+    return bad;
+}
+
+TEST(Distributions, LemRankMatchesReferenceNearCosZeros) {
+    // Every u2 within 2^-16 of the two zeros of cos(2 pi u2), at a 2^-30
+    // step: the shortcut's ends (2^-20 from each zero) and both sides.
+    for (const double zero : {0.25, 0.75}) {
+        int bad = 0;
+        for (double d = -0x1.0p-16; d <= 0x1.0p-16; d += 0x1.0p-30) {
+            bad += mismatches_at(zero + d);
+        }
+        EXPECT_EQ(bad, 0) << "near u2 = " << zero;
+    }
+}
+
+TEST(Distributions, LemRankShortcutEndsAndNeighbours) {
+    for (const double end : {kRankZeroLo, kRankZeroHi}) {
+        for (const double u2 : {std::nextafter(end, 0.0), end,
+                                std::nextafter(end, 1.0)}) {
+            EXPECT_EQ(mismatches_at(u2), 0) << "u2 = " << u2;
+        }
+        // The sign the shortcut relies on, at its ends themselves.
+        EXPECT_LT(std::cos(2.0 * M_PI * end), -5.9e-6);
+    }
+    // Across each zero of cos the full expression gives ranks above 0,
+    // so the comparisons above can tell the two sides apart.
+    EXPECT_GT(lem_rank(0.5, 0.25 - 0x1.0p-20, 8, 1e12), 0);
+    EXPECT_GT(lem_rank(0.5, 0.75 + 0x1.0p-20, 8, 1e12), 0);
+}
+
+TEST(Distributions, LemRankDrawMatchesReferenceOnStreams) {
+    // 10^6 draws. Each draw's two uniforms (u1 first, then u2) go through
+    // lem_rank and the reference at every sigma and count; lem_rank_draw
+    // on the stream itself must give the same rank and leave the stream
+    // where the two uniforms did.
+    Stream s(29, Stage::kTourConstruction, 0, 0);
+    const int n = 1000000;
+    int bad = 0;
+    int shortcut = 0;
+    for (int i = 0; i < n; ++i) {
+        Stream ref = s;
+        const double u1 = 1.0 - ref.next_double();
+        const double u2 = ref.next_double();
+        shortcut += (u2 >= kRankZeroLo && u2 <= kRankZeroHi);
+        for (const double sigma : kSigmas) {
+            for (int count = 2; count <= 8; ++count) {
+                bad += lem_rank(u1, u2, count, sigma) !=
+                       reference_rank(u1, u2, count, sigma);
+            }
+        }
+        const double sigma =
+            kSigmas[static_cast<std::size_t>(i) % kSigmas.size()];
+        const int count = 2 + i % 7;
+        bad += lem_rank_draw(s, count, sigma) !=
+               reference_rank(u1, u2, count, sigma);
+        bad += s.next_u32() != ref.next_u32();
+    }
+    EXPECT_EQ(bad, 0);
+    // About half of all draws skip log, sqrt and cos.
+    EXPECT_NEAR(static_cast<double>(shortcut) / n, 0.5, 0.002);
 }
 
 TEST(Distributions, RouletteZeroTotalReturnsMinusOne) {
