@@ -1,7 +1,8 @@
 // Shared step-budget helper for the determinism and golden harnesses:
 // base budget by grid size, extended past the last EXPANDED dynamic
-// event (doors plus every cycle/mover firing) so all wall toggles and
-// phase-field swaps happen inside the compared window, and past the
+// event (doors plus every cycle/mover firing, surges, mid-run no-shows
+// and the panic alarm) so all wall toggles, phase-field swaps and
+// perturbations happen inside the compared window, and past the
 // last waypoint advance for scenarios with chains (the advance step is
 // dynamic, so the floor is a tuned constant per suite — waypoint_test
 // pins that the registry chains actually complete inside their budget).
@@ -34,6 +35,12 @@ inline int budget_past_events(const scenario::Scenario& s, int base_small,
     }
     for (const auto& n : s.sim.perturb.no_shows) {
         budget = std::max(budget, static_cast<int>(n.last_step) + margin);
+    }
+    // The panic alarm is timed too: without this the window can end at
+    // the trigger step and pin no panicked step at all.
+    if (s.sim.panic.enabled) {
+        budget = std::max(budget,
+                          static_cast<int>(s.sim.panic.trigger_step) + margin);
     }
     if (s.sim.layout.has_waypoints()) {
         budget = std::max(budget, waypoint_floor);
