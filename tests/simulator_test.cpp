@@ -453,6 +453,59 @@ TEST(MovementOracle, ProposalWalkMatchesSimtGatherUnderContention) {
     }
 }
 
+TEST(MovementOracle, GateCasesArePinned) {
+    // Every engine runs the same gates, so the parity above cannot see a
+    // gate that misfires everywhere at once. Pin each case's 60-step
+    // StepResult totals and final positions on the cpu engine instead;
+    // no registry scenario sets speed.slow_fraction, so this is the only
+    // absolute pin on the slow class.
+    struct Pin {
+        const char* name;
+        int proposals, moves, conflicts, crossed_top, crossed_bottom,
+            waypoint_advances;
+        std::uint64_t fingerprint;
+    };
+    const Pin pins[] = {
+        {"aco_forward_priority_off", 392579, 226288, 166291, 0, 0, 0,
+         0xc63eb9a32c39f88dull},
+        {"lem_slow_class_and_speed_gate", 245723, 185982, 59741, 0, 28, 0,
+         0x4f2356a2e797a45dull},
+        {"aco_waypoint_forward_and_dwell", 372369, 177738, 194631, 0, 0, 238,
+         0xd2db398f991237f5ull},
+        {"lem_panic", 354810, 184913, 169897, 0, 0, 0, 0x11b0de130d146a2dull},
+        {"aco_scan3_anticipation", 368936, 244348, 124588, 0, 0, 0,
+         0xbe02e3a392420408ull},
+        {"lem_scan3_anticipation", 364302, 236519, 127783, 0, 0, 0,
+         0xa409d92e65614650ull},
+    };
+    const auto cases = gate_cases();
+    ASSERT_EQ(cases.size(), std::size(pins));
+    for (std::size_t k = 0; k < cases.size(); ++k) {
+        const Pin& pin = pins[k];
+        SCOPED_TRACE(cases[k].name);
+        ASSERT_STREQ(cases[k].name, pin.name);
+        const auto sim = backend::make_engine(backend::DeviceType::kCpu,
+                                              cases[k].cfg);
+        StepResult sum;
+        sim->run(60, [&](const StepResult& sr) {
+            sum.proposals += sr.proposals;
+            sum.moves += sr.moves;
+            sum.conflicts += sr.conflicts;
+            sum.crossed_top += sr.crossed_top;
+            sum.crossed_bottom += sr.crossed_bottom;
+            sum.waypoint_advances += sr.waypoint_advances;
+            return true;
+        });
+        EXPECT_EQ(sum.proposals, pin.proposals);
+        EXPECT_EQ(sum.moves, pin.moves);
+        EXPECT_EQ(sum.conflicts, pin.conflicts);
+        EXPECT_EQ(sum.crossed_top, pin.crossed_top);
+        EXPECT_EQ(sum.crossed_bottom, pin.crossed_bottom);
+        EXPECT_EQ(sum.waypoint_advances, pin.waypoint_advances);
+        EXPECT_EQ(scenario::position_fingerprint(*sim), pin.fingerprint);
+    }
+}
+
 TEST(MovementOracle, WordSeamAndCornerContestsMatchSimt) {
     // Three hand-built contests, each an empty cell whose every proposer
     // has it as its only empty neighbour:
