@@ -16,16 +16,19 @@ void CpuSimulator::stage_reset() { props_.reset_futures(); }
 
 void CpuSimulator::stage_tour_construction() {
     // The fused initial calc + tour construction: each agent writes only
-    // its own property row, so agent slices are disjoint.
+    // its own property row, so agent slices are disjoint. A slice queues
+    // its draws in its own batch and draws what is left at its end.
     const auto agents = exec::plan_slices(
         config_.exec, 1, static_cast<std::int64_t>(props_.rows()));
     const EnvEmpty empty(env_);
     const auto body = [&](const exec::Slice& sl) {
+        TourBatch batch;
         for (auto i = static_cast<std::size_t>(sl.begin);
              i < static_cast<std::size_t>(sl.end); ++i) {
             if (props_.active[i] == 0) continue;
-            decide_host(static_cast<std::int32_t>(i), empty);
+            decide_host(static_cast<std::int32_t>(i), empty, batch);
         }
+        draw_batch(batch);
     };
     if (!parallel(agents.size())) {
         for (const auto& sl : agents) body(sl);

@@ -420,9 +420,8 @@ void GpuSimulator::stage_movement(std::vector<Move>& out_moves) {
             }
             if (!ctx.branch(kSiteHasProposer, n > 0)) return;
 
-            rng::Stream stream(config_.seed, rng::Stage::kMovement,
-                               static_cast<std::uint64_t>(env_.flat(r, c)),
-                               step_);
+            rng::Stream stream(move_base_,
+                               static_cast<std::uint64_t>(env_.flat(r, c)));
             const int w = select_winner(stream, n);
             if (n > 1) ctx.rng_draw(1);
             winner_[env_.flat(r, c)] = proposers[w];

@@ -233,6 +233,15 @@ inline int select_winner(rng::Stream& stream, int count) {
         stream.next_below(static_cast<std::uint32_t>(count)));
 }
 
+/// Set bits of a proposer byte (bits 0-7 only): the contest size of a
+/// cell. Inline arithmetic, where std::popcount compiles to a libgcc call
+/// at the baseline x86-64 target.
+inline int popcount8(unsigned byte) {
+    byte -= (byte >> 1) & 0x55u;
+    byte = (byte & 0x33u) + ((byte >> 2) & 0x33u);
+    return static_cast<int>((byte + (byte >> 4)) & 0x0Fu);
+}
+
 /// Step length for a move with the given displacement (1 or sqrt 2) —
 /// accumulates into the ACO tour length L_k.
 inline double step_length(int dr, int dc) {

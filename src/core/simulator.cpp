@@ -60,6 +60,11 @@ Simulator::Simulator(const SimConfig& config,
             config_.grid, config_.aco.tau0, config_.aco.tau_min);
     }
     init_perturbations();
+    rules_.slow_class = config_.speed.slow_fraction > 0.0;
+    rules_.speed_gate = std::any_of(speed_gate_q_.begin(), speed_gate_q_.end(),
+                                    [](std::uint64_t q) { return q != 0; });
+    rules_.panic = config_.panic.enabled;
+    rules_.chains = config_.layout.has_waypoints();
     // Heterogeneous speeds: a seeded fraction of agents is slow.
     if (config_.speed.slow_fraction > 0.0) {
         for (std::size_t i = 1; i < props_.rows(); ++i) {
@@ -111,7 +116,7 @@ void Simulator::init_perturbations() {
     }
     for (const auto& s : p.dwells) {
         dwell_steps_[s.group] = s.steps;
-        dwell_enabled_ = true;
+        rules_.dwell = true;
     }
     // No-shows draw one Stage::kPerturbation stream per agent — keyed on
     // the agent index alone, so the draws are independent of iteration
@@ -216,78 +221,23 @@ void Simulator::allocate_proposal_planes() {
     proposers_.assign(rows * static_cast<std::size_t>(env_.stride()), 0);
 }
 
-Simulator::Gate Simulator::run_gates(std::int32_t i) {
-    const auto idx = static_cast<std::size_t>(i);
-
-    // Slow agents act only on their phase of the period (speed extension).
-    if (props_.speed_class[idx] != 0) {
-        const auto period =
-            static_cast<std::uint64_t>(config_.speed.slow_period);
-        if ((step_ + idx) % period != 0) return Gate::kHold;
-    }
-
-    // Perturbation speed class: the agent acts only on the steps a 32.32
-    // fixed-point Bresenham gate selects for its group (integer math, so
-    // every backend picks the same steps; idx phase-shifts agents so a
-    // class never moves in lockstep). Checked before any stream exists —
-    // a gated-out step consumes no draws.
-    if (const std::uint64_t q = speed_gate_q_[props_.group[idx]]; q != 0) {
-        const std::uint64_t t = step_ + idx;
-        if ((((t + 1) * q) >> 32) <= ((t * q) >> 32)) return Gate::kHold;
-    }
-
-    // Waypoint dwell: held at a service point until the hold expires (the
-    // shared finish_step clears dwell_until — also before any draw).
-    if (props_.dwell_until[idx] != 0) return Gate::kHold;
-
-    // Panicked agents flee on the rank draw over the flee-sorted candidate
-    // row; goal, forward priority and pheromone do not apply while fleeing.
-    if (props_.panicked[idx] != 0) return Gate::kDraw;
-
-    // Forward priority (section III): an empty forward cell is taken
-    // without any probabilistic calculation. While a waypoint chain is
-    // pending, "forward" is the neighbour descending the agent's CURRENT
-    // waypoint field (the chain's travel direction — the group's edge-ward
-    // cell would march agents past their checkpoints); once the chain is
-    // done it is the paper's group-forward cell. Both variants are pure
-    // functions of frozen per-step state, so engine/thread parity holds.
-    if (!config_.forward_priority) return Gate::kDraw;
-    const grid::Group g = props_.group_of(i);
-    const int r = props_.row[idx];
-    const int c = props_.col[idx];
-    int k = -1;
-    if (!waypoint_pending(i)) {
-        if (props_.front_blocked[idx] == 0) k = grid::forward_neighbor(g);
-    } else {
-        k = waypoint_forward_neighbor(i, g, r, c);
-    }
-    if (k < 0) return Gate::kDraw;
-    const auto off = grid::kNeighborOffsets[static_cast<std::size_t>(k)];
-    props_.future_row[idx] = r + off.dr;
-    props_.future_col[idx] = c + off.dc;
-    return Gate::kForward;
-}
-
-bool Simulator::draw_future(std::int32_t i, const CandidateRow& row) {
+bool Simulator::draw_future(std::int32_t i, const CandidateRow& row,
+                            rng::Stream& stream) {
     if (row.count <= 0) return false;
     const auto idx = static_cast<std::size_t>(i);
-    rng::Stream stream(config_.seed, rng::Stage::kTourConstruction,
-                       static_cast<std::uint64_t>(i), step_);
     int slot;
-    if (props_.panicked[idx] != 0 || config_.model == Model::kLem) {
+    if (rank_draw(idx)) {
         slot = rng::lem_rank_draw(stream, row.count, config_.lem.sigma);
     } else {
         slot = rng::roulette(stream, row.values, row.count);
         if (slot < 0) return false;
     }
-    const auto off =
-        grid::kNeighborOffsets[static_cast<std::size_t>(row.cells[slot])];
-    props_.future_row[idx] = props_.row[idx] + off.dr;
-    props_.future_col[idx] = props_.col[idx] + off.dc;
+    propose(idx, row.cells[slot]);
     return true;
 }
 
-bool Simulator::decide_host(std::int32_t i, const EnvEmpty& empty) {
+void Simulator::decide_host(std::int32_t i, const EnvEmpty& empty,
+                            TourBatch& batch) {
     const auto idx = static_cast<std::size_t>(i);
     const grid::Group g = props_.group_of(i);
     const int r = props_.row[idx];
@@ -295,16 +245,25 @@ bool Simulator::decide_host(std::int32_t i, const EnvEmpty& empty) {
     const auto fwd = grid::kNeighborOffsets[static_cast<std::size_t>(
         grid::forward_neighbor(g))];
     props_.front_blocked[idx] = empty(r + fwd.dr, c + fwd.dc) ? 0 : 1;
-    props_.panicked[idx] = panic_applies(r, c) ? 1 : 0;
-    double values[grid::kNeighborCount];
-    std::int8_t cells[grid::kNeighborCount];
-    return decide_future(i, [&] {
-        const auto tau = [&](int rr, int cc) { return pher_->at(g, rr, cc); };
-        return CandidateRow{
-            values, cells,
-            build_scan_row(empty, tau, scoring_field(i, g), config_,
-                           props_.panicked[idx] != 0, g, r, c, values,
-                           cells)};
+    if (rules_.panic) props_.panicked[idx] = panic_applies(r, c) ? 1 : 0;
+    if (run_gates(i) != Gate::kDraw) return;
+    TourDraw& d = batch.next();
+    const auto tau = [&](int rr, int cc) { return pher_->at(g, rr, cc); };
+    d.count = build_scan_row(empty, tau, scoring_field(i, g), config_,
+                             rules_.panic && props_.panicked[idx] != 0, g, r,
+                             c, d.values, d.cells);
+    if (d.count < (rank_draw(idx) ? 2 : 1)) {
+        if (d.count == 1) propose(idx, d.cells[0]);
+        return;
+    }
+    d.agent = i;
+    if (batch.commit(static_cast<std::uint64_t>(i))) draw_batch(batch);
+}
+
+void Simulator::draw_batch(TourBatch& batch) {
+    batch.flush(tour_base_, [&](const TourDraw& d, rng::Stream& stream) {
+        draw_future(d.agent, CandidateRow{d.values, d.cells, d.count},
+                    stream);
     });
 }
 
@@ -396,6 +355,9 @@ StepResult Simulator::step() {
 
     StepResult res;
     res.step = step_;
+    tour_base_ = rng::Stream::Base(config_.seed, rng::Stage::kTourConstruction,
+                                   step_);
+    move_base_ = rng::Stream::Base(config_.seed, rng::Stage::kMovement, step_);
 
     // Door events fire at the step boundary, before any stage reads the
     // environment. The SIMT engine rebuilds its global-memory views (and
@@ -491,6 +453,27 @@ void Simulator::resolve_proposals(int begin_row, int end_row,
     // byte's set bits, in ascending k, are the neighbours the per-cell
     // gather finds in kNeighborOffsets order, so the w-th set bit is the
     // gather's w-th proposer.
+    const auto proposer = [&](int r, int c, unsigned bits, int w) {
+        for (; w > 0; --w) bits &= bits - 1;
+        const auto off = grid::kNeighborOffsets[static_cast<std::size_t>(
+            std::countr_zero(bits))];
+        return env_.index_at(r + off.dr, c + off.dc);
+    };
+    // A contest waits in the batch with its move's slot; the slot keeps
+    // the row-major order until the batch draws the winner. Each cell's
+    // stream is its own, so drawing later changes no draw.
+    struct Contest {
+        std::size_t move;
+        unsigned bits;
+    };
+    rng::StreamBatch<Contest> contests;
+    const auto draw_contests = [&] {
+        contests.flush(move_base_, [&](const Contest& k, rng::Stream& s) {
+            Move& m = out_moves[k.move];
+            m.agent = proposer(m.to_row, m.to_col, k.bits,
+                               select_winner(s, popcount8(k.bits)));
+        });
+    };
     const int nwords = env_.bit_words();
     const auto stride = static_cast<std::size_t>(env_.stride());
     for (int r = begin_row; r < end_row; ++r) {
@@ -503,27 +486,25 @@ void Simulator::resolve_proposals(int begin_row, int end_row,
             for (std::uint64_t m = std::exchange(row[wi], 0); m != 0;
                  m &= m - 1) {
                 const int p = wi * 64 + std::countr_zero(m);
-                unsigned bits = std::exchange(dirs[p], std::uint8_t{0});
+                const unsigned bits = std::exchange(dirs[p], std::uint8_t{0});
                 const int c = p - 1;  // padded bit position -> logical column
                 if (!env_.empty(r, c)) continue;
-                // select_winner draws nothing for a lone proposer, so the
-                // cell's stream is built only when there is a contest.
-                const int n = std::popcount(bits);
-                int w = 0;
-                if (n > 1) {
-                    rng::Stream stream(
-                        config_.seed, rng::Stage::kMovement,
-                        static_cast<std::uint64_t>(env_.flat(r, c)), step_);
-                    w = select_winner(stream, n);
+                // select_winner draws nothing for a lone proposer, so only
+                // a contest needs the cell's stream.
+                if ((bits & (bits - 1)) == 0) {
+                    out_moves.push_back({proposer(r, c, bits, 0), r, c});
+                    continue;
                 }
-                for (; w > 0; --w) bits &= bits - 1;
-                const auto off = grid::kNeighborOffsets[
-                    static_cast<std::size_t>(std::countr_zero(bits))];
-                out_moves.push_back(
-                    {env_.index_at(r + off.dr, c + off.dc), r, c});
+                contests.next() = {out_moves.size(), bits};
+                out_moves.push_back({0, r, c});
+                if (contests.commit(
+                        static_cast<std::uint64_t>(env_.flat(r, c)))) {
+                    draw_contests();
+                }
             }
         }
     }
+    draw_contests();
 }
 
 void Simulator::finish_step(const std::vector<Move>& moves,
@@ -562,7 +543,7 @@ void Simulator::finish_step(const std::vector<Move>& moves,
     // the target edge are done — but only once their chain is complete
     // (an agent standing on its goal mid-chain keeps routing).
     const int margin = config_.effective_cross_margin();
-    if (!dwell_enabled_) {
+    if (!rules_.dwell) {
         for (const auto& m : moves) {
             if (props_.crossed[static_cast<std::size_t>(m.agent)] != 0) {
                 continue;
@@ -577,26 +558,6 @@ void Simulator::finish_step(const std::vector<Move>& moves,
     for (std::size_t idx = 1; idx < props_.rows(); ++idx) {
         if (props_.active[idx] == 0 || props_.crossed[idx] != 0) continue;
         finish_agent(static_cast<std::int32_t>(idx), margin, result);
-    }
-}
-
-void Simulator::finish_agent(std::int32_t i, int margin, StepResult& result) {
-    const auto idx = static_cast<std::size_t>(i);
-    result.waypoint_advances += advance_waypoints(i, step_ + 1);
-    if (waypoint_pending(i)) return;
-    const grid::Group g = props_.group_of(i);
-    if (!df_->crossed_at(g, props_.row[idx], props_.col[idx], margin)) return;
-    props_.crossed[idx] = 1;
-    if (g == grid::Group::kTop) {
-        ++crossed_top_;
-        ++result.crossed_top;
-    } else {
-        ++crossed_bottom_;
-        ++result.crossed_bottom;
-    }
-    if (config_.exit_on_cross) {
-        env_.clear(props_.row[idx], props_.col[idx]);
-        props_.active[idx] = 0;
     }
 }
 

@@ -22,6 +22,7 @@
 #include "grid/distance_field.hpp"
 #include "grid/environment.hpp"
 #include "grid/placement.hpp"
+#include "rng/stream.hpp"
 
 namespace pedsim::core {
 
@@ -121,7 +122,7 @@ class Simulator {
     /// scoring_field(). The dump row (i <= 0) reads the final field.
     [[nodiscard]] const grid::BlendedField& scoring_field(
         std::int32_t i, grid::Group g) const {
-        if (i <= 0) return blend_;
+        if (i <= 0 || !rules_.chains) return blend_;
         const auto& chain = chain_for(g);
         const auto w = props_.waypoint[static_cast<std::size_t>(i)];
         if (w >= chain.size()) return blend_;
@@ -131,7 +132,7 @@ class Simulator {
     /// the forward-priority shortcut (their target is wherever the chain
     /// says, not the group's edge) and cannot cross.
     [[nodiscard]] bool waypoint_pending(std::int32_t i) const {
-        if (i <= 0) return false;
+        if (i <= 0 || !rules_.chains) return false;
         return props_.waypoint[static_cast<std::size_t>(i)] <
                chain_for(props_.group_of(i)).size();
     }
@@ -161,7 +162,8 @@ class Simulator {
     // Stage hooks (paper section IV b-e). `out_moves` receives resolved
     // movements in row-major cell order. The host engine folds initial
     // calculation into its tour-construction pass (decide_host), so only
-    // gpu-simt overrides stage_initial_calc.
+    // gpu-simt overrides stage_initial_calc. step() builds tour_base_ and
+    // move_base_ before the first hook runs.
     virtual void stage_reset() = 0;                       // supporting kernel
     virtual void stage_initial_calc() {}                  // IV.b
     virtual void stage_tour_construction() = 0;           // IV.c
@@ -178,7 +180,9 @@ class Simulator {
     /// column-ascending, reading occupancy and agent indices from env_.
     /// Appends the winners to `out_moves` and clears the rows' proposal
     /// words and proposer bytes for the next step, so disjoint row ranges
-    /// may run concurrently.
+    /// may run concurrently. Contested cells draw their winners in lane
+    /// batches (rng::StreamBatch); each holds its move's place in the
+    /// row-major order until its batch is drawn.
     void resolve_proposals(int begin_row, int end_row,
                            std::vector<Move>& out_moves);
 
@@ -191,27 +195,46 @@ class Simulator {
     /// count it, and retire it when exit_on_cross is set.
     void finish_agent(std::int32_t i, int margin, StepResult& result);
 
-    /// Decision core shared by every engine's tour construction: given
-    /// agent i (active, on-grid), run the gates in order and, only when
-    /// the draw is reached, call `row()` once for agent i's CandidateRow.
-    /// The host engine builds that row on demand (decide_host); gpu-simt
-    /// returns the row its initial-calc kernel stored. Writes the FUTURE
-    /// cell and returns true when a proposal was made.
+    /// gpu-simt's decision for agent i (active, on-grid): run the gates
+    /// in order and, only when the draw is reached, call `row()` once for
+    /// the CandidateRow its initial-calc kernel stored, then draw_future
+    /// on agent i's tour-construction stream. Writes the FUTURE cell and
+    /// returns true when a proposal was made.
     template <typename RowFn>
     bool decide_future(std::int32_t i, RowFn&& row) {
         const Gate gate = run_gates(i);
         if (gate != Gate::kDraw) return gate == Gate::kForward;
-        return draw_future(i, row());
+        rng::Stream stream(tour_base_, static_cast<std::uint64_t>(i));
+        return draw_future(i, row(), stream);
     }
 
+    /// One draw the host tour construction has queued: agent i and its
+    /// candidate row, waiting in a TourBatch for its stream's first block.
+    struct TourDraw {
+        std::int32_t agent;
+        int count;
+        double values[grid::kNeighborCount];
+        std::int8_t cells[grid::kNeighborCount];
+    };
+    /// A slice's queued draws, on the slice's stack (about 2.8 KB).
+    using TourBatch = rng::StreamBatch<TourDraw>;
+
     /// The host engine's fused stage b + c for agent i (active, on-grid):
-    /// set its FRONT CELL and panic flags, then decide_future with the
-    /// candidate row build_scan_row (rules.hpp) fills in a stack buffer
-    /// through `empty`, only when the draw needs it. Reads only state
-    /// frozen for the stage and writes only agent i's property row, so
-    /// disjoint agent slices may run concurrently. Returns true when a
-    /// proposal was made.
-    bool decide_host(std::int32_t i, const EnvEmpty& empty);
+    /// set its FRONT CELL and panic flags and run the gates, the same ones
+    /// decide_future runs. At the draw, build_scan_row (rules.hpp) fills
+    /// agent i's candidate row into batch.next() through `empty`. A row
+    /// whose draw reads the stream is queued: a rank row of 2 or more
+    /// candidates, a roulette row of 1 or more. A rank row of one
+    /// candidate takes it at once, since lem_rank_draw draws nothing for
+    /// it. A full batch is drawn before returning. Reads only state frozen
+    /// for the stage and writes only agent i's property row (its queued
+    /// draw included), so disjoint agent slices may run concurrently, each
+    /// with its own batch.
+    void decide_host(std::int32_t i, const EnvEmpty& empty, TourBatch& batch);
+    /// Draw every agent queued in `batch` through draw_future, on its
+    /// tour-construction stream primed with the block the batch computed;
+    /// leaves the batch empty.
+    void draw_batch(TourBatch& batch);
 
     /// True when agent i flees this step (panic active and in radius).
     [[nodiscard]] bool panic_applies(int r, int c) const {
@@ -259,6 +282,9 @@ class Simulator {
     /// all-zero between steps.
     std::vector<std::uint8_t> proposers_;
     std::unique_ptr<PheromoneField> pher_;
+    /// This step's stream bases for tour construction and movement.
+    rng::Stream::Base tour_base_;
+    rng::Stream::Base move_base_;
     std::uint64_t step_ = 0;
     std::size_t crossed_top_ = 0;
     std::size_t crossed_bottom_ = 0;
@@ -272,11 +298,24 @@ class Simulator {
     /// speed gate, waypoint dwell, panic (always draws), forward priority.
     /// Writes the FUTURE cell on kForward. Draws nothing.
     Gate run_gates(std::int32_t i);
-    /// decide_future's draw: the rank draw (LEM, or a panicked agent's
-    /// flee row) or the roulette wheel (ACO) over `row`, on agent i's
-    /// tour-construction stream. Writes the FUTURE cell and returns true
-    /// when a proposal was made.
-    bool draw_future(std::int32_t i, const CandidateRow& row);
+    /// True when agent idx draws a rank (LEM, or a panicked agent's flee
+    /// row) rather than spinning the roulette wheel (ACO).
+    [[nodiscard]] bool rank_draw(std::size_t idx) const {
+        return config_.model == Model::kLem ||
+               (rules_.panic && props_.panicked[idx] != 0);
+    }
+    /// decide_future's draw: the rank draw or the roulette wheel over
+    /// `row`, on `stream`, agent i's tour-construction stream. Writes the
+    /// FUTURE cell and returns true when a proposal was made.
+    bool draw_future(std::int32_t i, const CandidateRow& row,
+                     rng::Stream& stream);
+    /// Set agent idx's FUTURE cell to its neighbour k (a
+    /// grid::kNeighborOffsets index).
+    void propose(std::size_t idx, int k) {
+        const auto off = grid::kNeighborOffsets[static_cast<std::size_t>(k)];
+        props_.future_row[idx] = props_.row[idx] + off.dr;
+        props_.future_col[idx] = props_.col[idx] + off.dc;
+    }
 
     static std::vector<grid::PlacedAgent> init_agents(
         grid::Environment& env, const SimConfig& config);
@@ -342,7 +381,18 @@ class Simulator {
     std::array<std::uint64_t, 3> speed_gate_q_{0, 0, 0};
     /// Per-group waypoint dwell duration; 0 = no dwell. Group-byte index.
     std::array<std::uint64_t, 3> dwell_steps_{0, 0, 0};
-    bool dwell_enabled_ = false;
+    /// The per-agent rules this run can apply, derived from the config at
+    /// construction. A rule that is off never sets its property column,
+    /// so run_gates, finish_step and the waypoint views skip the column's
+    /// per-agent load: the result is the same, at less cost per agent.
+    struct Rules {
+        bool slow_class = false;  ///< speed.slow_fraction > 0
+        bool speed_gate = false;  ///< some group's speed_gate_q_ != 0
+        bool dwell = false;       ///< some group dwells at its waypoints
+        bool panic = false;       ///< panic.enabled
+        bool chains = false;      ///< layout.has_waypoints()
+    };
+    Rules rules_;
     /// Seeded timed drops, sorted by (step, agent).
     std::vector<std::pair<std::uint64_t, std::int32_t>> drops_;
     std::size_t next_drop_ = 0;
@@ -354,5 +404,78 @@ class Simulator {
     std::size_t perturb_retired_ = 0;
     std::size_t perturb_spawned_ = 0;
 };
+
+inline Simulator::Gate Simulator::run_gates(std::int32_t i) {
+    const auto idx = static_cast<std::size_t>(i);
+
+    // Slow agents act only on their phase of the period (speed extension).
+    if (rules_.slow_class && props_.speed_class[idx] != 0) {
+        const auto period =
+            static_cast<std::uint64_t>(config_.speed.slow_period);
+        if ((step_ + idx) % period != 0) return Gate::kHold;
+    }
+
+    // Perturbation speed class: the agent acts only on the steps a 32.32
+    // fixed-point Bresenham gate selects for its group (integer math, so
+    // every backend picks the same steps; idx phase-shifts agents so a
+    // class never moves in lockstep). Checked before any stream exists —
+    // a gated-out step consumes no draws.
+    if (rules_.speed_gate) {
+        if (const std::uint64_t q = speed_gate_q_[props_.group[idx]]; q != 0) {
+            const std::uint64_t t = step_ + idx;
+            if ((((t + 1) * q) >> 32) <= ((t * q) >> 32)) return Gate::kHold;
+        }
+    }
+
+    // Waypoint dwell: held at a service point until the hold expires (the
+    // shared finish_step clears dwell_until — also before any draw).
+    if (rules_.dwell && props_.dwell_until[idx] != 0) return Gate::kHold;
+
+    // Panicked agents flee on the rank draw over the flee-sorted candidate
+    // row; goal, forward priority and pheromone do not apply while fleeing.
+    if (rules_.panic && props_.panicked[idx] != 0) return Gate::kDraw;
+
+    // Forward priority (section III): an empty forward cell is taken
+    // without any probabilistic calculation. While a waypoint chain is
+    // pending, "forward" is the neighbour descending the agent's CURRENT
+    // waypoint field (the chain's travel direction — the group's edge-ward
+    // cell would march agents past their checkpoints); once the chain is
+    // done it is the paper's group-forward cell. Both variants are pure
+    // functions of frozen per-step state, so engine/thread parity holds.
+    if (!config_.forward_priority) return Gate::kDraw;
+    const grid::Group g = props_.group_of(i);
+    int k = -1;
+    if (!waypoint_pending(i)) {
+        if (props_.front_blocked[idx] == 0) k = grid::forward_neighbor(g);
+    } else {
+        k = waypoint_forward_neighbor(i, g, props_.row[idx], props_.col[idx]);
+    }
+    if (k < 0) return Gate::kDraw;
+    propose(idx, k);
+    return Gate::kForward;
+}
+
+inline void Simulator::finish_agent(std::int32_t i, int margin,
+                                    StepResult& result) {
+    const auto idx = static_cast<std::size_t>(i);
+    if (rules_.chains) {
+        result.waypoint_advances += advance_waypoints(i, step_ + 1);
+        if (waypoint_pending(i)) return;
+    }
+    const grid::Group g = props_.group_of(i);
+    if (!df_->crossed_at(g, props_.row[idx], props_.col[idx], margin)) return;
+    props_.crossed[idx] = 1;
+    if (g == grid::Group::kTop) {
+        ++crossed_top_;
+        ++result.crossed_top;
+    } else {
+        ++crossed_bottom_;
+        ++result.crossed_bottom;
+    }
+    if (config_.exit_on_cross) {
+        env_.clear(props_.row[idx], props_.col[idx]);
+        props_.active[idx] = 0;
+    }
+}
 
 }  // namespace pedsim::core

@@ -25,6 +25,16 @@ namespace pedsim::rng {
 inline constexpr double kRankZeroLo = 0.25 + 0x1.0p-20;
 inline constexpr double kRankZeroHi = 0.75 - 0x1.0p-20;
 
+/// std::lround for x in [0, 7], the ranks of an 8-neighbour row, without
+/// the library call it compiles to at the baseline x86-64 target. For
+/// 0 <= x < 2^31, x - int(x) is x's fractional part exactly, so comparing
+/// it with 0.5 rounds halves away from zero as lround does. (int(x + 0.5)
+/// would not: the sum rounds 0.49999999999999994 up to 1.)
+inline int round_rank(double x) noexcept {
+    const int f = static_cast<int>(x);
+    return f + static_cast<int>(x - f >= 0.5);
+}
+
 /// The LEM rank for the Box-Muller uniforms u1 in (0, 1] and u2 in
 /// [0, 1): x = 0 + sigma * sqrt(-2 ln u1) * cos(2 pi u2) ~ N(0, sigma);
 /// negatives become 0, values past the last rank are rounded down to it,
@@ -41,7 +51,7 @@ inline int lem_rank(double u1, double u2, int candidate_count,
     if (x < 0.0) x = 0.0;
     const double top = static_cast<double>(candidate_count - 1);
     if (x > top) x = top;
-    return static_cast<int>(std::lround(x));
+    return round_rank(x);
 }
 
 /// The LEM rank draw of Sarmady et al. (paper eq. 1 surroundings): draws

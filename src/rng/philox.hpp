@@ -9,6 +9,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 namespace pedsim::rng {
@@ -26,25 +27,47 @@ struct Philox4x32 {
     static constexpr std::uint32_t kWeyl1 = 0xBB67AE85u;  // sqrt(3) - 1
     static constexpr int kRounds = 10;
 
-    /// One Philox round: two 32x32->64 multiplies, xors with key/counter.
-    static constexpr Counter round(const Counter& ctr, const Key& key) {
-        const std::uint64_t p0 = static_cast<std::uint64_t>(kMult0) * ctr[0];
-        const std::uint64_t p1 = static_cast<std::uint64_t>(kMult1) * ctr[2];
-        const auto hi0 = static_cast<std::uint32_t>(p0 >> 32);
-        const auto lo0 = static_cast<std::uint32_t>(p0);
-        const auto hi1 = static_cast<std::uint32_t>(p1 >> 32);
-        const auto lo1 = static_cast<std::uint32_t>(p1);
-        return Counter{hi1 ^ ctr[1] ^ key[0], lo1, hi0 ^ ctr[3] ^ key[1], lo0};
+    /// Counter blocks of up to N lanes, stored word-major so that a loop
+    /// over lanes runs on contiguous words: word w of lane l is x[w][l].
+    template <std::size_t N>
+    using Lanes = std::array<std::array<std::uint32_t, N>, 4>;
+
+    /// One Philox round on lanes [0, n): two 32x32->64 multiplies, xors
+    /// with key and counter. The lane loop carries no dependence, so the
+    /// compiler vectorizes it (SSE2 pmuludq at the baseline target).
+    template <std::size_t N>
+    static constexpr void round(Lanes<N>& x, const Key& key, std::size_t n) {
+        for (std::size_t l = 0; l < n; ++l) {
+            const std::uint64_t p0 =
+                static_cast<std::uint64_t>(kMult0) * x[0][l];
+            const std::uint64_t p1 =
+                static_cast<std::uint64_t>(kMult1) * x[2][l];
+            const std::uint32_t w1 = x[1][l];
+            const std::uint32_t w3 = x[3][l];
+            x[0][l] = static_cast<std::uint32_t>(p1 >> 32) ^ w1 ^ key[0];
+            x[1][l] = static_cast<std::uint32_t>(p1);
+            x[2][l] = static_cast<std::uint32_t>(p0 >> 32) ^ w3 ^ key[1];
+            x[3][l] = static_cast<std::uint32_t>(p0);
+        }
     }
 
-    /// Full 10-round keyed bijection of the counter block.
-    static constexpr Output generate(Counter ctr, Key key) {
+    /// Full 10-round keyed bijection of lanes [0, n), in place. Every lane
+    /// shares `key`.
+    template <std::size_t N>
+    static constexpr void generate(Lanes<N>& x, Key key, std::size_t n) {
         for (int r = 0; r < kRounds; ++r) {
-            ctr = round(ctr, key);
+            round(x, key, n);
             key[0] += kWeyl0;
             key[1] += kWeyl1;
         }
-        return ctr;
+    }
+
+    /// Full 10-round keyed bijection of one counter block: the one-lane
+    /// case of the lane generate.
+    static constexpr Output generate(const Counter& ctr, const Key& key) {
+        Lanes<1> x{{{ctr[0]}, {ctr[1]}, {ctr[2]}, {ctr[3]}}};
+        generate(x, key, 1);
+        return Output{x[0][0], x[1][0], x[2][0], x[3][0]};
     }
 };
 

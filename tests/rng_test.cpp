@@ -2,10 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <random>
 #include <set>
 #include <vector>
 
+#include "core/rules.hpp"
 #include "rng/distributions.hpp"
 #include "rng/philox.hpp"
 #include "rng/stream.hpp"
@@ -58,6 +62,37 @@ TEST(Philox, CounterAvalanche) {
                                         b[static_cast<std::size_t>(i)]);
     }
     EXPECT_GT(differing, 32);
+}
+
+TEST(Philox, LaneBlocksMatchOneLaneGenerate) {
+    // Random keys and counters at every batch size 1-32: each lane below n
+    // holds generate() of its own counter, and the lanes past n, a partial
+    // batch's unused tail, are left as they were.
+    std::mt19937_64 rng(0x5eed);
+    for (std::size_t n = 1; n <= 32; ++n) {
+        for (int trial = 0; trial < 8; ++trial) {
+            const Philox4x32::Key key{static_cast<std::uint32_t>(rng()),
+                                      static_cast<std::uint32_t>(rng())};
+            Philox4x32::Lanes<32> x{};
+            for (auto& word : x) {
+                for (auto& v : word) v = static_cast<std::uint32_t>(rng());
+            }
+            const auto before = x;
+            Philox4x32::generate(x, key, n);
+            for (std::size_t l = 0; l < 32; ++l) {
+                const Philox4x32::Counter ctr{before[0][l], before[1][l],
+                                              before[2][l], before[3][l]};
+                const Philox4x32::Output got{x[0][l], x[1][l], x[2][l],
+                                             x[3][l]};
+                if (l < n) {
+                    EXPECT_EQ(got, Philox4x32::generate(ctr, key))
+                        << "n " << n << " lane " << l;
+                } else {
+                    EXPECT_EQ(got, ctr) << "n " << n << " lane " << l;
+                }
+            }
+        }
+    }
 }
 
 TEST(SplitMix, DistinctOnSequentialInputs) {
@@ -144,6 +179,144 @@ TEST(Stream, NextBelowIsApproximatelyUniform) {
         chi2 += (h - expected) * (h - expected) / expected;
     }
     EXPECT_LT(chi2, 24.3);
+}
+
+// --- Stream bases, primed streams and batches -----------------------------
+
+/// x given x ^ (x >> shift): each pass fixes `shift` more high bits.
+std::uint64_t unxorshift(std::uint64_t y, int shift) {
+    std::uint64_t x = y;
+    for (int done = shift; done < 64; done += shift) x = y ^ (x >> shift);
+    return x;
+}
+
+/// The inverse of an odd multiplier modulo 2^64 (Newton's iteration, each
+/// step doubling the correct low bits from 3).
+std::uint64_t inverse_mod_2_64(std::uint64_t m) {
+    std::uint64_t inv = m;
+    for (int i = 0; i < 5; ++i) inv *= 2 - m * inv;
+    return inv;
+}
+
+/// splitmix64's inverse, so a test can pick a stream's counter words.
+std::uint64_t unsplitmix64(std::uint64_t z) {
+    z = unxorshift(z, 31) * inverse_mod_2_64(0x94D049BB133111EBull);
+    z = unxorshift(z, 27) * inverse_mod_2_64(0xBF58476D1CE4E5B9ull);
+    return unxorshift(z, 30) - 0x9E3779B97F4A7C15ull;
+}
+
+/// The entity whose stream starts at counter words 0-1 = `words01`, and
+/// the step whose Stream::Base has counter words 2-3 = `words23`.
+std::uint64_t entity_for(std::uint64_t words01) {
+    return unsplitmix64(words01) ^ 0xA5A5A5A5A5A5A5A5ull;
+}
+std::uint64_t step_for(std::uint64_t words23) {
+    return unsplitmix64(words23) ^ 0x5A5A5A5A5A5A5A5Aull;
+}
+
+constexpr std::array<Stage, 6> kStages{
+    Stage::kPlacement, Stage::kTourConstruction, Stage::kMovement,
+    Stage::kGeneric,   Stage::kAnts,             Stage::kPerturbation};
+
+TEST(StreamBase, UnsplitmixInvertsSplitmix) {
+    std::mt19937_64 rng(11);
+    for (int i = 0; i < 1000; ++i) {
+        const std::uint64_t z = rng();
+        EXPECT_EQ(splitmix64(unsplitmix64(z)), z);
+    }
+}
+
+TEST(StreamBase, BaseAndEntityGiveTheFourArgumentStream) {
+    std::mt19937_64 rng(12);
+    for (const Stage stage : kStages) {
+        for (int trial = 0; trial < 200; ++trial) {
+            const std::uint64_t seed = rng();
+            const std::uint64_t entity = trial < 100 ? rng() : rng() % 1000;
+            const std::uint64_t step = trial < 100 ? rng() : rng() % 1000;
+            Stream want(seed, stage, entity, step);
+            Stream got(Stream::Base(seed, stage, step), entity);
+            for (int k = 0; k < 12; ++k) {  // three blocks
+                ASSERT_EQ(got.next_u32(), want.next_u32())
+                    << "stage " << static_cast<int>(stage) << " draw " << k;
+            }
+        }
+    }
+}
+
+/// A primed stream against a fresh one over 10^3 next_u32 calls (250
+/// blocks), with next_below and next_double mixed in so draws straddle
+/// block boundaries.
+void expect_primed_matches_fresh(const Stream::Base& base,
+                                 std::uint64_t entity) {
+    Stream fresh(base, entity);
+    Stream primed(base, entity,
+                  Philox4x32::generate(Stream::first_counter(base, entity),
+                                       base.key));
+    for (int k = 0; k < 1000; ++k) {
+        ASSERT_EQ(primed.next_u32(), fresh.next_u32()) << "draw " << k;
+        if (k % 7 == 3) {
+            ASSERT_EQ(primed.next_double(), fresh.next_double());
+        }
+        if (k % 11 == 5) {
+            ASSERT_EQ(primed.next_below(6), fresh.next_below(6));
+        }
+    }
+}
+
+TEST(StreamBase, PrimedStreamContinuesAsTheFreshOne) {
+    std::mt19937_64 rng(13);
+    for (int trial = 0; trial < 50; ++trial) {
+        expect_primed_matches_fresh(
+            Stream::Base(rng(), kStages[static_cast<std::size_t>(trial) % 6],
+                         rng()),
+            rng());
+    }
+}
+
+TEST(StreamBase, PrimedStreamCarriesLikeTheFreshOne) {
+    // Counter word 0 = 0xFFFFFFFF: the first advance carries into word 1;
+    // with words 0-2 all ones it carries into word 3.
+    const std::uint64_t seed = 77;
+    const Stream::Base plain(seed, Stage::kMovement, 5);
+    const Stream::Base ones23(seed, Stage::kMovement,
+                              step_for(0x12345678FFFFFFFFull));
+    ASSERT_EQ(ones23.ctr2, 0xFFFFFFFFu);
+    for (const std::uint64_t words01 :
+         {0x00000000FFFFFFFFull, 0x9ABCDEF0FFFFFFFFull, 0xFFFFFFFFFFFFFFFFull,
+          0xFFFFFFFFFFFFFFFEull}) {
+        const std::uint64_t entity = entity_for(words01);
+        ASSERT_EQ(Stream::first_counter(plain, entity)[0],
+                  static_cast<std::uint32_t>(words01));
+        expect_primed_matches_fresh(plain, entity);
+        expect_primed_matches_fresh(ones23, entity);
+    }
+}
+
+TEST(StreamBatch, EveryBatchSizeDrawsTheUnbatchedStreams) {
+    // Batch sizes 1-32, partial batches included, and a batch reused
+    // after a flush: each queued item gets its own stream, in queue order.
+    std::mt19937_64 rng(14);
+    StreamBatch<int> batch;
+    for (int n = 1; n <= 32; ++n) {
+        const Stream::Base base(rng(), Stage::kTourConstruction, rng());
+        std::vector<std::uint64_t> entities;
+        bool full = false;
+        for (int l = 0; l < n; ++l) {
+            entities.push_back(l % 3 == 0 ? rng() : rng() % 4096);
+            batch.next() = l;
+            full = batch.commit(entities.back());
+        }
+        EXPECT_EQ(full, n == 32);
+        int seen = 0;
+        batch.flush(base, [&](int& item, Stream& s) {
+            ASSERT_EQ(item, seen);
+            Stream want(base, entities[static_cast<std::size_t>(item)]);
+            for (int k = 0; k < 9; ++k) ASSERT_EQ(s.next_u32(), want.next_u32());
+            ++seen;
+        });
+        EXPECT_EQ(seen, n);
+        batch.flush(base, [&](int&, Stream&) { ADD_FAILURE() << "not empty"; });
+    }
 }
 
 // --- Distributions -------------------------------------------------------
@@ -282,6 +455,33 @@ TEST(Distributions, LemRankDrawMatchesReferenceOnStreams) {
     EXPECT_EQ(bad, 0);
     // About half of all draws skip log, sqrt and cos.
     EXPECT_NEAR(static_cast<double>(shortcut) / n, 0.5, 0.002);
+}
+
+TEST(Distributions, RoundRankMatchesLround) {
+    // Every half k + 0.5 and integer k on [0, 8], with both nextafter
+    // neighbours of each, then 10^6 random values.
+    const auto check = [](double x) {
+        ASSERT_EQ(round_rank(x), static_cast<int>(std::lround(x)))
+            << "x = " << x;
+    };
+    for (int k = 0; k <= 8; ++k) {
+        for (const double at : {static_cast<double>(k), k + 0.5}) {
+            if (at > 8.0) continue;
+            check(at);
+            check(std::nextafter(at, 0.0));
+            if (at < 8.0) check(std::nextafter(at, 8.0));
+        }
+    }
+    check(0.49999999999999994);  // where int(x + 0.5) would round up
+    std::mt19937_64 rng(15);
+    std::uniform_real_distribution<double> u(0.0, 8.0);
+    for (int i = 0; i < 1000000; ++i) check(u(rng));
+}
+
+TEST(Distributions, Popcount8MatchesStdPopcount) {
+    for (unsigned byte = 0; byte < 256; ++byte) {
+        EXPECT_EQ(core::popcount8(byte), std::popcount(byte)) << byte;
+    }
 }
 
 TEST(Distributions, RouletteZeroTotalReturnsMinusOne) {

@@ -339,7 +339,7 @@ struct OracleCase {
     SimConfig cfg;
 };
 
-/// Dense configs that between them reach every gate decide_future runs
+/// Dense configs that between them reach every gate the engines run
 /// before its draw, so the on-demand candidate rows are built (or not)
 /// on every path.
 std::vector<OracleCase> gate_cases() {
